@@ -11,18 +11,17 @@ level constraint, and Newmark with per-step constraint projection.
 from .splines import (KnotVector, NurbsCurve, eval_bspline_basis, eval_nurbs,
                       eval_nurbs_basis, fit_least_squares,
                       make_open_uniform_knots)
-from .pathgeom import (ArclengthMap, CosineProfile, FrameKinematics,
-                       FrenetFrame, PlanPath, PlanSpec, Span, build_plan_path,
-                       cosine_profile, frame_kinematics, frenet_frame)
+from .pathgeom import (ArclengthMap, CosineProfile, FrameKinematics, PlanPath,
+                       PlanSpec, Span, build_plan_path, cosine_profile,
+                       frame_kinematics)
 from .vehicle import (L_TR, VehicleParams, VehicleSystem, vehicle_energy,
                       vehicle_matrices)
 from .beams import (BeamSection, BridgeSystem, assemble_bridge,
                     element_matrices_fem, element_matrices_iga,
                     strain_operator)
-from .coupling import (ConstraintSnapshot, CoupledSystem, assemble_coupled,
-                       constraint_matrix, constraint_rates)
-from .integrators import (CoupledModel, CoupledState, SchemeParams, Stepper,
-                          TimeHistory, coupled_model, initial_state,
+from .coupling import ConstraintSnapshot, constraint_rates
+from .integrators import (Constraint, CoupledModel, CoupledState, SchemeParams,
+                          Stepper, TimeHistory, coupled_model, initial_state,
                           project_constraints, run_model, run_rigid_profile,
                           scheme_params)
 from .scenario import (BridgeConfig, Probe, RunConfig, Scenario,

@@ -369,10 +369,7 @@ class BridgeSystem:
     K: np.ndarray
     P: np.ndarray
     Z: np.ndarray
-    M_full: np.ndarray
     K_full: np.ndarray
-    P_full: np.ndarray
-    n_constraints: int
 
     @property
     def n_full(self) -> int:
@@ -382,13 +379,10 @@ class BridgeSystem:
     def n_red(self) -> int:
         return self.Z.shape[1]
 
-    def constraint_rows(self, s: float, order: int = 0) -> np.ndarray:
-        """3 x n_full rows coupling (transverse, vertical, roll) at ``s``."""
-        return np.array([
-            self.shape.field_row(s, F_UN, order),
-            self.shape.field_row(s, F_UB, order),
-            self.shape.field_row(s, F_TT, order),
-        ])
+    @property
+    def n_constraints(self) -> int:
+        """Number of independent support constraints removed by Z."""
+        return self.n_full - self.n_red
 
     def constraint_rows_upto2(self, s: float) -> np.ndarray:
         """Stacked (order, row, dof) coupling rows for orders 0, 1, 2."""
@@ -472,13 +466,10 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
         if not (0.0 <= s <= length + 1e-9):
             raise ValueError("support at s=%g is not on the path" % s)
         for f in fields:
+            if not 0 <= f < N_FIELDS:
+                raise ValueError("support field index %r outside 0..5" % (f,))
             rows.append(shape.field_row(min(s, length), f, 0))
-    if rows:
-        G = np.array(rows)
-        Z = null_space(G)
-    else:
-        G = np.zeros((0, nfull))
-        Z = np.eye(nfull)
+    Z = null_space(np.array(rows)) if rows else np.eye(nfull)
 
     a0, a1 = rayleigh
     Mr = Z.T @ M @ Z
@@ -487,7 +478,5 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
     Pr = Z.T @ P
     return BridgeSystem(
         kind=kind, section=section, shape=shape, length=length,
-        M=Mr, C=Cr, K=Kr, P=Pr, Z=Z,
-        M_full=M, K_full=K, P_full=P,
-        n_constraints=int(np.linalg.matrix_rank(G)) if len(rows) else 0,
+        M=Mr, C=Cr, K=Kr, P=Pr, Z=Z, K_full=K,
     )

@@ -14,13 +14,12 @@ import numpy as np
 from .beams import BridgeSystem
 from .vehicle import L_TR, VehicleSystem
 
-__all__ = ["ConstraintSnapshot", "CoupledSystem", "constraint_matrix",
-           "constraint_rates", "assemble_coupled"]
+__all__ = ["ConstraintSnapshot", "constraint_rates", "residual"]
 
 
 @dataclass(frozen=True)
 class ConstraintSnapshot:
-    """Coupling rows (and optionally their time rates) at one wheel position.
+    """Coupling rows and their time rates at one wheel position.
 
     Rows are over the full bridge DOFs; ``reduced`` maps them through the
     boundary-condition reduction.
@@ -28,20 +27,11 @@ class ConstraintSnapshot:
 
     s: float
     L: np.ndarray
-    L_dot: np.ndarray | None = None
-    L_ddot: np.ndarray | None = None
+    L_dot: np.ndarray
+    L_ddot: np.ndarray
 
     def reduced(self, Z: np.ndarray):
-        Ld = None if self.L_dot is None else self.L_dot @ Z
-        Ldd = None if self.L_ddot is None else self.L_ddot @ Z
-        return self.L @ Z, Ld, Ldd
-
-
-def constraint_matrix(bridge: BridgeSystem, s: float) -> ConstraintSnapshot:
-    """Coupling rows L^b at wheel arclength ``s`` (values only)."""
-    if not (0.0 <= s <= bridge.length + 1e-9):
-        raise ValueError("wheel at s=%g is off the bridge" % s)
-    return ConstraintSnapshot(s, bridge.constraint_rows(s, 0))
+        return self.L @ Z, self.L_dot @ Z, self.L_ddot @ Z
 
 
 def constraint_rates(bridge: BridgeSystem, s: float, v: float) -> ConstraintSnapshot:
@@ -52,31 +42,13 @@ def constraint_rates(bridge: BridgeSystem, s: float, v: float) -> ConstraintSnap
     return ConstraintSnapshot(s, L, v * L1, v * v * L2)
 
 
-@dataclass(frozen=True)
-class CoupledSystem:
-    """The index-3 block system at one instant."""
-
-    vehicle: VehicleSystem
-    bridge: BridgeSystem
-    snapshot: ConstraintSnapshot
-
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        return 4, self.bridge.n_red, 3
-
-
-def assemble_coupled(vehicle: VehicleSystem, bridge: BridgeSystem,
-                     snapshot: ConstraintSnapshot) -> CoupledSystem:
-    sys = CoupledSystem(vehicle, bridge, snapshot)
-    return sys
-
-
-def residual(sys: CoupledSystem, ut, vt, at, ub, vb, ab, lam):
-    """Block residuals of the coupled equations (train, bridge, constraint)."""
-    veh = sys.vehicle
-    br = sys.bridge
-    Lb, _, _ = sys.snapshot.reduced(br.Z)
-    r_t = veh.M @ at + veh.C @ vt + veh.K @ ut + L_TR @ lam - veh.P
-    r_b = br.M @ ab + br.C @ vb + br.K @ ub + Lb.T @ lam - br.P
+def residual(vehicle: VehicleSystem, bridge: BridgeSystem, Lb: np.ndarray,
+             ut, vt, at, ub, vb, ab, lam):
+    """Block residuals of the coupled equations (train, bridge, constraint)
+    with reduced coupling rows ``Lb``."""
+    r_t = (vehicle.M @ at + vehicle.C @ vt + vehicle.K @ ut + L_TR @ lam
+           - vehicle.P)
+    r_b = (bridge.M @ ab + bridge.C @ vb + bridge.K @ ub + Lb.T @ lam
+           - bridge.P)
     r_c = L_TR.T @ ut + Lb @ ub
     return r_t, r_b, r_c

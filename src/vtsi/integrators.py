@@ -9,25 +9,33 @@ Three interchangeable strategies:
 * ``C`` - Newmark on the index-3 system with wheel velocity and acceleration
   projected onto the differentiated constraints after every step.
 
+The strategies differ only in the level at which the time-varying coupling
+rows enter the step system, and the model supplies those rows from one
+source: ``CoupledModel.reduced_at(t)``. Each step evaluates it once per
+distinct instant (t_f for the load, t_{n+1} for the constraint row) and the
+t_{n+1} value travels with the new state as ``CoupledState.con``, so
+projection, displacement repair, and the residual record read it there.
+
 The same machinery also integrates unconstrained systems (no vehicle or no
-constraint blocks) and the rigid-profile variant where the bridge is replaced
-by a prescribed vertical curve.
+constraint) and the rigid-profile run, whose constraint has no bridge
+columns and a prescribed gap instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .coupling import ConstraintSnapshot, constraint_rates
+from .coupling import constraint_rates
 from .pathgeom import CosineProfile
-from .vehicle import L_TR, VehicleParams, VehicleSystem, vehicle_matrices
+from .vehicle import L_TR, VehicleParams, vehicle_matrices
 
 __all__ = [
     "SchemeParams",
     "scheme_params",
+    "Constraint",
     "CoupledState",
     "CoupledModel",
     "TimeHistory",
@@ -76,9 +84,25 @@ def scheme_params(rho_inf: float | None = None, dt: float = 1e-3,
     return SchemeParams(am, af, beta, gamma, dt, rho_inf=rho_inf)
 
 
+class Constraint(NamedTuple):
+    """Wheel constraint L_TR^T u_t + L u_b + r = 0 at one instant.
+
+    ``L``, ``L_dot``, ``L_ddot`` are 3 x n_red coupling rows and their time
+    rates; ``r`` stacks the prescribed gap and its two rates (3 x 3, one row
+    per order). On a bridge ``r`` is zero; on a rigid profile L has no
+    columns.
+    """
+
+    L: np.ndarray
+    L_dot: np.ndarray
+    L_ddot: np.ndarray
+    r: np.ndarray
+
+
 @dataclass
 class CoupledState:
-    """Displacements, velocities, accelerations, and contact forces at t."""
+    """Displacements, velocities, accelerations, and contact forces at t,
+    with the constraint evaluated at t (None when unconstrained)."""
 
     t: float
     ut: np.ndarray
@@ -88,29 +112,29 @@ class CoupledState:
     vb: np.ndarray
     ab: np.ndarray
     lam: np.ndarray
+    con: Constraint | None = None
 
     def copy(self) -> "CoupledState":
         return CoupledState(self.t, self.ut.copy(), self.vt.copy(),
                             self.at.copy(), self.ub.copy(), self.vb.copy(),
-                            self.ab.copy(), self.lam.copy())
+                            self.ab.copy(), self.lam.copy(), self.con)
 
 
 @dataclass
 class CoupledModel:
-    """Everything the stepper needs, as callables of time.
+    """Everything the stepper needs, as uncached callables of time.
 
-    Any of the three blocks may be absent: ``vehicle_at`` (pure structural
-    run), ``bridge`` (rigid-profile run), or both constraint providers
-    (unconstrained ODE).
+    ``vehicle_at(t)`` gives the vehicle matrices; ``bridge`` needs M, C, K, P
+    (and Z for coupling); ``reduced_at(t)`` gives the wheel ``Constraint``.
+    ``axle_load`` (3-vector), when set, adds L(t_f)^T axle_load to the bridge
+    load. Any block may be absent: no vehicle (pure structural run), no
+    bridge (rigid-profile run), or no constraint (unconstrained ODE).
     """
 
-    vehicle_at: object = None          # t -> VehicleSystem
-    bridge: object = None              # needs M, C, K, P (+ Z for coupling)
-    snapshot_at: object = None         # t -> ConstraintSnapshot (full rows)
-    rigid_gap: object = None           # t -> (r, r_dot, r_ddot), 3-vectors
-    speed: float = 0.0
-    bridge_load_at: object = None      # t -> reduced load vector, else bridge.P
-    reduced_at: object = None          # cached t -> (L, L_dot, L_ddot) reduced
+    vehicle_at: object = None
+    bridge: object = None
+    reduced_at: object = None
+    axle_load: np.ndarray | None = None
 
     @property
     def n_t(self) -> int:
@@ -122,14 +146,7 @@ class CoupledModel:
 
     @property
     def n_lam(self) -> int:
-        return 3 if (self.snapshot_at is not None or self.rigid_gap is not None) else 0
-
-    def reduced_snapshot(self, t: float):
-        """(L, L_dot, L_ddot) over reduced bridge DOFs at time t."""
-        if self.reduced_at is not None:
-            return self.reduced_at(t)
-        snap = self.snapshot_at(t)
-        return snap.reduced(self.bridge.Z)
+        return 3 if self.reduced_at is not None else 0
 
 
 @dataclass
@@ -152,6 +169,33 @@ class TimeHistory:
         return len(self.t) - 1
 
 
+@dataclass
+class _StepSystem:
+    """Predictors and blocks of one step's linear system in (a_t, a_b, lam):
+
+        [A_t  0    L_TR ] [a_t]   [r_t]
+        [0    A_b  Lf^T ] [a_b] = [r_b]
+        [C_t  C_b  0    ] [lam]   [r_c]
+
+    A_b is the bridge block factored once by the stepper. Absent blocks are
+    None; ``con`` is the constraint at ``t1``.
+    """
+
+    t1: float
+    con: Constraint | None
+    ut_pred: np.ndarray
+    vt_pred: np.ndarray
+    ub_pred: np.ndarray
+    vb_pred: np.ndarray
+    A_t: np.ndarray | None = None
+    r_t: np.ndarray | None = None
+    r_b: np.ndarray | None = None
+    Lf: np.ndarray | None = None
+    C_t: np.ndarray | None = None
+    C_b: np.ndarray | None = None
+    r_c: np.ndarray | None = None
+
+
 def _weighted(alpha, new, old):
     return (1.0 - alpha) * new + alpha * old
 
@@ -168,13 +212,16 @@ class Stepper:
         self.strategy = strategy
         self._bridge_lu = None
         if model.bridge is not None:
-            p = params
-            A_b = ((1.0 - p.alpha_m) * model.bridge.M
-                   + (1.0 - p.alpha_f) * (p.gamma * p.dt * model.bridge.C
-                                          + p.beta * p.dt ** 2 * model.bridge.K))
-            self._bridge_lu = lu_factor(A_b)
+            self._bridge_lu = lu_factor(self._bridge_block())
 
-    def _assemble(self, state: CoupledState):
+    def _bridge_block(self) -> np.ndarray:
+        p = self.params
+        br = self.model.bridge
+        return ((1.0 - p.alpha_m) * br.M
+                + (1.0 - p.alpha_f) * (p.gamma * p.dt * br.C
+                                       + p.beta * p.dt ** 2 * br.K))
+
+    def _assemble(self, state: CoupledState) -> _StepSystem:
         """Newmark predictors and all linear blocks of the step system."""
         m = self.model
         p = self.params
@@ -183,93 +230,73 @@ class Stepper:
         t1 = state.t + dt
         tf = (1.0 - af) * t1 + af * state.t
 
-        ut_pred = state.ut + dt * state.vt + dt * dt * (0.5 - beta) * state.at
-        vt_pred = state.vt + dt * (1.0 - gamma) * state.at
-        ub_pred = state.ub + dt * state.vb + dt * dt * (0.5 - beta) * state.ab
-        vb_pred = state.vb + dt * (1.0 - gamma) * state.ab
-
-        blocks = []
-        rhs = []
-        lam_cols = []
-
-        veh = None
-        if m.vehicle_at is not None:
-            veh = m.vehicle_at(tf)
-            A_t = ((1.0 - am) * veh.M
-                   + (1.0 - af) * (gamma * dt * veh.C + beta * dt * dt * veh.K))
-            r_t = (veh.P - veh.M @ (am * state.at)
-                   - veh.C @ _weighted(af, vt_pred, state.vt)
-                   - veh.K @ _weighted(af, ut_pred, state.ut))
-            blocks.append(A_t)
-            rhs.append(r_t)
-            lam_cols.append(L_TR)
-
-        Lf = L1 = Ld1 = Ldd1 = None
-        if m.bridge is not None:
-            br = m.bridge
-            if m.snapshot_at is not None:
-                Lf, _, _ = m.reduced_snapshot(tf)
-                L1, Ld1, Ldd1 = m.reduced_snapshot(t1)
-            P_b = br.P if m.bridge_load_at is None else m.bridge_load_at(tf)
-            r_b = (P_b - br.M @ (am * state.ab)
-                   - br.C @ _weighted(af, vb_pred, state.vb)
-                   - br.K @ _weighted(af, ub_pred, state.ub))
-            rhs.append(r_b)
-            if Lf is not None:
-                lam_cols.append(Lf.T)
-
-        # Constraint row.
-        C_t = C_b = r_c = None
+        con1 = conf = None
         if m.n_lam:
-            if m.rigid_gap is not None:
-                r1, rd1, rdd1 = m.rigid_gap(t1)
-                if self.strategy == "B":
-                    C_t = L_TR.T.copy()
-                    r_c = -rdd1
-                else:
-                    C_t = beta * dt * dt * L_TR.T
-                    r_c = -(L_TR.T @ ut_pred) - r1
-            elif self.strategy == "B":
-                C_t = L_TR.T.copy()
-                C_b = beta * dt * dt * Ldd1 + gamma * dt * 2.0 * Ld1 + L1
-                r_c = -(Ldd1 @ ub_pred + 2.0 * Ld1 @ vb_pred)
-            else:
-                C_t = beta * dt * dt * L_TR.T
-                C_b = beta * dt * dt * L1
-                r_c = -(L_TR.T @ ut_pred + L1 @ ub_pred)
+            con1 = m.reduced_at(t1)
+            conf = con1 if tf == t1 else m.reduced_at(tf)
+        sys = _StepSystem(
+            t1=t1, con=con1,
+            ut_pred=state.ut + dt * state.vt + dt * dt * (0.5 - beta) * state.at,
+            vt_pred=state.vt + dt * (1.0 - gamma) * state.at,
+            ub_pred=state.ub + dt * state.vb + dt * dt * (0.5 - beta) * state.ab,
+            vb_pred=state.vb + dt * (1.0 - gamma) * state.ab)
 
-        return dict(blocks=blocks, rhs=rhs, lam_cols=lam_cols,
-                    C_t=C_t, C_b=C_b, r_c=r_c, t1=t1,
-                    ut_pred=ut_pred, vt_pred=vt_pred,
-                    ub_pred=ub_pred, vb_pred=vb_pred)
+        if m.n_t:
+            veh = m.vehicle_at(tf)
+            sys.A_t = ((1.0 - am) * veh.M
+                       + (1.0 - af) * (gamma * dt * veh.C
+                                       + beta * dt * dt * veh.K))
+            sys.r_t = (veh.P - veh.M @ (am * state.at)
+                       - veh.C @ _weighted(af, sys.vt_pred, state.vt)
+                       - veh.K @ _weighted(af, sys.ut_pred, state.ut))
+
+        if m.n_b:
+            br = m.bridge
+            P_b = br.P
+            if conf is not None:
+                sys.Lf = conf.L
+                if m.axle_load is not None:
+                    P_b = P_b + conf.L.T @ m.axle_load
+            sys.r_b = (P_b - br.M @ (am * state.ab)
+                       - br.C @ _weighted(af, sys.vb_pred, state.vb)
+                       - br.K @ _weighted(af, sys.ub_pred, state.ub))
+
+        if con1 is not None:
+            L1, Ld1, Ldd1, r1 = con1
+            if self.strategy == "B":
+                sys.C_t = L_TR.T
+                sys.C_b = beta * dt * dt * Ldd1 + gamma * dt * 2.0 * Ld1 + L1
+                sys.r_c = (-(Ldd1 @ sys.ub_pred + 2.0 * Ld1 @ sys.vb_pred)
+                           - r1[2])
+            else:
+                sys.C_t = beta * dt * dt * L_TR.T
+                sys.C_b = beta * dt * dt * L1
+                sys.r_c = -(L_TR.T @ sys.ut_pred + L1 @ sys.ub_pred) - r1[0]
+        return sys
 
     def step(self, state: CoupledState) -> CoupledState:
         m = self.model
         p = self.params
         dt, beta, gamma = p.dt, p.beta, p.gamma
         sys = self._assemble(state)
-        at1, ab1, lam1 = self._solve(sys["blocks"], sys["rhs"],
-                                     sys["lam_cols"], sys["C_t"], sys["C_b"],
-                                     sys["r_c"], sys["t1"])
-        ut_pred, vt_pred = sys["ut_pred"], sys["vt_pred"]
-        ub_pred, vb_pred = sys["ub_pred"], sys["vb_pred"]
-        t1 = sys["t1"]
+        at1, ab1, lam1 = self._solve(sys)
 
         new = state.copy()
-        new.t = t1
+        new.t = sys.t1
+        new.con = sys.con
         if m.n_t:
-            new.ut = ut_pred + beta * dt * dt * at1
-            new.vt = vt_pred + gamma * dt * at1
+            new.ut = sys.ut_pred + beta * dt * dt * at1
+            new.vt = sys.vt_pred + gamma * dt * at1
             new.at = at1
         if m.n_b:
-            new.ub = ub_pred + beta * dt * dt * ab1
-            new.vb = vb_pred + gamma * dt * ab1
+            new.ub = sys.ub_pred + beta * dt * dt * ab1
+            new.vb = sys.vb_pred + gamma * dt * ab1
             new.ab = ab1
         if m.n_lam:
             new.lam = lam1
         if self.strategy == "C":
-            project_constraints(new, m, "velocity")
-            project_constraints(new, m, "acceleration")
+            project_constraints(new, "velocity")
+            project_constraints(new, "acceleration")
         return new
 
     def saddle_matrix(self, state: CoupledState) -> np.ndarray:
@@ -278,61 +305,48 @@ class Stepper:
         sys = self._assemble(state)
         nt, nb, nl = m.n_t, m.n_b, m.n_lam
         S = np.zeros((nt + nb + nl, nt + nb + nl))
-        i = 0
         if nt:
-            S[:nt, :nt] = sys["blocks"][0]
+            S[:nt, :nt] = sys.A_t
             if nl:
-                S[:nt, nt + nb:] = sys["lam_cols"][0]
-            i = 1
+                S[:nt, nt + nb:] = L_TR
         if nb:
-            p = self.params
-            br = m.bridge
-            S[nt:nt + nb, nt:nt + nb] = (
-                (1.0 - p.alpha_m) * br.M
-                + (1.0 - p.alpha_f) * (p.gamma * p.dt * br.C
-                                       + p.beta * p.dt ** 2 * br.K))
+            S[nt:nt + nb, nt:nt + nb] = self._bridge_block()
             if nl:
-                S[nt:nt + nb, nt + nb:] = sys["lam_cols"][-1]
+                S[nt:nt + nb, nt + nb:] = sys.Lf.T
         if nl:
-            if sys["C_t"] is not None:
-                S[nt + nb:, :nt] = sys["C_t"]
-            if sys["C_b"] is not None:
-                S[nt + nb:, nt:nt + nb] = sys["C_b"]
+            S[nt + nb:, :nt] = sys.C_t
+            S[nt + nb:, nt:nt + nb] = sys.C_b
         return S
 
-    def _solve(self, blocks, rhs, lam_cols, C_t, C_b, r_c, t1):
+    def _solve(self, sys: _StepSystem):
         m = self.model
+        nt = m.n_t
         at1 = np.zeros(0)
         ab1 = np.zeros(0)
         lam1 = np.zeros(3)
         try:
-            if m.n_lam == 0:
-                i = 0
-                if m.n_t:
-                    at1 = np.linalg.solve(blocks[0], rhs[0])
-                    i = 1
+            if sys.r_c is None:
+                if nt:
+                    at1 = np.linalg.solve(sys.A_t, sys.r_t)
                 if m.n_b:
-                    ab1 = lu_solve(self._bridge_lu, rhs[i])
+                    ab1 = lu_solve(self._bridge_lu, sys.r_b)
                 return at1, ab1, lam1
 
+            # Eliminate the bridge, leaving a reduced system in (a_t, lam).
             if m.n_b:
-                r_b = rhs[-1]
-                B_b = lam_cols[-1]
-                y0 = lu_solve(self._bridge_lu, r_b)
-                Y = lu_solve(self._bridge_lu, B_b)
-            # Reduced system in (a_t, lambda).
-            nt = m.n_t
+                y0 = lu_solve(self._bridge_lu, sys.r_b)
+                Y = lu_solve(self._bridge_lu, sys.Lf.T)
             A = np.zeros((nt + 3, nt + 3))
             b = np.zeros(nt + 3)
             if nt:
-                A[:nt, :nt] = blocks[0]
-                A[:nt, nt:] = lam_cols[0]
-                b[:nt] = rhs[0]
-            A[nt:, :nt] = C_t if C_t is not None else 0.0
-            b[nt:] = r_c
+                A[:nt, :nt] = sys.A_t
+                A[:nt, nt:] = L_TR
+                b[:nt] = sys.r_t
+            A[nt:, :nt] = sys.C_t
+            b[nt:] = sys.r_c
             if m.n_b:
-                A[nt:, nt:] -= C_b @ Y
-                b[nt:] -= C_b @ y0
+                A[nt:, nt:] -= sys.C_b @ Y
+                b[nt:] -= sys.C_b @ y0
             x = np.linalg.solve(A, b)
             if nt:
                 at1 = x[:nt]
@@ -342,7 +356,7 @@ class Stepper:
             return at1, ab1, lam1
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
-                "singular saddle system at t=%.6g" % t1) from exc
+                "singular saddle system at t=%.6g" % sys.t1) from exc
 
 
 def saddle_condition(stepper: Stepper, state: CoupledState) -> float:
@@ -360,49 +374,34 @@ def saddle_condition(stepper: Stepper, state: CoupledState) -> float:
     return float(np.linalg.cond(S))
 
 
-def project_constraints(state: CoupledState, model: CoupledModel,
-                        level: str) -> CoupledState:
-    """Overwrite the wheel rows so one constraint level holds exactly.
+def project_constraints(state: CoupledState, level: str) -> CoupledState:
+    """Overwrite the wheel rows so one level of ``state.con`` holds exactly.
 
     Levels: ``displacement``, ``velocity``, ``acceleration``. Bridge states
     are untouched; the operation is idempotent. Mutates and returns ``state``.
     """
     if level not in ("displacement", "velocity", "acceleration"):
         raise ValueError("unknown constraint level %r" % level)
-    if model.rigid_gap is not None:
-        r, rd, rdd = model.rigid_gap(state.t)
-        if level == "displacement":
-            state.ut[:3] = r
-        elif level == "velocity":
-            state.vt[:3] = rd
-        else:
-            state.at[:3] = rdd
-        return state
-    L, Ld, Ldd = model.reduced_snapshot(state.t)
+    L, Ld, Ldd, r = state.con
     if level == "displacement":
-        state.ut[:3] = L @ state.ub
+        state.ut[:3] = L @ state.ub + r[0]
     elif level == "velocity":
-        state.vt[:3] = Ld @ state.ub + L @ state.vb
+        state.vt[:3] = Ld @ state.ub + L @ state.vb + r[1]
     else:
-        state.at[:3] = Ldd @ state.ub + 2.0 * Ld @ state.vb + L @ state.ab
+        state.at[:3] = Ldd @ state.ub + 2.0 * Ld @ state.vb + L @ state.ab + r[2]
     return state
 
 
-def constraint_residuals(state: CoupledState, model: CoupledModel):
-    """Max-abs residual of the displacement/velocity/acceleration constraints."""
-    if model.n_lam == 0:
+def constraint_residuals(state: CoupledState):
+    """Max-abs residual of the displacement/velocity/acceleration levels of
+    ``state.con``; zeros when the state is unconstrained."""
+    if state.con is None:
         return 0.0, 0.0, 0.0
-    if model.rigid_gap is not None:
-        r, rd, rdd = model.rigid_gap(state.t)
-        c0 = L_TR.T @ state.ut + r
-        c1 = L_TR.T @ state.vt + rd
-        c2 = L_TR.T @ state.at + rdd
-    else:
-        L, Ld, Ldd = model.reduced_snapshot(state.t)
-        c0 = L_TR.T @ state.ut + L @ state.ub
-        c1 = L_TR.T @ state.vt + Ld @ state.ub + L @ state.vb
-        c2 = (L_TR.T @ state.at + Ldd @ state.ub + 2.0 * Ld @ state.vb
-              + L @ state.ab)
+    L, Ld, Ldd, r = state.con
+    c0 = L_TR.T @ state.ut + L @ state.ub + r[0]
+    c1 = L_TR.T @ state.vt + Ld @ state.ub + L @ state.vb + r[1]
+    c2 = (L_TR.T @ state.at + Ldd @ state.ub + 2.0 * Ld @ state.vb
+          + L @ state.ab + r[2])
     return (float(np.max(np.abs(c0))), float(np.max(np.abs(c1))),
             float(np.max(np.abs(c2))))
 
@@ -421,10 +420,11 @@ def initial_state(model: CoupledModel, t0_correction: bool = True,
         ut=np.zeros(4), vt=np.zeros(4), at=np.zeros(4),
         ub=ub, vb=np.zeros(nb), ab=np.zeros(nb),
         lam=np.zeros(3),
+        con=model.reduced_at(0.0) if model.n_lam else None,
     )
     if t0_correction and model.n_lam:
-        project_constraints(state, model, "velocity")
-        project_constraints(state, model, "acceleration")
+        project_constraints(state, "velocity")
+        project_constraints(state, "acceleration")
     return state
 
 
@@ -463,13 +463,13 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
             out.probes[name][i, 0:2] = rows @ st.ub
             out.probes[name][i, 2:4] = rows @ st.ab
         out.res_disp[i], out.res_vel[i], out.res_acc[i] = \
-            constraint_residuals(st, model)
+            constraint_residuals(st)
 
     record(0, state)
     for i in range(1, N):
         state = stepper.step(state)
         if displacement_repair_every and i % displacement_repair_every == 0:
-            project_constraints(state, model, "displacement")
+            project_constraints(state, "displacement")
         record(i, state)
     return out
 
@@ -486,19 +486,16 @@ def run_rigid_profile(params: VehicleParams, profile: CosineProfile,
     v = params.v
     if profile.length < v * horizon - 1e-9:
         raise ValueError("profile shorter than the requested horizon")
-    R = np.eye(3)
-    fk_static = _straight_frame(v)
-    veh = vehicle_matrices(params, fk_static, rotation_ref=R)
+    veh = vehicle_matrices(params, _straight_frame(v), rotation_ref=np.eye(3))
+    no_rows = np.zeros((3, 0))
 
-    def gap(t):
+    def reduced_at(t):
         s = v * t
-        r = np.array([0.0, profile.height(s), 0.0])
-        rd = np.array([0.0, profile.z_dot(s, v), 0.0])
-        rdd = np.array([0.0, profile.z_ddot(s, v), 0.0])
-        return r, rd, rdd
+        r = np.zeros((3, 3))
+        r[:, 1] = profile.height(s), profile.z_dot(s, v), profile.z_ddot(s, v)
+        return Constraint(no_rows, no_rows, no_rows, r)
 
-    model = CoupledModel(vehicle_at=lambda t: veh, bridge=None,
-                         snapshot_at=None, rigid_gap=gap, speed=v)
+    model = CoupledModel(vehicle_at=lambda t: veh, reduced_at=reduced_at)
     n_steps = int(round(horizon / scheme.dt))
     return run_model(model, scheme, "A", n_steps, t0_correction=t0_correction,
                      bridge_static_init=False)
@@ -519,20 +516,15 @@ def coupled_model(path, bridge, vehicle_params: VehicleParams,
 
     curve, amap = path.curve, path.amap
     R0 = frame_kinematics(curve, amap, 0.0, v).rotation if t0_rotation_ref else None
+    no_gap = np.zeros((3, 3))
 
-    @lru_cache(maxsize=16)
-    def veh_at(t):
+    def vehicle_at(t):
         fk = frame_kinematics(curve, amap, min(v * t, amap.length), v)
         return vehicle_matrices(vehicle_params, fk, rotation_ref=R0)
 
-    @lru_cache(maxsize=16)
-    def snap_at(t):
-        s = min(v * t, bridge.length)
-        return constraint_rates(bridge, s, v)
+    def reduced_at(t):
+        snap = constraint_rates(bridge, min(v * t, bridge.length), v)
+        return Constraint(*snap.reduced(bridge.Z), no_gap)
 
-    @lru_cache(maxsize=16)
-    def red_at(t):
-        return snap_at(t).reduced(bridge.Z)
-
-    return CoupledModel(vehicle_at=veh_at, bridge=bridge, snapshot_at=snap_at,
-                        rigid_gap=None, speed=v, reduced_at=red_at)
+    return CoupledModel(vehicle_at=vehicle_at, bridge=bridge,
+                        reduced_at=reduced_at)

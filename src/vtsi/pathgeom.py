@@ -22,12 +22,10 @@ from .splines import NurbsCurve, eval_nurbs, fit_least_squares
 __all__ = [
     "Span",
     "PlanSpec",
-    "FrenetFrame",
     "FrameKinematics",
     "ArclengthMap",
     "PlanPath",
     "build_plan_path",
-    "frenet_frame",
     "frame_kinematics",
     "CosineProfile",
     "cosine_profile",
@@ -62,6 +60,8 @@ class Span:
             raise ValueError("span length must be positive")
         if self.kind == "arc" and _curv(self.radius_start) != _curv(self.radius_end):
             raise ValueError("arc span must have equal start/end radii")
+        if self.kind == "arc" and not _curv(self.radius_start):
+            raise ValueError("arc span needs a finite nonzero radius")
         if self.kind == "straight" and (_curv(self.radius_start) or _curv(self.radius_end)):
             raise ValueError("straight span cannot carry a radius")
 
@@ -149,19 +149,6 @@ class PlanSpec:
 
 
 @dataclass(frozen=True)
-class FrenetFrame:
-    origin: np.ndarray
-    t: np.ndarray
-    n: np.ndarray
-    b: np.ndarray
-
-    @property
-    def rotation(self) -> np.ndarray:
-        """Columns (t, n, b): maps frame components to global."""
-        return np.column_stack([self.t, self.n, self.b])
-
-
-@dataclass(frozen=True)
 class FrameKinematics:
     """Snapshot of the moving Frenet frame at one wheel position."""
 
@@ -195,7 +182,6 @@ class ArclengthMap:
                 w * self.jacobian(mid + half * t) for t, w in zip(nodes, wts))
         self._s = np.cumsum(segs)
         self._nodes, self._wts = nodes, wts
-        self._inv_cache = {}
 
     @property
     def length(self) -> float:
@@ -225,9 +211,6 @@ class ArclengthMap:
         if not (-1e-9 * self.length <= s <= self.length * (1 + 1e-9)):
             raise ValueError("arclength %g outside [0, %g]" % (s, self.length))
         s = min(max(s, 0.0), self.length)
-        cached = self._inv_cache.get(s)
-        if cached is not None:
-            return cached
         xi = float(np.interp(s, self._s, self._xi))
         lo, hi = self.curve.domain
         for _ in range(30):
@@ -235,9 +218,6 @@ class ArclengthMap:
             if abs(err) <= 1e-12 * max(self.length, 1.0):
                 break
             xi = min(max(xi - err / self.jacobian(xi), lo), hi)
-        if len(self._inv_cache) > 4096:
-            self._inv_cache.clear()
-        self._inv_cache[s] = xi
         return xi
 
 
@@ -302,25 +282,6 @@ def _curvature_terms(curve: NurbsCurve, xi: float):
     tau = (c @ x3) / cn ** 2
     tau_xi = (cp @ x3 + c @ x4) / cn ** 2 - 2.0 * tau * (c @ cp) / cn ** 2
     return d, kappa, tau, kap_xi / sp, tau_xi / sp
-
-
-def frenet_frame(curve: NurbsCurve, amap: ArclengthMap, s: float) -> FrenetFrame:
-    """Frenet triad at arclength ``s`` with the straight-segment fallback.
-
-    Where the binormal is undefined (curvature below the straightness
-    threshold) the frame uses b = global up, n = b x t.
-    """
-    xi = amap.xi_of_s(s)
-    d = eval_nurbs(curve, xi, 2)
-    t = d[1] / np.linalg.norm(d[1])
-    c = np.cross(d[1], d[2])
-    if np.linalg.norm(c) / np.linalg.norm(d[1]) ** 3 < STRAIGHT_CURVATURE_TOL:
-        b = UP - (UP @ t) * t
-        b /= np.linalg.norm(b)
-    else:
-        b = c / np.linalg.norm(c)
-    n = np.cross(b, t)
-    return FrenetFrame(d[0], t, n, b)
 
 
 def frame_kinematics(curve: NurbsCurve, amap: ArclengthMap, s: float,

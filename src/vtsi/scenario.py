@@ -188,6 +188,12 @@ def _parse_bridge(obj: dict) -> BridgeConfig:
     if supports is not None:
         supports = tuple((float(s), tuple(int(f) for f in fields))
                          for s, fields in supports)
+        for i, (_, fields) in enumerate(supports):
+            if not all(0 <= f <= 5 for f in fields):
+                raise ScenarioError(
+                    "bridge.supports[%d]: field indices must lie in 0..5 "
+                    "(u_t, u_n, u_b, th_t, th_n, th_b), got %s"
+                    % (i, list(fields)))
     rayleigh = tuple(float(x) for x in obj.get("rayleigh", (0.0, 0.0)))
     if len(rayleigh) != 2:
         raise ScenarioError("bridge.rayleigh needs exactly two coefficients")

@@ -38,16 +38,7 @@ def build_scenario_model(scenario: Scenario, path: PlanPath | None = None,
     model = coupled_model(path, bridge, scenario.vehicle)
     if scenario.add_static_axle_load:
         veh = scenario.vehicle
-        weight = (veh.m_w + veh.m_c) * veh.g
-        v = veh.v
-        axle = np.array([0.0, -weight, 0.0])
-
-        def load_at(t):
-            s = min(v * t, bridge.length)
-            L = bridge.constraint_rows(s, 0) @ bridge.Z
-            return bridge.P + L.T @ axle
-
-        model.bridge_load_at = load_at
+        model.axle_load = np.array([0.0, -(veh.m_w + veh.m_c) * veh.g, 0.0])
     return model
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "VehicleParams",
     "VehicleSystem",
     "T_WHEEL",
-    "T_CAR",
     "L_TR",
     "hat",
     "vehicle_matrices",
@@ -49,9 +48,6 @@ def t_car(l0: float) -> np.ndarray:
         [1.0, 0.0, -l0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
     ])
-
-
-T_CAR = t_car  # alias kept for symmetry with T_WHEEL
 
 
 def hat(w: np.ndarray) -> np.ndarray:

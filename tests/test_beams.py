@@ -172,6 +172,14 @@ class TestAssembly:
     def test_reduced_stiffness_positive_definite(self, default_bridge):
         assert np.min(np.linalg.eigvalsh(default_bridge.K)) > 0.0
 
+    @pytest.mark.parametrize("kind", ["nurbs", "fem"])
+    @pytest.mark.parametrize("field", [-1, 6])
+    def test_rejects_support_field_outside_range(self, straight_path, kind,
+                                                 field):
+        with pytest.raises(ValueError, match="0..5"):
+            assemble_bridge(straight_path, BeamSection(), kind=kind,
+                            elems_per_span=2, supports=[(15.0, (field,))])
+
     def test_rayleigh_damping(self, straight_path):
         sect = BeamSection()
         br0 = assemble_bridge(straight_path, sect, supports=PIN)

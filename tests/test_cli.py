@@ -58,6 +58,29 @@ class TestCheck:
         assert "error" in capsys.readouterr().err
 
 
+class TestMalformedScenario:
+    @pytest.mark.parametrize("data,key", [
+        # Interior support: index 7 would fix a DOF of the next control point.
+        ({"bridge": {"supports": [[0.0, [0, 1, 2, 3, 4, 5]], [60.0, [7]],
+                                  [150.0, [0, 1, 2, 3, 4, 5]]]}},
+         "bridge.supports[1]"),
+        # End support: index 6 runs past the last control point.
+        ({"bridge": {"supports": [[0.0, [0, 1, 2]], [150.0, [2, 6]]]}},
+         "bridge.supports[1]"),
+        ({"bridge": {"supports": [[0.0, [-1]]]}}, "bridge.supports[0]"),
+        ({"plan": {"spans": [{"kind": "straight", "length": 30.0},
+                             {"kind": "arc", "length": 30.0}]}},
+         "plan.spans[1]"),
+    ])
+    def test_rejected_with_key_named(self, data, key, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli(["run", str(p), "-o", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_dissipation_sweep_orders_oscillation(self, scenario_file,
                                                   tmp_path):

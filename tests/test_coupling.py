@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from vtsi import parse_scenario
-from vtsi.coupling import (assemble_coupled, constraint_matrix,
-                           constraint_rates, residual)
+from vtsi.coupling import constraint_rates, residual
+from vtsi.integrators import (Stepper, coupled_model, initial_state,
+                              scheme_params)
 from vtsi.simulate import build_scenario_bridge
 from vtsi.vehicle import VehicleParams, vehicle_matrices
 from vtsi.pathgeom import frame_kinematics
@@ -24,7 +25,7 @@ class TestConstraintMatrix:
         from vtsi.beams import F_TT, F_UB, F_UN, N_FIELDS
         for br in (default_bridge, fem_bridge):
             for s in (7.3, 43.125, 75.0, 131.9):
-                L = constraint_matrix(br, s).L
+                L = constraint_rates(br, s, 0.0).L
                 for row, f in zip(L, (F_UN, F_UB, F_TT)):
                     u = np.zeros(br.n_full)
                     u[f::N_FIELDS] = 1.0
@@ -32,15 +33,16 @@ class TestConstraintMatrix:
 
     def test_off_bridge_rejected(self, default_bridge):
         with pytest.raises(ValueError):
-            constraint_matrix(default_bridge, -0.5)
+            constraint_rates(default_bridge, -0.5, 0.0)
         with pytest.raises(ValueError):
-            constraint_matrix(default_bridge, default_bridge.length + 1.0)
+            constraint_rates(default_bridge, default_bridge.length + 1.0,
+                             0.0)
 
     def test_full_row_rank_inside_path(self, default_bridge):
         rng = np.random.default_rng(5)
         Z = default_bridge.Z
         for s in rng.uniform(1.0, 149.0, 25):
-            L = constraint_matrix(default_bridge, float(s)).L @ Z
+            L = constraint_rates(default_bridge, float(s), 0.0).L @ Z
             assert np.linalg.matrix_rank(L) == 3
 
     def test_interpolates_bridge_fields(self, default_bridge):
@@ -49,7 +51,7 @@ class TestConstraintMatrix:
         rng = np.random.default_rng(11)
         ub = rng.normal(size=default_bridge.n_red)
         for s in (22.0, 75.0, 110.0):
-            L = constraint_matrix(default_bridge, s).L @ default_bridge.Z
+            L = constraint_rates(default_bridge, s, 0.0).L @ default_bridge.Z
             probe = default_bridge.probe_rows(s)
             assert L[0] @ ub == pytest.approx(probe[0] @ ub, rel=1e-10)
             assert L[1] @ ub == pytest.approx(probe[1] @ ub, rel=1e-10)
@@ -92,14 +94,11 @@ class TestConstraintRates:
 
 
 class TestCoupledSystem:
-    def test_sizes(self, default_bridge, default_path):
-        vp = VehicleParams()
-        fk = frame_kinematics(default_path.curve, default_path.amap, 40.0,
-                              vp.v)
-        veh = vehicle_matrices(vp, fk)
-        sys = assemble_coupled(veh, default_bridge,
-                               constraint_rates(default_bridge, 40.0, vp.v))
-        assert sys.sizes == (4, default_bridge.n_red, 3)
+    def test_sizes(self, default_scenario, default_bridge, default_path):
+        model = coupled_model(default_path, default_bridge,
+                              default_scenario.vehicle)
+        assert (model.n_t, model.n_b, model.n_lam) == (
+            4, default_bridge.n_red, 3)
 
     def test_residual_of_consistent_state(self, default_bridge, default_path):
         # Static check: solve the coupled static problem directly and verify
@@ -109,7 +108,6 @@ class TestCoupledSystem:
                               0.0)
         veh = vehicle_matrices(vp, fk)
         snap = constraint_rates(default_bridge, 40.0, 0.0)
-        sys = assemble_coupled(veh, default_bridge, snap)
         nb = default_bridge.n_red
         Lb = snap.L @ default_bridge.Z
         A = np.zeros((4 + nb + 3, 4 + nb + 3))
@@ -123,7 +121,40 @@ class TestCoupledSystem:
         x = np.linalg.solve(A, rhs)
         ut, ub, lam = x[:4], x[4:4 + nb], x[4 + nb:]
         z = np.zeros
-        r_t, r_b, r_c = residual(sys, ut, z(4), z(4), ub, z(nb), z(nb), lam)
+        r_t, r_b, r_c = residual(veh, default_bridge, Lb, ut, z(4), z(4), ub,
+                                 z(nb), z(nb), lam)
         assert np.max(np.abs(r_t)) <= 1e-6
         assert np.max(np.abs(r_b)) <= 1e-6 * np.max(np.abs(default_bridge.P))
         assert np.max(np.abs(r_c)) <= 1e-12
+
+    @pytest.mark.parametrize("strategy", ["A", "B"])
+    def test_step_solves_equations_at_collocation_point(
+            self, strategy, default_scenario, default_bridge, default_path):
+        # One step of the generalized-alpha (A) or Newmark (B) scheme: the
+        # vehicle and bridge equations hold at t_f with accelerations
+        # averaged by alpha_m and all other states by alpha_f.
+        model = coupled_model(default_path, default_bridge,
+                              default_scenario.vehicle)
+        p = scheme_params(rho_inf=0.9, newmark=(strategy == "B"))
+        st0 = initial_state(model)
+        st1 = Stepper(model, p, strategy).step(st0)
+        am, af = p.alpha_m, p.alpha_f
+        tf = (1.0 - af) * st1.t + af * st0.t
+
+        def avg(alpha, name):
+            return ((1.0 - alpha) * getattr(st1, name)
+                    + alpha * getattr(st0, name))
+
+        veh = model.vehicle_at(tf)
+        br = default_bridge
+        ut, vt, at = avg(af, "ut"), avg(af, "vt"), avg(am, "at")
+        ub, vb, ab = avg(af, "ub"), avg(af, "vb"), avg(am, "ab")
+        r_t, r_b, _ = residual(veh, br, model.reduced_at(tf).L,
+                               ut, vt, at, ub, vb, ab, st1.lam)
+        # Round-off scale of each row: sum of |term| over all its terms.
+        scale_t = (abs(veh.M) @ abs(at) + abs(veh.C) @ abs(vt)
+                   + abs(veh.K) @ abs(ut) + abs(veh.P))
+        scale_b = (abs(br.M) @ abs(ab) + abs(br.C) @ abs(vb)
+                   + abs(br.K) @ abs(ub) + abs(br.P))
+        assert np.max(abs(r_t)) <= 1e-12 * np.max(scale_t)
+        assert np.max(abs(r_b)) <= 1e-12 * np.max(scale_b)

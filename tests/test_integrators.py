@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from vtsi.integrators import (CoupledModel, Stepper, constraint_residuals,
-                              coupled_model, initial_state,
+from vtsi.integrators import (Constraint, CoupledModel, Stepper,
+                              constraint_residuals, coupled_model,
+                              initial_state,
                               project_constraints, run_model,
                               run_rigid_profile, saddle_condition,
                               scheme_params)
@@ -88,31 +89,32 @@ class TestProjection:
         rng = np.random.default_rng(3)
         st = initial_state(model, t0_correction=False)
         st.t = 0.31
+        st.con = model.reduced_at(st.t)
         st.ut = rng.normal(size=4)
         st.vt = rng.normal(size=4)
         st.at = rng.normal(size=4)
         st.ub = rng.normal(scale=1e-3, size=model.n_b)
         st.vb = rng.normal(scale=1e-3, size=model.n_b)
         st.ab = rng.normal(scale=1e-1, size=model.n_b)
-        assert constraint_residuals(st, model)[0] > 1e-3
+        assert constraint_residuals(st)[0] > 1e-3
         for i, level in enumerate(("displacement", "velocity",
                                    "acceleration")):
-            project_constraints(st, model, level)
-            assert constraint_residuals(st, model)[i] <= 1e-12
+            project_constraints(st, level)
+            assert constraint_residuals(st)[i] <= 1e-12
             before = st.copy()
-            project_constraints(st, model, level)
+            project_constraints(st, level)
             assert np.array_equal(st.ut, before.ut)
             assert np.array_equal(st.vt, before.vt)
             assert np.array_equal(st.at, before.at)
         # All three now hold at once (each level touches different rows).
-        assert max(constraint_residuals(st, model)) <= 1e-12
+        assert max(constraint_residuals(st)) <= 1e-12
 
     def test_unknown_level(self, default_scenario, default_path,
                            default_bridge):
         model = coupled_model(default_path, default_bridge,
                               default_scenario.vehicle)
         with pytest.raises(ValueError):
-            project_constraints(initial_state(model), model, "jerk")
+            project_constraints(initial_state(model), "jerk")
 
     def test_car_row_untouched(self, default_scenario, default_path,
                                default_bridge):
@@ -120,7 +122,7 @@ class TestProjection:
                               default_scenario.vehicle)
         st = initial_state(model, t0_correction=False)
         st.ut[:] = [1.0, 2.0, 3.0, 4.0]
-        project_constraints(st, model, "displacement")
+        project_constraints(st, "displacement")
         assert st.ut[3] == 4.0
 
 
@@ -140,7 +142,7 @@ class TestInitialState:
         model = coupled_model(default_path, default_bridge,
                               default_scenario.vehicle)
         st = initial_state(model, t0_correction=True)
-        _, rv, ra = constraint_residuals(st, model)
+        _, rv, ra = constraint_residuals(st)
         assert rv <= 1e-12 and ra <= 1e-12
 
 
@@ -183,11 +185,10 @@ class TestSaddleSystem:
         veh = Sys(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)),
                   np.zeros(4))
 
-        def gap(t):
-            z = np.zeros(3)
-            return z, z, z
-
-        model = CoupledModel(vehicle_at=lambda t: veh, rigid_gap=gap)
+        no_rows = np.zeros((3, 0))
+        con = Constraint(no_rows, no_rows, no_rows, np.zeros((3, 3)))
+        model = CoupledModel(vehicle_at=lambda t: veh,
+                             reduced_at=lambda t: con)
         stepper = Stepper(model, scheme_params(newmark=True), "A")
         with pytest.raises(RuntimeError, match="singular"):
             stepper.step(initial_state(model, t0_correction=False,
@@ -229,3 +230,54 @@ class TestStrategyBehaviour:
         assert hist.res_disp[50] == 0.0
         assert hist.res_disp[100] == 0.0
         assert np.max(hist.res_disp[1:50]) > 0.0
+
+
+class TestCoefficientEvaluations:
+    """Each step evaluates the time-varying coefficients once per distinct
+    instant: the coupling rows at t_f and t_{n+1} (one instant under
+    Newmark), the vehicle frame at t_f. Projection, repair, and the residual
+    record reuse the constraint the state carries."""
+
+    N_STEPS = 4
+
+    @pytest.mark.parametrize("strategy,rows_per_step", [("A", 2), ("B", 1),
+                                                        ("C", 1)])
+    def test_one_evaluation_per_instant(self, monkeypatch, strategy,
+                                        rows_per_step, default_path,
+                                        default_bridge):
+        import vtsi.integrators
+        import vtsi.pathgeom
+        from vtsi import parse_scenario
+        from vtsi.simulate import build_scenario_model, run_simulation
+
+        counts = {}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(vtsi.integrators, "constraint_rates", counting(
+            "constraint_rates", vtsi.integrators.constraint_rates))
+        monkeypatch.setattr(vtsi.pathgeom, "frame_kinematics", counting(
+            "frame_kinematics", vtsi.pathgeom.frame_kinematics))
+        n = self.N_STEPS
+        probes = []
+        for axle_load in (False, True):
+            counts.clear()
+            scenario = parse_scenario({
+                "run": {"strategy": strategy, "horizon": n * 1e-3,
+                        "displacement_repair_every": 2},
+                "flags": {"add_static_axle_load": axle_load}})
+            model = build_scenario_model(scenario, default_path,
+                                         default_bridge)
+            hist = run_simulation(scenario, model)
+            assert counts == {"constraint_rates": rows_per_step * n + 1,
+                              "frame_kinematics": n + 1}
+            assert hist.n_steps == n
+            assert np.all(np.isfinite(hist.ut))
+            assert np.all(np.isfinite(hist.lam))
+            probes.append(hist.probes["midspan"])
+        # The static axle load reaches the bridge.
+        assert not np.array_equal(*probes)

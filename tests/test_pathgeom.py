@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vtsi.pathgeom import (CosineProfile, PlanSpec, Span, build_plan_path,
-                           cosine_profile, frame_kinematics, frenet_frame)
+                           cosine_profile, frame_kinematics)
+from vtsi.splines import eval_nurbs
 
 R_ARC = 6000.0
 
@@ -39,6 +40,10 @@ class TestPlanSpec:
             PlanSpec(spans=(Span("straight", 30.0),
                             Span("arc", 30.0, 500.0, 500.0)))
 
+    def test_rejects_arc_without_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            Span("arc", 10.0)
+
     def test_rejects_unequal_arc_radii(self):
         with pytest.raises(ValueError):
             Span("arc", 10.0, 100.0, 200.0)
@@ -67,42 +72,43 @@ class TestBuildPlanPath:
             assert abs(amap.s_of_xi(amap.xi_of_s(s)) - s) <= 1e-9 * amap.length
 
 
+def _rotation(path, s):
+    return frame_kinematics(path.curve, path.amap, s, 1.0).rotation
+
+
 class TestFrenetFrames:
     def test_orthonormal_right_handed(self, five_span_path):
         rng = np.random.default_rng(7)
         for s in rng.uniform(0.0, 150.0, 100):
-            f = frenet_frame(five_span_path.curve, five_span_path.amap, s)
-            R = f.rotation
+            R = _rotation(five_span_path, s)
             assert np.allclose(R.T @ R, np.eye(3), atol=1e-10)
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-10)
 
     def test_straight_fallback_binormal_up(self, five_span_path):
-        f = frenet_frame(five_span_path.curve, five_span_path.amap, 10.0)
-        assert np.allclose(f.b, [0.0, 0.0, 1.0], atol=1e-6)
-        assert np.allclose(f.n, np.cross(f.b, f.t), atol=1e-10)
+        t, n, b = _rotation(five_span_path, 10.0).T
+        assert np.allclose(b, [0.0, 0.0, 1.0], atol=1e-6)
+        assert np.allclose(n, np.cross(b, t), atol=1e-10)
 
     def test_circle_normal_points_to_center(self, five_span_path):
         # On the arc the curve center lies along +n at distance R.
         c, amap = five_span_path.curve, five_span_path.amap
-        f1 = frenet_frame(c, amap, 70.0)
-        f2 = frenet_frame(c, amap, 80.0)
-        c1 = f1.origin + R_ARC * f1.n
-        c2 = f2.origin + R_ARC * f2.n
-        assert np.linalg.norm(c1 - c2) < 0.05
+        centers = [eval_nurbs(c, amap.xi_of_s(s))[0]
+                   + R_ARC * _rotation(five_span_path, s)[:, 1]
+                   for s in (70.0, 80.0)]
+        assert np.linalg.norm(centers[0] - centers[1]) < 0.05
 
     def test_frame_continuity_across_joints(self, five_span_path):
-        c, amap = five_span_path.curve, five_span_path.amap
         for s0 in (30.0, 60.0, 90.0, 120.0):
-            Ra = frenet_frame(c, amap, s0 - 5e-3).rotation
-            Rb = frenet_frame(c, amap, s0 + 5e-3).rotation
+            Ra = _rotation(five_span_path, s0 - 5e-3)
+            Rb = _rotation(five_span_path, s0 + 5e-3)
             cos_angle = (np.trace(Ra.T @ Rb) - 1.0) / 2.0
             angle = np.arccos(np.clip(cos_angle, -1.0, 1.0))
             assert angle <= 1e-3
 
     def test_plan_is_horizontal(self, five_span_path):
         for s in np.linspace(0.0, 150.0, 60):
-            f = frenet_frame(five_span_path.curve, five_span_path.amap, s)
-            assert abs(abs(f.b @ np.array([0.0, 0.0, 1.0])) - 1.0) <= 1e-6
+            b = _rotation(five_span_path, s)[:, 2]
+            assert abs(abs(b @ np.array([0.0, 0.0, 1.0])) - 1.0) <= 1e-6
 
 
 class TestFrameKinematics:
