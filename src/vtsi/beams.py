@@ -275,35 +275,19 @@ class _NurbsShape:
         self.amap = amap
         self.n_full = N_FIELDS * curve.knots.n
 
-    def field_row(self, s: float, f: int, order: int = 0) -> np.ndarray:
+    def rows(self, s: float, fields, k: int) -> np.ndarray:
+        """(k + 1, len(fields), n_full) rows of each field and its first
+        ``k`` <= 2 arclength derivatives, from one basis evaluation."""
         xi = self.amap.xi_of_s(s)
-        bspan = eval_nurbs_basis(self.curve, xi, order)
-        J = self.amap.jacobian(xi)
-        if order == 0:
-            vals = bspan.table[0]
-        elif order == 1:
-            vals = bspan.table[1] / J
-        elif order == 2:
+        bspan = eval_nurbs_basis(self.curve, xi, k)
+        vals = [bspan.table[0]]
+        if k >= 1:
+            J = self.amap.jacobian(xi)
+            vals.append(bspan.table[1] / J)
+        if k >= 2:
             Jp = self.amap.jacobian_prime(xi)
-            vals = bspan.table[2] / J ** 2 - bspan.table[1] * Jp / J ** 3
-        else:
-            raise ValueError("order must be 0, 1, or 2")
-        row = np.zeros(self.n_full)
-        row[N_FIELDS * bspan.indices + f] = vals
-        return row
-
-    def rows_upto2(self, s: float, fields) -> np.ndarray:
-        """Rows for each field at orders 0..2 from one basis evaluation."""
-        xi = self.amap.xi_of_s(s)
-        bspan = eval_nurbs_basis(self.curve, xi, 2)
-        J = self.amap.jacobian(xi)
-        Jp = self.amap.jacobian_prime(xi)
-        vals = np.array([
-            bspan.table[0],
-            bspan.table[1] / J,
-            bspan.table[2] / J ** 2 - bspan.table[1] * Jp / J ** 3,
-        ])
-        rows = np.zeros((3, len(fields), self.n_full))
+            vals.append(bspan.table[2] / J ** 2 - bspan.table[1] * Jp / J ** 3)
+        rows = np.zeros((k + 1, len(fields), self.n_full))
         cols = N_FIELDS * bspan.indices
         for j, f in enumerate(fields):
             rows[:, j, cols + f] = vals
@@ -325,35 +309,35 @@ class _FemShape:
         e = min(max(e, 0), len(sn) - 2)
         return e, s - sn[e], sn[e + 1] - sn[e]
 
-    def field_row(self, s: float, f: int, order: int = 0) -> np.ndarray:
+    def rows(self, s: float, fields, k: int) -> np.ndarray:
+        """(k + 1, len(fields), n_full) rows of each field and its first
+        ``k`` arclength derivatives."""
         e, x, ell = self._locate(s)
-        row = np.zeros(self.n_full)
-        ca, cb = N_FIELDS * e, N_FIELDS * (e + 1)
-        if f in (F_UT, F_TT):
-            va = _linear(x, ell, order)
-            row[ca + f] = va[0]
-            row[cb + f] = va[1]
-        elif f == F_UN:
-            h = _hermite(x, ell, order)
-            row[[ca + F_UN, ca + F_TB, cb + F_UN, cb + F_TB]] = h
-        elif f == F_UB:
-            h = _hermite(x, ell, order)
-            row[[ca + F_UB, ca + F_TN, cb + F_UB, cb + F_TN]] = h * np.array(
-                [1.0, -1.0, 1.0, -1.0])
-        else:
-            # Rotation fields th_n / th_b ride on the bending slopes.
-            g = f  # F_TN or F_TB
-            w = F_UB if g == F_TN else F_UN
-            sgn = -1.0 if g == F_TN else 1.0
-            h = _hermite(x, ell, order + 1) * sgn
-            if w == F_UB:
-                h = h * np.array([1.0, -1.0, 1.0, -1.0])
-            row[[ca + w, ca + g, cb + w, cb + g]] = h
-        return row
+        rows = np.zeros((k + 1, len(fields), self.n_full))
+        for order in range(k + 1):
+            for j, f in enumerate(fields):
+                dofs, vals = _fem_field(f, x, ell, order)
+                rows[order, j, N_FIELDS * e + dofs] = vals
+        return rows
 
-    def rows_upto2(self, s: float, fields) -> np.ndarray:
-        return np.array([[self.field_row(s, f, order) for f in fields]
-                         for order in range(3)])
+
+def _fem_field(f: int, x: float, ell: float, order: int):
+    """DOFs over an element's two nodes, and their shape values, of field f."""
+    if f in (F_UT, F_TT):
+        return np.array([f, 6 + f]), _linear(x, ell, order)
+    flip = np.array([1.0, -1.0, 1.0, -1.0])
+    if f == F_UN:
+        return (np.array([F_UN, F_TB, 6 + F_UN, 6 + F_TB]),
+                _hermite(x, ell, order))
+    if f == F_UB:
+        return (np.array([F_UB, F_TN, 6 + F_UB, 6 + F_TN]),
+                _hermite(x, ell, order) * flip)
+    # Rotation fields th_n / th_b ride on the bending slopes.
+    if f == F_TN:
+        return (np.array([F_UB, F_TN, 6 + F_UB, 6 + F_TN]),
+                -_hermite(x, ell, order + 1) * flip)
+    return (np.array([F_UN, F_TB, 6 + F_UN, 6 + F_TB]),
+            _hermite(x, ell, order + 1))
 
 
 @dataclass
@@ -369,7 +353,6 @@ class BridgeSystem:
     K: np.ndarray
     P: np.ndarray
     Z: np.ndarray
-    K_full: np.ndarray
 
     @property
     def n_full(self) -> int:
@@ -379,26 +362,9 @@ class BridgeSystem:
     def n_red(self) -> int:
         return self.Z.shape[1]
 
-    @property
-    def n_constraints(self) -> int:
-        """Number of independent support constraints removed by Z."""
-        return self.n_full - self.n_red
-
-    def constraint_rows_upto2(self, s: float) -> np.ndarray:
-        """Stacked (order, row, dof) coupling rows for orders 0, 1, 2."""
-        return self.shape.rows_upto2(s, (F_UN, F_UB, F_TT))
-
     def probe_rows(self, s: float) -> np.ndarray:
         """2 x n_red rows for (u_n, u_b) at ``s`` in reduced coordinates."""
-        rows = np.array([
-            self.shape.field_row(s, F_UN, 0),
-            self.shape.field_row(s, F_UB, 0),
-        ])
-        return rows @ self.Z
-
-    def static_solution(self) -> np.ndarray:
-        """Reduced static displacement under the assembled load vector."""
-        return np.linalg.solve(self.K, self.P)
+        return self.shape.rows(s, (F_UN, F_UB), 0)[0] @ self.Z
 
 
 def _default_supports(joints: np.ndarray):
@@ -465,10 +431,10 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
     for s, fields in supports:
         if not (0.0 <= s <= length + 1e-9):
             raise ValueError("support at s=%g is not on the path" % s)
-        for f in fields:
-            if not 0 <= f < N_FIELDS:
-                raise ValueError("support field index %r outside 0..5" % (f,))
-            rows.append(shape.field_row(min(s, length), f, 0))
+        if not all(0 <= f < N_FIELDS for f in fields):
+            raise ValueError("support field indices %s outside 0..5"
+                             % list(fields))
+        rows.extend(shape.rows(min(s, length), fields, 0)[0])
     Z = null_space(np.array(rows)) if rows else np.eye(nfull)
 
     a0, a1 = rayleigh
@@ -478,5 +444,4 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
     Pr = Z.T @ P
     return BridgeSystem(
         kind=kind, section=section, shape=shape, length=length,
-        M=Mr, C=Cr, K=Kr, P=Pr, Z=Z, K_full=K,
-    )
+        M=Mr, C=Cr, K=Kr, P=Pr, Z=Z)

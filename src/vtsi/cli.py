@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import argparse
-import json
+import copy
 import sys
 from pathlib import Path
 
 from .metrics import build_report
 from .output import write_report, write_timehistory
-from .scenario import ScenarioError, load_scenario, parse_scenario
+from .scenario import (ScenarioError, load_scenario, parse_scenario,
+                       read_scenario_file)
 from .simulate import run_simulation
 
 __all__ = ["cli", "main"]
@@ -40,20 +41,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(scenario, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     history = run_simulation(scenario)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_timehistory(history, out_dir / "timehistory.csv")
     write_report(build_report(history, scenario), out_dir / "report.json")
 
 
-def _set_dotted(data: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
+def _set_dotted(data, dotted: str, value) -> None:
+    *parents, last = dotted.split(".")
     node = data
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ScenarioError("cannot descend into key %r" % key)
-    node[keys[-1]] = value
+    for key in parents:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ScenarioError("cannot set %r: its parent is not an object"
+                            % dotted)
+    node[last] = value
 
 
 def _coerce(text: str):
@@ -72,35 +74,30 @@ def cli(argv=None) -> int:
     solver failure."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            load_scenario(args.scenario)
-            print("scenario OK: %s" % args.scenario)
-            return 0
-        if args.command == "run":
-            scenario = load_scenario(args.scenario)
-        else:  # sweep: re-parse per value with the override applied
-            with open(args.scenario) as f:
-                raw = json.load(f)
+        if args.command == "sweep":  # every value is parsed before any run
+            raw = read_scenario_file(args.scenario)
             values = [v for v in args.values.split(",") if v]
             if not values:
                 raise ScenarioError("sweep needs at least one value")
-    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
+            runs = []
+            for text in values:
+                data = copy.deepcopy(raw)
+                _set_dotted(data, args.param, _coerce(text))
+                runs.append((parse_scenario(data), Path(args.out)
+                             / ("%s=%s" % (args.param, text))))
+        else:
+            scenario = load_scenario(args.scenario)
+            if args.command == "check":
+                print("scenario OK: %s" % args.scenario)
+                return 0
+            runs = [(scenario, Path(args.out))]
+    except (ScenarioError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 
     try:
-        if args.command == "run":
-            _run_one(scenario, Path(args.out))
-            return 0
-        for text in values:
-            data = json.loads(json.dumps(raw))
-            try:
-                _set_dotted(data, args.param, _coerce(text))
-                scenario = parse_scenario(data)
-            except ScenarioError as exc:
-                print("error: %s" % exc, file=sys.stderr)
-                return 1
-            _run_one(scenario, Path(args.out) / ("%s=%s" % (args.param, text)))
+        for scenario, out_dir in runs:
+            _run_one(scenario, out_dir)
         return 0
     except RuntimeError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)

@@ -1,9 +1,9 @@
 """Wheel-bridge kinematic coupling.
 
 The wheel's transverse displacement, vertical displacement, and roll are tied
-to the bridge fields (u_n, u_b, th_t) at the wheel's current arclength. The
-coupling rows are shape-function values; their first and second time
-derivatives follow from the chain rule at constant travel speed.
+to the bridge fields ``COUPLED_FIELDS`` = (u_n, u_b, th_t) at the wheel's
+current arclength. The coupling rows are shape-function values; their first
+and second time derivatives follow from the chain rule at constant speed.
 """
 from __future__ import annotations
 
@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BridgeSystem
+from .beams import F_TT, F_UB, F_UN, BridgeSystem
 from .vehicle import L_TR, VehicleSystem
 
 __all__ = ["ConstraintSnapshot", "constraint_rates", "residual"]
+
+COUPLED_FIELDS = (F_UN, F_UB, F_TT)
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ def constraint_rates(bridge: BridgeSystem, s: float, v: float) -> ConstraintSnap
     """Coupling rows with first and second time derivatives at speed ``v``."""
     if not (0.0 <= s <= bridge.length + 1e-9):
         raise ValueError("wheel at s=%g is off the bridge" % s)
-    L, L1, L2 = bridge.constraint_rows_upto2(s)
+    L, L1, L2 = bridge.shape.rows(s, COUPLED_FIELDS, 2)
     return ConstraintSnapshot(s, L, v * L1, v * v * L2)
 
 

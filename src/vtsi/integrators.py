@@ -432,7 +432,10 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
               n_steps: int, probes: dict | None = None,
               t0_correction: bool = True, bridge_static_init: bool = True,
               displacement_repair_every: int = 0) -> TimeHistory:
-    """Integrate ``n_steps`` uniform steps and record the standard probes."""
+    """Integrate ``n_steps`` uniform steps and record the standard probes.
+
+    Raises RuntimeError, naming the step and t, at the first step whose
+    state is not finite."""
     if strategy == "C" and not params.is_newmark:
         params = scheme_params(newmark=True, dt=params.dt)
     stepper = Stepper(model, params, strategy)
@@ -470,6 +473,11 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
         state = stepper.step(state)
         if displacement_repair_every and i % displacement_repair_every == 0:
             project_constraints(state, "displacement")
+        if not np.isfinite(np.concatenate((
+                state.ut, state.vt, state.at, state.ub, state.vb, state.ab,
+                state.lam))).all():
+            raise RuntimeError("state is not finite after step %d (t=%.6g)"
+                               % (i, state.t))
         record(i, state)
     return out
 
@@ -508,14 +516,14 @@ def _straight_frame(v: float):
         origin_vel=np.array([v, 0.0, 0.0]), origin_acc=np.zeros(3))
 
 
-def coupled_model(path, bridge, vehicle_params: VehicleParams,
-                  t0_rotation_ref: bool = True) -> CoupledModel:
-    """Standard model: vehicle frames from the path, coupling to the bridge."""
+def coupled_model(path, bridge, vehicle_params: VehicleParams) -> CoupledModel:
+    """Standard model: vehicle frames from the path, coupling to the bridge;
+    the gravity load takes the frame at the path start as its reference."""
     v = vehicle_params.v
     from .pathgeom import frame_kinematics
 
     curve, amap = path.curve, path.amap
-    R0 = frame_kinematics(curve, amap, 0.0, v).rotation if t0_rotation_ref else None
+    R0 = frame_kinematics(curve, amap, 0.0, v).rotation
     no_gap = np.zeros((3, 3))
 
     def vehicle_at(t):

@@ -9,13 +9,10 @@ Positive curvature turns left (binormal up).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import inf, cos, sin, pi
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss as _leggauss
-
-leggauss = lru_cache(maxsize=None)(_leggauss)
+from numpy.polynomial.legendre import leggauss
 
 from .splines import NurbsCurve, eval_nurbs, fit_least_squares
 
@@ -36,6 +33,13 @@ UP = np.array([0.0, 0.0, 1.0])
 # Below this (curvature in 1/m) the binormal of the fitted curve is numerical
 # noise; fall back to the global-up convention so frames stay continuous.
 STRAIGHT_CURVATURE_TOL = 1e-9
+
+# Gauss-Legendre (nodes, weights): 20 points per span for the exact plan
+# position, 10 per grid interval for the arclength of the fitted curve.
+GAUSS_PLAN = leggauss(20)
+GAUSS_ARCLENGTH = leggauss(10)
+ARCLENGTH_SUBDIV = 24   # arclength grid intervals per knot span
+SAMPLES_PER_ELEM = 20   # exact-plan samples per knot span of the fit
 
 
 def _curv(radius) -> float:
@@ -129,7 +133,7 @@ class PlanSpec:
 
     def point(self, s: float) -> np.ndarray:
         """Exact plan position by Gauss quadrature of the heading."""
-        nodes, wts = leggauss(20)
+        nodes, wts = GAUSS_PLAN
         x = y = 0.0
         joints = self.joints
         for i, sp in enumerate(self.spans):
@@ -167,12 +171,12 @@ class ArclengthMap:
     Newton steps using the exact jacobian.
     """
 
-    def __init__(self, curve: NurbsCurve, subdiv: int = 24, gauss: int = 10):
+    def __init__(self, curve: NurbsCurve):
         self.curve = curve
-        nodes, wts = leggauss(gauss)
+        nodes, wts = GAUSS_ARCLENGTH
         grid = [curve.domain[0]]
         for a, b in zip(curve.knots.breakpoints[:-1], curve.knots.breakpoints[1:]):
-            grid.extend(np.linspace(a, b, subdiv + 1)[1:])
+            grid.extend(np.linspace(a, b, ARCLENGTH_SUBDIV + 1)[1:])
         self._xi = np.asarray(grid)
         segs = np.zeros(len(self._xi))
         for i in range(1, len(self._xi)):
@@ -181,7 +185,6 @@ class ArclengthMap:
             segs[i] = half * sum(
                 w * self.jacobian(mid + half * t) for t, w in zip(nodes, wts))
         self._s = np.cumsum(segs)
-        self._nodes, self._wts = nodes, wts
 
     @property
     def length(self) -> float:
@@ -204,7 +207,7 @@ class ArclengthMap:
         half, mid = 0.5 * (xi - a), 0.5 * (xi + a)
         ds = half * sum(
             w * self.jacobian(mid + half * t)
-            for t, w in zip(self._nodes, self._wts))
+            for t, w in zip(*GAUSS_ARCLENGTH))
         return float(self._s[i] + ds)
 
     def xi_of_s(self, s: float) -> float:
@@ -234,8 +237,8 @@ class PlanPath:
         return self.amap.length
 
 
-def build_plan_path(spec: PlanSpec, ctrl_per_span: int = 10, p: int = 3,
-                    samples_per_elem: int = 20) -> PlanPath:
+def build_plan_path(spec: PlanSpec, ctrl_per_span: int = 10,
+                    p: int = 3) -> PlanPath:
     """Fit the exact plan geometry with a spline.
 
     Each span is meshed into ``ctrl_per_span`` knot spans so that span joints
@@ -248,7 +251,7 @@ def build_plan_path(spec: PlanSpec, ctrl_per_span: int = 10, p: int = 3,
     joints = spec.joints
     xi_all, pts_all = [], []
     for i, sp in enumerate(spec.spans):
-        m = e * samples_per_elem + 1
+        m = e * SAMPLES_PER_ELEM + 1
         s_loc = np.linspace(joints[i], joints[i + 1], m)
         pts = np.array([spec.point(s) for s in s_loc])
         chord = np.concatenate([[0.0], np.cumsum(

@@ -1,18 +1,17 @@
 """Scenario configuration: JSON loading, validation, and built-in defaults.
 
 A scenario file is a JSON object with (all optional) sections ``plan``,
-``bridge``, ``vehicle``, ``run``, ``probes``, and ``flags``. All keys are
-lower_snake_case; unknown keys are rejected with an error naming the key.
-An empty object ``{}`` yields the full default setup: five 30 m spans
-(straight, transition, circular arc at R = 6000 m, transition, straight),
-NURBS degree 3 bridge, 4-DOF vehicle at 100 m/s, Strategy A with
-rho_inf = 0.9, dt = 1e-3 s.
+``bridge``, ``vehicle``, ``run``, ``probes``, and ``flags``. One schema,
+``_SCENARIO``, gives every lower_snake_case key a reader of its JSON type;
+an unknown key or a bad value raises ``ScenarioError`` naming its dotted
+path. An empty object ``{}`` yields the dataclass defaults below: five 30 m
+spans, NURBS degree 3 bridge, vehicle at 100 m/s, Strategy A, dt = 1e-3 s.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from math import inf
+import sys
+from dataclasses import dataclass, field, fields
 
 from .beams import BeamSection
 from .pathgeom import PlanSpec, Span
@@ -50,9 +49,10 @@ class BridgeConfig:
 
     def __post_init__(self):
         if self.kind not in ("nurbs", "fem"):
-            raise ScenarioError("bridge kind must be 'nurbs' or 'fem'")
+            raise ScenarioError("bridge.kind must be 'nurbs' or 'fem'")
         if self.degree < 1 or self.elements_per_span < 1:
-            raise ScenarioError("degree and elements_per_span must be >= 1")
+            raise ScenarioError(
+                "bridge.degree and bridge.elements_per_span must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,13 @@ class RunConfig:
 
     def __post_init__(self):
         if self.strategy not in ("A", "B", "C"):
-            raise ScenarioError("run strategy must be 'A', 'B', or 'C'")
+            raise ScenarioError("run.strategy must be 'A', 'B', or 'C'")
         if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ScenarioError("dt and horizon must be positive")
+            raise ScenarioError("run.dt and run.horizon must be positive")
         if self.rho_inf is not None and not (0.0 <= self.rho_inf <= 1.0):
-            raise ScenarioError("rho_inf must lie in [0, 1]")
+            raise ScenarioError("run.rho_inf must lie in [0, 1]")
         if self.displacement_repair_every < 0:
-            raise ScenarioError("displacement_repair_every must be >= 0")
+            raise ScenarioError("run.displacement_repair_every must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,21 @@ class Scenario:
     def __post_init__(self):
         if not self.probes:
             object.__setattr__(self, "probes", (_default_probe(self.plan),))
+        if self.ctrl_per_span < 1:
+            raise ScenarioError("plan.ctrl_per_span must be >= 1")
         L = self.plan.total_length
         if self.vehicle.v > 0 and self.run.horizon > L / self.vehicle.v + 1e-12:
             raise ScenarioError(
-                "horizon %g s exceeds path length / speed = %g s"
+                "run.horizon %g s exceeds path length / speed = %g s"
                 % (self.run.horizon, L / self.vehicle.v))
-        for p in self.probes:
+        for i, p in enumerate(self.probes):
             if not (0.0 <= p.s <= L):
-                raise ScenarioError("probe %r at s=%g is off the path"
-                                    % (p.name, p.s))
+                raise ScenarioError("probes[%d] %r at s=%g is off the path"
+                                    % (i, p.name, p.s))
+        for i, (s, _) in enumerate(self.bridge.supports or ()):
+            if not (0.0 <= s <= L):
+                raise ScenarioError("bridge.supports[%d] at s=%g is off the "
+                                    "path [0, %g]" % (i, s, L))
 
     @property
     def arc_window(self) -> tuple[float, float] | None:
@@ -127,154 +133,147 @@ def _default_probe(plan: PlanSpec) -> Probe:
     return Probe("midspan", 0.5 * plan.total_length)
 
 
-def _check_keys(obj: dict, allowed, where: str):
-    for key in obj:
-        if key not in allowed:
-            raise ScenarioError("unknown key %r in %s" % (key, where))
+def _wrong(path: str, expected: str, value) -> ScenarioError:
+    return ScenarioError("%s must be %s, got %.60r" % (path, expected, value))
 
 
-def _radius(value, where):
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)):
-        raise ScenarioError("radius in %s must be a number or null" % where)
-    return float(value)
-
-
-def _parse_span(obj: dict, i: int) -> Span:
-    where = "plan.spans[%d]" % i
-    _check_keys(obj, ("kind", "length", "radius_start", "radius_end"), where)
+def _build(make, path: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, naming ``path`` in a ValueError it raises."""
     try:
-        return Span(
-            kind=obj.get("kind", "straight"),
-            length=float(obj.get("length", 30.0)),
-            radius_start=_radius(obj.get("radius_start"), where),
-            radius_end=_radius(obj.get("radius_end"), where),
-        )
+        return make(*args, **kwargs)
+    except ScenarioError:
+        raise
     except ValueError as exc:
-        raise ScenarioError("%s: %s" % (where, exc)) from None
+        raise ScenarioError("%s: %s" % (path, exc)) from None
 
 
-def _parse_plan(obj: dict):
-    _check_keys(obj, ("spans", "ctrl_per_span"), "plan")
-    ctrl = int(obj.get("ctrl_per_span", 10))
-    if "spans" in obj:
-        try:
-            plan = PlanSpec(spans=tuple(
-                _parse_span(sp, i) for i, sp in enumerate(obj["spans"])))
-        except ValueError as exc:
-            raise ScenarioError("plan: %s" % exc) from None
-    else:
-        plan = default_plan_spec()
-    return plan, ctrl
+def _scalar(expected: str, accept, convert=None):
+    """Reader of one JSON scalar. Every reader maps (value, dotted path) to
+    the parsed value or raises a ScenarioError naming the path."""
+    def read(value, path):
+        if not accept(value):
+            raise _wrong(path, expected, value)
+        return convert(value) if convert else value
+    return read
 
 
-_SECTION_KEYS = {"e": "E", "g": "G", "a": "A", "a_n": "A_n", "a_b": "A_b",
-                 "i_t": "I_t", "i_n": "I_n", "i_b": "I_b",
-                 "rho_lin": "rho_lin"}
+_number = _scalar("a finite number", lambda v: type(v) in (int, float)
+                  and abs(v) <= sys.float_info.max, float)
+_integer = _scalar("an integer", lambda v: type(v) is int
+                   or type(v) is float and v.is_integer(), int)
+_boolean = _scalar("true or false", lambda v: isinstance(v, bool))
+_field_index = _scalar("a field 0..5 (u_t, u_n, u_b, th_t, th_n, th_b)",
+                       lambda v: type(v) is not bool and v in range(6), int)
 
 
-def _parse_bridge(obj: dict) -> BridgeConfig:
-    _check_keys(obj, ("kind", "degree", "elements_per_span", "section",
-                      "supports", "rayleigh"), "bridge")
-    sect_obj = obj.get("section", {})
-    _check_keys(sect_obj, _SECTION_KEYS, "bridge.section")
-    try:
-        section = BeamSection(**{_SECTION_KEYS[k]: float(v)
-                                 for k, v in sect_obj.items()})
-    except ValueError as exc:
-        raise ScenarioError("bridge.section: %s" % exc) from None
-    supports = obj.get("supports")
-    if supports is not None:
-        supports = tuple((float(s), tuple(int(f) for f in fields))
-                         for s, fields in supports)
-        for i, (_, fields) in enumerate(supports):
-            if not all(0 <= f <= 5 for f in fields):
-                raise ScenarioError(
-                    "bridge.supports[%d]: field indices must lie in 0..5 "
-                    "(u_t, u_n, u_b, th_t, th_n, th_b), got %s"
-                    % (i, list(fields)))
-    rayleigh = tuple(float(x) for x in obj.get("rayleigh", (0.0, 0.0)))
-    if len(rayleigh) != 2:
-        raise ScenarioError("bridge.rayleigh needs exactly two coefficients")
-    return BridgeConfig(
-        kind=str(obj.get("kind", "nurbs")).lower(),
-        degree=int(obj.get("degree", 3)),
-        elements_per_span=int(obj.get("elements_per_span", 8)),
-        section=section, supports=supports, rayleigh=rayleigh)
+def _text(fold=None):
+    return _scalar("a string", lambda v: isinstance(v, str), fold)
 
 
-_VEHICLE_KEYS = {"m_w": "m_w", "m_c": "m_c", "i_w": "I_w", "i_c": "I_c",
-                 "k_s": "k_s", "l_0": "l_0", "g": "g", "v": "v"}
+def _nullable(read):
+    return lambda value, path: None if value is None else read(value, path)
 
 
-def _parse_vehicle(obj: dict) -> VehicleParams:
-    _check_keys(obj, _VEHICLE_KEYS, "vehicle")
-    try:
-        return VehicleParams(**{_VEHICLE_KEYS[k]: float(v)
-                                for k, v in obj.items()})
-    except ValueError as exc:
-        raise ScenarioError("vehicle: %s" % exc) from None
+def _list(*items, make=tuple):
+    """A list built by ``make``: with one reader, of any length; with more,
+    of fixed length, one reader per position."""
+    def read(value, path):
+        n = len(items)
+        if not isinstance(value, (list, tuple)) or n > 1 and len(value) != n:
+            raise _wrong(path, "a list of %d" % n if n > 1 else "a list",
+                         value)
+        each = items * len(value) if n == 1 else items
+        return _build(make, path, [item(v, "%s[%d]" % (path, i)) for i, (
+            item, v) in enumerate(zip(each, value))])
+    return read
 
 
-def _parse_run(obj: dict) -> RunConfig:
-    _check_keys(obj, ("strategy", "rho_inf", "newmark", "dt", "horizon",
-                      "t0_correction", "displacement_repair_every",
-                      "bridge_static_init"), "run")
-    kw = {}
-    if "strategy" in obj:
-        kw["strategy"] = str(obj["strategy"]).upper()
-    if "rho_inf" in obj:
-        kw["rho_inf"] = None if obj["rho_inf"] is None else float(obj["rho_inf"])
-    for key in ("newmark", "t0_correction", "bridge_static_init"):
-        if key in obj:
-            kw[key] = bool(obj[key])
-    for key in ("dt", "horizon"):
-        if key in obj:
-            kw[key] = float(obj[key])
-    if "displacement_repair_every" in obj:
-        kw["displacement_repair_every"] = int(obj["displacement_repair_every"])
-    if kw.get("strategy") in ("B", "C") and "newmark" not in kw and "rho_inf" not in kw:
-        kw["newmark"] = True
-    return RunConfig(**kw)
+def _object(make=None, **keys):
+    """An object of the given keys, each a reader or (reader, default), where
+    a default is a constant, ``...`` (required) or a function of (fields read,
+    path). The values build dataclass ``make``, whose fields are the keys
+    lower-cased; a dict read (a section without ``make``) merges into them."""
+    keys = {k: r if type(r) is tuple else (r, None) for k, r in keys.items()}
+    names = {f.name.lower(): f.name for f in fields(make)} if make else {}
+
+    def read(value, path):
+        where = path or "scenario"
+        if not isinstance(value, dict):
+            raise _wrong(where, "an object", value)
+        for key in value:
+            if key not in keys:
+                raise ScenarioError("unknown key %r in %s" % (key, where))
+        kw = {}
+        for key, (read_key, default) in keys.items():
+            if key in value:
+                val = read_key(value[key], (path + "." + key).lstrip("."))
+            elif default is ...:
+                raise ScenarioError("%s needs key %r" % (where, key))
+            elif default is None:
+                continue
+            else:
+                val = default(kw, where) if callable(default) else default
+            if isinstance(val, dict):
+                kw.update(val)
+            else:
+                kw[names.get(key, key)] = val
+        return _build(make, where, **kw) if make else kw
+    return read
 
 
-def _parse_probes(items) -> tuple:
-    probes = []
-    for i, obj in enumerate(items):
-        _check_keys(obj, ("name", "s"), "probes[%d]" % i)
-        if "s" not in obj:
-            raise ScenarioError("probes[%d] needs an arclength 's'" % i)
-        probes.append(Probe(str(obj.get("name", "probe%d" % i)),
-                            float(obj["s"])))
-    return tuple(probes)
+def _plain_newmark(kw, path) -> bool:
+    # B and C run plain Newmark unless rho_inf is given (read before newmark)
+    return kw.get("strategy") in ("B", "C") and "rho_inf" not in kw
+
+
+def _probe_name(kw, path) -> str:  # probes[i] is named probe<i>
+    return "probe" + path[path.rindex("[") + 1:-1]
+
+
+_SCENARIO = _object(
+    Scenario,
+    plan=_object(
+        spans=_list(_object(
+            Span, kind=(_text(), "straight"), length=(_number, 30.0),
+            radius_start=_nullable(_number), radius_end=_nullable(_number)),
+            make=lambda spans: {"plan": PlanSpec(spans)}),
+        ctrl_per_span=_integer),
+    bridge=_object(
+        BridgeConfig, kind=_text(str.lower), degree=_integer,
+        elements_per_span=_integer,
+        section=_object(BeamSection, e=_number, g=_number, a=_number,
+                        a_n=_number, a_b=_number, i_t=_number, i_n=_number,
+                        i_b=_number, rho_lin=_number),
+        supports=_nullable(_list(_list(_number, _list(_field_index)))),
+        rayleigh=_list(_number, _number)),
+    vehicle=_object(VehicleParams, m_w=_number, m_c=_number, i_w=_number,
+                    i_c=_number, k_s=_number, l_0=_number, g=_number,
+                    v=_number),
+    run=_object(
+        RunConfig, strategy=_text(str.upper), rho_inf=_nullable(_number),
+        newmark=(_boolean, _plain_newmark), dt=_number, horizon=_number,
+        t0_correction=_boolean, displacement_repair_every=_integer,
+        bridge_static_init=_boolean),
+    probes=_list(_object(Probe, name=(_text(), _probe_name),
+                         s=(_number, ...))),
+    flags=_object(add_static_axle_load=_boolean),
+)
 
 
 def parse_scenario(data: dict) -> Scenario:
     """Build a fully-populated scenario from a parsed JSON object."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    _check_keys(data, ("plan", "bridge", "vehicle", "run", "probes", "flags"),
-                "scenario")
-    plan, ctrl = _parse_plan(data.get("plan", {}))
-    flags = data.get("flags", {})
-    _check_keys(flags, ("add_static_axle_load",), "flags")
-    return Scenario(
-        plan=plan,
-        ctrl_per_span=ctrl,
-        bridge=_parse_bridge(data.get("bridge", {})),
-        vehicle=_parse_vehicle(data.get("vehicle", {})),
-        run=_parse_run(data.get("run", {})),
-        probes=_parse_probes(data.get("probes", ())),
-        add_static_axle_load=bool(flags.get("add_static_axle_load", False)),
-    )
+    return _SCENARIO(data, "")
+
+
+def read_scenario_file(path):
+    """The JSON value in a scenario file; ScenarioError unless UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ScenarioError("cannot parse %s: %s" % (path, exc)) from None
 
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file."""
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError("cannot parse %s: %s" % (path, exc)) from None
-    return parse_scenario(data)
+    return parse_scenario(read_scenario_file(path))

@@ -44,9 +44,7 @@ def build_scenario_model(scenario: Scenario, path: PlanPath | None = None,
 
 def scenario_scheme(scenario: Scenario) -> SchemeParams:
     run = scenario.run
-    if run.newmark or run.rho_inf is None:
-        return scheme_params(newmark=True, dt=run.dt)
-    return scheme_params(rho_inf=run.rho_inf, dt=run.dt)
+    return scheme_params(run.rho_inf, run.dt, newmark=run.newmark)
 
 
 def run_simulation(scenario: Scenario, model: CoupledModel | None = None) -> TimeHistory:

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import vtsi.integrators as integ
 from vtsi.cli import cli
 from vtsi.metrics import oscillation_index
 
@@ -39,6 +41,26 @@ class TestRun:
                     "-o", str(tmp_path / "out")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_divergence_exits_two(self, scenario_file, tmp_path, capsys,
+                                  monkeypatch):
+        calls = []
+        healthy = integ.vehicle_matrices
+
+        def poisoned(*args, **kwargs):
+            # vehicle_at(t_f) runs once per step, so call n is step n.
+            veh = healthy(*args, **kwargs)
+            calls.append(1)
+            if len(calls) < 50:
+                return veh
+            return dataclasses.replace(veh, P=veh.P * np.nan)
+
+        monkeypatch.setattr(integ, "vehicle_matrices", poisoned)
+        out = tmp_path / "out"
+        assert cli(["run", str(scenario_file), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "step 50 " in err and "t=0.05" in err
+        assert not (out / "timehistory.csv").exists()
+
 
 class TestCheck:
     def test_valid_scenario(self, scenario_file, capsys):
@@ -71,14 +93,42 @@ class TestMalformedScenario:
         ({"plan": {"spans": [{"kind": "straight", "length": 30.0},
                              {"kind": "arc", "length": 30.0}]}},
          "plan.spans[1]"),
+        # Wrong JSON types, which used to end in a traceback ...
+        ({"bridge": {"supports": [5.0]}}, "bridge.supports[0]"),
+        ({"plan": {"spans": 3}}, "plan.spans"),
+        ({"run": {"dt": "abc"}}, "run.dt"),
+        ({"probes": {"s": 1}}, "probes"),
+        ({"bridge": {"rayleigh": 5}}, "bridge.rayleigh"),
+        # ... values found only at assembly or in the fit ...
+        ({"bridge": {"supports": [[0.0, [0, 1, 2, 3, 4, 5]], [500.0, [1]]]}},
+         "bridge.supports[1]"),
+        ({"plan": {"ctrl_per_span": 0}}, "plan.ctrl_per_span"),
+        # ... and values that were accepted as a different model.
+        ({"run": {"dt": float("nan")}}, "run.dt"),
+        ({"run": {"t0_correction": "false"}}, "run.t0_correction"),
+        ({"run": {"newmark": "false"}}, "run.newmark"),
+        ({"bridge": {"degree": 3.7}}, "bridge.degree"),
+        ({"vehicle": {"v": True}}, "vehicle.v"),
+        ({"run": []}, "run must be an object"),
+        ({"flags": {"add_static_axle_load": 1}}, "flags.add_static_axle_load"),
     ])
     def test_rejected_with_key_named(self, data, key, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(data))
+        assert cli(["check", str(p)]) == 1
+        assert key in capsys.readouterr().err
         out = tmp_path / "out"
         assert cli(["run", str(p), "-o", str(out)]) == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"probes": [{"name": "br\xfccke", "s": 75.0}]}'
+                      .encode("latin-1"))
+        assert cli(["check", str(p)]) == 1
+        assert "cannot parse" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -103,6 +153,17 @@ class TestSweep:
                     "--param", "run.rho_inf", "--values", "2.0",
                     "-o", str(tmp_path / "s")]) == 1
         assert "rho_inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param,values", [
+        ("run.rho_inf", "1.0,2.0"),     # every value is parsed before a run
+        ("run.dt.x", "1"),              # run.dt is not an object
+    ])
+    def test_bad_sweep_runs_nothing(self, scenario_file, tmp_path, param,
+                                    values):
+        out = tmp_path / "s"
+        assert cli(["sweep", str(scenario_file), "--param", param,
+                    "--values", values, "-o", str(out)]) == 1
+        assert not out.exists()
 
     def test_empty_values_exits_one(self, scenario_file, tmp_path):
         assert cli(["sweep", str(scenario_file),

@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtsi.scenario import (Scenario, ScenarioError, load_scenario,
                            parse_scenario)
@@ -152,3 +155,87 @@ class TestLoading:
         p.write_text("{ not json")
         with pytest.raises(ScenarioError, match="cannot parse"):
             load_scenario(p)
+
+
+# A scenario that sets every key, for single-value mutations.
+FULL_SCENARIO = {
+    "plan": {"spans": [
+        {"kind": "straight", "length": 30.0},
+        {"kind": "transition", "length": 30.0, "radius_start": None,
+         "radius_end": 6000.0},
+        {"kind": "arc", "length": 30.0, "radius_start": 6000.0,
+         "radius_end": 6000.0},
+    ], "ctrl_per_span": 10},
+    "bridge": {"kind": "nurbs", "degree": 3, "elements_per_span": 8,
+               "section": {"e": 28.25e9, "g": 1e12, "a": 7.73, "a_n": 7.73,
+                           "a_b": 7.73, "i_t": 15.65, "i_n": 7.84,
+                           "i_b": 74.42, "rho_lin": 41740.0},
+               "supports": [[0.0, [0, 1, 2, 3, 4, 5]], [90.0, [1, 2, 3]]],
+               "rayleigh": [0.0, 0.0]},
+    "vehicle": {"m_w": 7120.0, "m_c": 41750.0, "i_w": 1140.0, "i_c": 23200.0,
+                "k_s": 865.6e3, "l_0": 1.37, "g": 9.81, "v": 100.0},
+    "run": {"strategy": "A", "rho_inf": 0.9, "newmark": False, "dt": 1e-3,
+            "horizon": 0.9, "t0_correction": True,
+            "displacement_repair_every": 0, "bridge_static_init": True},
+    "probes": [{"name": "midspan", "s": 75.0}],
+    "flags": {"add_static_axle_load": False},
+}
+
+
+def _node_paths(node, prefix=()):
+    """Key paths of every value below ``node``, containers included."""
+    items = (node.items() if isinstance(node, dict) else enumerate(node)
+             if isinstance(node, list) else ())
+    paths = [prefix] if prefix else []
+    for key, child in items:
+        paths.extend(_node_paths(child, prefix + (key,)))
+    return paths
+
+
+def _replaced(data, path, value):
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8)
+    | st.sampled_from(["A", "b", "fem", "arc", "straight", "transition"]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=4)),
+    max_leaves=12)
+
+KEYS = sorted({k for p in _node_paths(FULL_SCENARIO) for k in p
+               if isinstance(k, str)})
+
+scenario_shaped = st.dictionaries(
+    st.sampled_from(sorted(FULL_SCENARIO)),
+    st.dictionaries(st.sampled_from(KEYS), json_values, max_size=4)
+    | json_values, max_size=4)
+
+mutated_full = st.builds(_replaced, st.just(FULL_SCENARIO),
+                         st.sampled_from(_node_paths(FULL_SCENARIO)),
+                         json_values)
+
+
+class TestReaderProperty:
+    def test_full_scenario_is_valid(self):
+        sc = parse_scenario(FULL_SCENARIO)
+        assert sc.bridge.supports == ((0.0, (0, 1, 2, 3, 4, 5)),
+                                      (90.0, (1, 2, 3)))
+        assert sc.plan.spans[1].radius_end == 6000.0
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.one_of(json_values, scenario_shaped, mutated_full))
+    def test_parses_or_names_the_error(self, data):
+        try:
+            sc = parse_scenario(data)
+        except ScenarioError as exc:
+            assert str(exc)
+        else:
+            assert isinstance(sc, Scenario)
