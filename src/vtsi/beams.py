@@ -11,12 +11,14 @@ curvature continuity on curved paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import null_space
 
-from .pathgeom import ArclengthMap, PlanPath, build_plan_path, _curvature_terms
+from .pathgeom import (ArclengthMap, PlanPath, build_plan_path, ipow,
+                       _curvature_terms)
 from .splines import NurbsCurve, eval_nurbs_basis
 
 __all__ = [
@@ -77,39 +79,34 @@ class BeamSection:
 # Isogeometric kind
 # ----------------------------------------------------------------------------
 
-def strain_operator(curve: NurbsCurve, amap: ArclengthMap, xi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized-strain operator B at parameter ``xi``.
+def strain_operator(curve: NurbsCurve, amap: ArclengthMap,
+                    xi) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized-strain operator B at parameter ``xi``, or stacked at each
+    of an array of parameters.
 
     Maps the element control values, ordered (ctrl point, field), to the six
     generalized strains (axial, two shear, twist, two bending). Returns
     ``(B, indices)`` where ``indices`` are the supporting control points.
     """
-    bspan = eval_nurbs_basis(curve, xi, 1)
-    J = amap.jacobian(xi)
-    _, kappa, tau, _, _ = _curvature_terms(curve, xi)
-    R = bspan.table[0]
-    dRds = bspan.table[1] / J
-    m = len(R)
-    B = np.zeros((6, N_FIELDS * m))
-    for i in range(m):
-        c = N_FIELDS * i
-        B[0, c + F_UT] = dRds[i]
-        B[0, c + F_UN] = -kappa * R[i]
-        B[1, c + F_UN] = dRds[i]
-        B[1, c + F_UT] = kappa * R[i]
-        B[1, c + F_UB] = -tau * R[i]
-        B[1, c + F_TB] = -R[i]
-        B[2, c + F_UB] = dRds[i]
-        B[2, c + F_UN] = tau * R[i]
-        B[2, c + F_TN] = R[i]
-        B[3, c + F_TT] = dRds[i]
-        B[3, c + F_TN] = -kappa * R[i]
-        B[4, c + F_TN] = dRds[i]
-        B[4, c + F_TT] = kappa * R[i]
-        B[4, c + F_TB] = -tau * R[i]
-        B[5, c + F_TB] = dRds[i]
-        B[5, c + F_TN] = -tau * R[i]
-    return B, bspan.indices
+    x = np.atleast_1d(xi)
+    bspan = eval_nurbs_basis(curve, x, 1)
+    J = amap.jacobian(x)
+    _, kappa, tau, _, _ = _curvature_terms(curve, x)
+    R = bspan.table[:, 0]
+    dRds = bspan.table[:, 1] / J[:, None]
+    kR, tR = kappa[:, None] * R, tau[:, None] * R
+    B = np.zeros((len(x), 6, N_FIELDS * R.shape[1]))
+    for row, field, value in (
+            (0, F_UT, dRds), (0, F_UN, -kR),
+            (1, F_UN, dRds), (1, F_UT, kR), (1, F_UB, -tR), (1, F_TB, -R),
+            (2, F_UB, dRds), (2, F_UN, tR), (2, F_TN, R),
+            (3, F_TT, dRds), (3, F_TN, -kR),
+            (4, F_TN, dRds), (4, F_TT, kR), (4, F_TB, -tR),
+            (5, F_TB, dRds), (5, F_TN, -tR)):
+        B[:, row, field::N_FIELDS] = value
+    if np.ndim(xi):
+        return B, bspan.indices
+    return B[0], bspan.indices[0]
 
 
 def element_matrices_iga(section: BeamSection, curve: NurbsCurve,
@@ -132,63 +129,56 @@ def element_matrices_iga(section: BeamSection, curve: NurbsCurve,
     D = section.stiffness_diag
     rho = section.inertia_diag
     g = 9.81
-    idx = None
-    for t, w in zip(nodes, wts):
-        xi = 0.5 * (a + b) + 0.5 * (b - a) * t
-        wq = 0.5 * (b - a) * w
-        B, idx = strain_operator(curve, amap, xi)
-        J = amap.jacobian(xi)
+    xi = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    B_q, idx = strain_operator(curve, amap, xi)
+    J_q = amap.jacobian(xi)
+    R_q = eval_nurbs_basis(curve, xi, 0).table[:, 0]
+    for B, J, R, wq in zip(B_q, J_q, R_q, 0.5 * (b - a) * wts):
         K += wq * J * (B.T * D) @ B
-        bspan = eval_nurbs_basis(curve, xi, 0)
-        R = bspan.table[0]
         N = np.zeros((N_FIELDS, N_FIELDS * m))
-        for i in range(m):
-            for f in range(N_FIELDS):
-                N[f, N_FIELDS * i + f] = R[i]
+        for f in range(N_FIELDS):
+            N[f, f::N_FIELDS] = R
         M += wq * J * (N.T * rho) @ N
-        for i in range(m):
-            P[N_FIELDS * i + F_UB] -= wq * J * section.rho_lin * g * R[i]
-    return K, M, P, idx
+        P[F_UB::N_FIELDS] -= wq * J * section.rho_lin * g * R
+    return K, M, P, idx[-1]
 
 
 # ----------------------------------------------------------------------------
 # Classical frame kind
 # ----------------------------------------------------------------------------
 
-def _hermite(x: float, ell: float, order: int) -> np.ndarray:
+def _hermite(x: np.ndarray, ell: np.ndarray, order: int) -> np.ndarray:
     """Cubic Hermite shape functions (w_a, slope_a, w_b, slope_b) and
-    derivatives with respect to x."""
+    derivatives with respect to x, one row per entry of x."""
     t = x / ell
+    t2, t3 = ipow(t, 2), ipow(t, 3)
     if order == 0:
-        return np.array([
-            1 - 3 * t ** 2 + 2 * t ** 3,
-            ell * (t - 2 * t ** 2 + t ** 3),
-            3 * t ** 2 - 2 * t ** 3,
-            ell * (-t ** 2 + t ** 3),
-        ])
-    if order == 1:
-        return np.array([
-            (-6 * t + 6 * t ** 2) / ell,
-            1 - 4 * t + 3 * t ** 2,
-            (6 * t - 6 * t ** 2) / ell,
-            -2 * t + 3 * t ** 2,
-        ])
-    if order == 2:
-        return np.array([
-            (-6 + 12 * t) / ell ** 2,
-            (-4 + 6 * t) / ell,
-            (6 - 12 * t) / ell ** 2,
-            (-2 + 6 * t) / ell,
-        ])
-    raise ValueError("order must be 0, 1, or 2")
+        cols = (1 - 3 * t2 + 2 * t3,
+                ell * (t - 2 * t2 + t3),
+                3 * t2 - 2 * t3,
+                ell * (-t2 + t3))
+    elif order == 1:
+        cols = ((-6 * t + 6 * t2) / ell,
+                1 - 4 * t + 3 * t2,
+                (6 * t - 6 * t2) / ell,
+                -2 * t + 3 * t2)
+    elif order == 2:
+        ell2 = ipow(ell, 2)
+        cols = ((-6 + 12 * t) / ell2,
+                (-4 + 6 * t) / ell,
+                (6 - 12 * t) / ell2,
+                (-2 + 6 * t) / ell)
+    else:
+        raise ValueError("order must be 0, 1, or 2")
+    return np.stack(cols, axis=-1)
 
 
-def _linear(x: float, ell: float, order: int) -> np.ndarray:
+def _linear(x: np.ndarray, ell: np.ndarray, order: int) -> np.ndarray:
     if order == 0:
-        return np.array([1 - x / ell, x / ell])
+        return np.stack((1 - x / ell, x / ell), axis=-1)
     if order == 1:
-        return np.array([-1.0 / ell, 1.0 / ell])
-    return np.zeros(2)
+        return np.stack((-1.0 / ell, 1.0 / ell), axis=-1)
+    return np.zeros(np.shape(x) + (2,))
 
 
 def _fem_local(section: BeamSection, ell: float):
@@ -267,6 +257,54 @@ def element_matrices_fem(section: BeamSection, node_a, node_b):
 # Assembly
 # ----------------------------------------------------------------------------
 
+class FieldRows(NamedTuple):
+    """Rows of some bridge fields and of their first k arclength
+    derivatives at m positions, over the full DOFs, stored compactly.
+
+    At position i the rows are nonzero only in the DOFs
+    ``first[i] + window``. There, the row of field j and order o holds
+    ``vals[i, o, place[j]]``, read as zero where ``place`` is -1.
+    """
+
+    first: np.ndarray    # (m,) int
+    vals: np.ndarray     # (m, k + 1, n_vals)
+    window: np.ndarray   # (w,) int, increasing
+    place: np.ndarray    # (n_fields, w) int
+    n_full: int
+
+    def block(self, i) -> np.ndarray:
+        """(k + 1, n_fields, w) rows over the window of position(s) i."""
+        v = self.vals[i]
+        pad = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+        return pad[..., self.place]
+
+    def dense(self) -> np.ndarray:
+        """(m, k + 1, n_fields, n_full) rows."""
+        blocks = self.block(slice(None))
+        out = np.zeros(blocks.shape[:-1] + (self.n_full,))
+        cols = (self.first[:, None] + self.window)[:, None, None, :]
+        np.put_along_axis(out, np.broadcast_to(cols, blocks.shape), blocks,
+                          axis=-1)
+        return out
+
+    def reduced(self, i: int, Z: np.ndarray) -> np.ndarray:
+        """(k + 1, n_fields, n_red) rows of position i times Z, one product
+        per order over the window's rows of Z. The window keeps the DOF
+        order of the full rows, and the full-row product L @ Z gives the
+        same bits (tests/test_batched.py)."""
+        return self.block(i) @ Z[self.first[i] + self.window]
+
+
+def _layout(offsets, value_index):
+    """Window and placement of FieldRows from each field's DOF offsets
+    (relative to ``first``) and the entries of ``vals`` they hold."""
+    window = np.unique(np.concatenate(offsets))
+    place = np.full((len(offsets), len(window)), -1)
+    for j, (off, idx) in enumerate(zip(offsets, value_index)):
+        place[j, np.searchsorted(window, off)] = idx
+    return window, place
+
+
 class _NurbsShape:
     """Shape-function provider: all six fields share the rational basis."""
 
@@ -275,23 +313,25 @@ class _NurbsShape:
         self.amap = amap
         self.n_full = N_FIELDS * curve.knots.n
 
-    def rows(self, s: float, fields, k: int) -> np.ndarray:
-        """(k + 1, len(fields), n_full) rows of each field and its first
-        ``k`` <= 2 arclength derivatives, from one basis evaluation."""
-        xi = self.amap.xi_of_s(s)
+    def rows(self, s, fields, k: int) -> FieldRows:
+        """Rows of each field and its first ``k`` <= 2 arclength
+        derivatives at the arclengths ``s`` (a scalar or an array), from
+        one basis evaluation; ``vals`` holds the p + 1 basis values."""
+        xi = self.amap.xi_of_s(np.atleast_1d(s))
         bspan = eval_nurbs_basis(self.curve, xi, k)
-        vals = [bspan.table[0]]
+        tab = bspan.table
+        vals = tab.copy()
         if k >= 1:
-            J = self.amap.jacobian(xi)
-            vals.append(bspan.table[1] / J)
+            J = self.amap.jacobian(xi)[:, None]
+            vals[:, 1] = tab[:, 1] / J
         if k >= 2:
-            Jp = self.amap.jacobian_prime(xi)
-            vals.append(bspan.table[2] / J ** 2 - bspan.table[1] * Jp / J ** 3)
-        rows = np.zeros((k + 1, len(fields), self.n_full))
-        cols = N_FIELDS * bspan.indices
-        for j, f in enumerate(fields):
-            rows[:, j, cols + f] = vals
-        return rows
+            Jp = self.amap.jacobian_prime(xi)[:, None]
+            vals[:, 2] = tab[:, 2] / ipow(J, 2) - tab[:, 1] * Jp / ipow(J, 3)
+        ctrl = np.arange(self.curve.degree + 1)
+        window, place = _layout([N_FIELDS * ctrl + f for f in fields],
+                                [ctrl] * len(fields))
+        return FieldRows(N_FIELDS * bspan.indices[:, 0], vals, window, place,
+                         self.n_full)
 
 
 class _FemShape:
@@ -301,28 +341,37 @@ class _FemShape:
         self.s_nodes = np.asarray(s_nodes, dtype=float)
         self.n_full = N_FIELDS * len(self.s_nodes)
 
-    def _locate(self, s: float):
+    def _locate(self, s: np.ndarray):
         sn = self.s_nodes
-        if not (sn[0] - 1e-9 <= s <= sn[-1] + 1e-9):
-            raise ValueError("arclength %g outside the mesh" % s)
-        e = int(np.searchsorted(sn, min(max(s, sn[0]), sn[-1]), side="right")) - 1
-        e = min(max(e, 0), len(sn) - 2)
+        outside = ~((sn[0] - 1e-9 <= s) & (s <= sn[-1] + 1e-9))
+        if np.any(outside):
+            raise ValueError("arclength %g outside the mesh" % s[outside][0])
+        e = np.searchsorted(sn, np.minimum(np.maximum(s, sn[0]), sn[-1]),
+                            side="right") - 1
+        e = np.clip(e, 0, len(sn) - 2)
         return e, s - sn[e], sn[e + 1] - sn[e]
 
-    def rows(self, s: float, fields, k: int) -> np.ndarray:
-        """(k + 1, len(fields), n_full) rows of each field and its first
-        ``k`` arclength derivatives."""
-        e, x, ell = self._locate(s)
-        rows = np.zeros((k + 1, len(fields), self.n_full))
-        for order in range(k + 1):
-            for j, f in enumerate(fields):
-                dofs, vals = _fem_field(f, x, ell, order)
-                rows[order, j, N_FIELDS * e + dofs] = vals
-        return rows
+    def rows(self, s, fields, k: int) -> FieldRows:
+        """Rows of each field and its first ``k`` arclength derivatives at
+        the arclengths ``s``; ``vals`` holds each field's shape values in
+        turn."""
+        e, x, ell = self._locate(np.atleast_1d(np.asarray(s, dtype=float)))
+        offsets, value_index, vals = [], [], []
+        for f in fields:
+            dofs, v = zip(*(_fem_field(f, x, ell, order)
+                            for order in range(k + 1)))
+            value_index.append(sum(len(d) for d in offsets)
+                               + np.arange(len(dofs[0])))
+            offsets.append(dofs[0])
+            vals.append(np.stack(v, axis=1))
+        window, place = _layout(offsets, value_index)
+        return FieldRows(N_FIELDS * e, np.concatenate(vals, axis=-1), window,
+                         place, self.n_full)
 
 
-def _fem_field(f: int, x: float, ell: float, order: int):
-    """DOFs over an element's two nodes, and their shape values, of field f."""
+def _fem_field(f: int, x: np.ndarray, ell: np.ndarray, order: int):
+    """DOFs over an element's two nodes of field f, and their shape values
+    (one row per entry of x)."""
     if f in (F_UT, F_TT):
         return np.array([f, 6 + f]), _linear(x, ell, order)
     flip = np.array([1.0, -1.0, 1.0, -1.0])
@@ -364,7 +413,7 @@ class BridgeSystem:
 
     def probe_rows(self, s: float) -> np.ndarray:
         """2 x n_red rows for (u_n, u_b) at ``s`` in reduced coordinates."""
-        return self.shape.rows(s, (F_UN, F_UB), 0)[0] @ self.Z
+        return self.shape.rows(s, (F_UN, F_UB), 0).dense()[0, 0] @ self.Z
 
 
 def _default_supports(joints: np.ndarray):
@@ -434,7 +483,7 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
         if not all(0 <= f < N_FIELDS for f in fields):
             raise ValueError("support field indices %s outside 0..5"
                              % list(fields))
-        rows.extend(shape.rows(min(s, length), fields, 0)[0])
+        rows.extend(shape.rows(min(s, length), fields, 0).dense()[0, 0])
     Z = null_space(np.array(rows)) if rows else np.eye(nfull)
 
     a0, a1 = rayleigh

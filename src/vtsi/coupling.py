@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import F_TT, F_UB, F_UN, BridgeSystem
+from .beams import F_TT, F_UB, F_UN, BridgeSystem, FieldRows
 from .vehicle import L_TR, VehicleSystem
 
 __all__ = ["ConstraintSnapshot", "constraint_rates", "residual"]
@@ -21,27 +21,49 @@ COUPLED_FIELDS = (F_UN, F_UB, F_TT)
 
 @dataclass(frozen=True)
 class ConstraintSnapshot:
-    """Coupling rows and their time rates at one wheel position.
+    """Coupling rows and their time rates at one wheel position, or at each
+    of an array of positions ``s``.
 
-    Rows are over the full bridge DOFs; ``reduced`` maps them through the
+    Orders 0, 1, 2 of ``rows`` are L, L_dot and L_ddot over the full bridge
+    DOFs, stored compactly; ``reduced`` maps one position's rows through the
     boundary-condition reduction.
     """
 
-    s: float
-    L: np.ndarray
-    L_dot: np.ndarray
-    L_ddot: np.ndarray
+    s: float | np.ndarray
+    rows: FieldRows
 
-    def reduced(self, Z: np.ndarray):
-        return self.L @ Z, self.L_dot @ Z, self.L_ddot @ Z
+    def _full(self, order: int) -> np.ndarray:
+        full = self.rows.dense()[:, order]
+        return full if np.ndim(self.s) else full[0]
+
+    @property
+    def L(self) -> np.ndarray:
+        return self._full(0)
+
+    @property
+    def L_dot(self) -> np.ndarray:
+        return self._full(1)
+
+    @property
+    def L_ddot(self) -> np.ndarray:
+        return self._full(2)
+
+    def reduced(self, Z: np.ndarray, i: int = 0):
+        """L Z, L_dot Z and L_ddot Z at position ``i``."""
+        return tuple(self.rows.reduced(i, Z))
 
 
-def constraint_rates(bridge: BridgeSystem, s: float, v: float) -> ConstraintSnapshot:
-    """Coupling rows with first and second time derivatives at speed ``v``."""
-    if not (0.0 <= s <= bridge.length + 1e-9):
-        raise ValueError("wheel at s=%g is off the bridge" % s)
-    L, L1, L2 = bridge.shape.rows(s, COUPLED_FIELDS, 2)
-    return ConstraintSnapshot(s, L, v * L1, v * v * L2)
+def constraint_rates(bridge: BridgeSystem, s, v: float) -> ConstraintSnapshot:
+    """Coupling rows with first and second time derivatives at speed ``v``,
+    at one arclength ``s`` or at each of an array of them."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    off = ~((0.0 <= s_arr) & (s_arr <= bridge.length + 1e-9))
+    if np.any(off):
+        raise ValueError("wheel at s=%g is off the bridge" % s_arr[off][0])
+    rows = bridge.shape.rows(s_arr, COUPLED_FIELDS, 2)
+    rows.vals[:, 1] *= v
+    rows.vals[:, 2] *= v * v
+    return ConstraintSnapshot(s, rows)
 
 
 def residual(vehicle: VehicleSystem, bridge: BridgeSystem, Lb: np.ndarray,

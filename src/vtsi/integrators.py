@@ -11,9 +11,13 @@ Three interchangeable strategies:
 
 The strategies differ only in the level at which the time-varying coupling
 rows enter the step system, and the model supplies those rows from one
-source: ``CoupledModel.reduced_at(t)``. Each step evaluates it once per
-distinct instant (t_f for the load, t_{n+1} for the constraint row) and the
-t_{n+1} value travels with the new state as ``CoupledState.con``, so
+source: ``CoupledModel.reduced_at``. The model's callables take an array of
+instants and return one entry per instant. A run knows every instant before
+its first step (t_{n+1} = t_n + dt, accumulated, and the collocation
+instant t_f between t_n and t_{n+1}), so ``run_model`` calls each callable
+once on all of them and the stepper reads the entries by step index; a
+direct ``Stepper.step`` evaluates its own one or two instants. The t_{n+1}
+constraint travels with the new state as ``CoupledState.con``, so
 projection, displacement repair, and the residual record read it there.
 
 The same machinery also integrates unconstrained systems (no vehicle or no
@@ -28,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .coupling import constraint_rates
+from .coupling import ConstraintSnapshot, constraint_rates
 from .pathgeom import CosineProfile
-from .vehicle import L_TR, VehicleParams, vehicle_matrices
+from .vehicle import L_TR, VehicleParams, VehicleSystem, vehicle_matrices
 
 __all__ = [
     "SchemeParams",
@@ -84,6 +88,14 @@ def scheme_params(rho_inf: float | None = None, dt: float = 1e-3,
     return SchemeParams(am, af, beta, gamma, dt, rho_inf=rho_inf)
 
 
+# Prescribed gap of a wheel on a bridge: zero at every order.
+NO_GAP = np.zeros((3, 3))
+# Instants per batched evaluation of the standard model's coefficients:
+# large enough to amortise the per-call overhead, small enough that the
+# temporary arrays of a batch stay well below the tables kept.
+TABLE_BLOCK = 512
+
+
 class Constraint(NamedTuple):
     """Wheel constraint L_TR^T u_t + L u_b + r = 0 at one instant.
 
@@ -124,11 +136,14 @@ class CoupledState:
 class CoupledModel:
     """Everything the stepper needs, as uncached callables of time.
 
-    ``vehicle_at(t)`` gives the vehicle matrices; ``bridge`` needs M, C, K, P
-    (and Z for coupling); ``reduced_at(t)`` gives the wheel ``Constraint``.
-    ``axle_load`` (3-vector), when set, adds L(t_f)^T axle_load to the bridge
-    load. Any block may be absent: no vehicle (pure structural run), no
-    bridge (rigid-profile run), or no constraint (unconstrained ODE).
+    Both callables take a 1-D array of instants and return a sequence with
+    one entry per instant: ``vehicle_at(t)`` the vehicle matrices
+    (``VehicleSystem``), ``reduced_at(t)`` the wheel ``Constraint``.
+    ``run_model`` tabulates them once per run. ``bridge`` needs M, C, K, P
+    (and Z for coupling). ``axle_load`` (3-vector), when set, adds
+    L(t_f)^T axle_load to the bridge load. Any block may be absent: no
+    vehicle (pure structural run), no bridge (rigid-profile run), or no
+    constraint (unconstrained ODE).
     """
 
     vehicle_at: object = None
@@ -147,6 +162,28 @@ class CoupledModel:
     @property
     def n_lam(self) -> int:
         return 3 if self.reduced_at is not None else 0
+
+
+class StepCoefficients(NamedTuple):
+    """Time-varying coefficients of one step: the constraint at t_{n+1} and
+    at t_f, and the vehicle matrices at t_f; None where the model has no
+    such block."""
+
+    con1: Constraint | None
+    conf: Constraint | None
+    veh: VehicleSystem | None
+
+
+@dataclass
+class ConstraintTable:
+    """Wheel constraints on a bridge at an array of instants: the compact
+    coupling rows of all of them, each reduced through Z when looked up."""
+
+    snap: ConstraintSnapshot
+    Z: np.ndarray
+
+    def __getitem__(self, i: int) -> Constraint:
+        return Constraint(*self.snap.reduced(self.Z, i), NO_GAP)
 
 
 @dataclass
@@ -221,19 +258,37 @@ class Stepper:
                 + (1.0 - p.alpha_f) * (p.gamma * p.dt * br.C
                                        + p.beta * p.dt ** 2 * br.K))
 
-    def _assemble(self, state: CoupledState) -> _StepSystem:
+    def _instants(self, t):
+        """t_{n+1} and the collocation instant t_f of the step(s) starting
+        at t (a scalar or an array)."""
+        t1 = t + self.params.dt
+        af = self.params.alpha_f
+        return t1, (1.0 - af) * t1 + af * t
+
+    def _coefficients(self, t: float) -> StepCoefficients:
+        """Coefficients of the step starting at t, evaluated as one batch of
+        its distinct instants (one under Newmark, else two)."""
+        m = self.model
+        t1, tf = self._instants(t)
+        con1 = conf = veh = None
+        if m.n_lam:
+            one_instant = tf == t1
+            cons = m.reduced_at(np.array([t1] if one_instant else [t1, tf]))
+            con1 = cons[0]
+            conf = con1 if one_instant else cons[1]
+        if m.n_t:
+            veh = m.vehicle_at(np.array([tf]))[0]
+        return StepCoefficients(con1, conf, veh)
+
+    def _assemble(self, state: CoupledState,
+                  coeffs: StepCoefficients) -> _StepSystem:
         """Newmark predictors and all linear blocks of the step system."""
         m = self.model
         p = self.params
         dt, beta, gamma = p.dt, p.beta, p.gamma
         am, af = p.alpha_m, p.alpha_f
         t1 = state.t + dt
-        tf = (1.0 - af) * t1 + af * state.t
-
-        con1 = conf = None
-        if m.n_lam:
-            con1 = m.reduced_at(t1)
-            conf = con1 if tf == t1 else m.reduced_at(tf)
+        con1, conf, veh = coeffs
         sys = _StepSystem(
             t1=t1, con=con1,
             ut_pred=state.ut + dt * state.vt + dt * dt * (0.5 - beta) * state.at,
@@ -242,7 +297,6 @@ class Stepper:
             vb_pred=state.vb + dt * (1.0 - gamma) * state.ab)
 
         if m.n_t:
-            veh = m.vehicle_at(tf)
             sys.A_t = ((1.0 - am) * veh.M
                        + (1.0 - af) * (gamma * dt * veh.C
                                        + beta * dt * dt * veh.K))
@@ -274,11 +328,16 @@ class Stepper:
                 sys.r_c = -(L_TR.T @ sys.ut_pred + L1 @ sys.ub_pred) - r1[0]
         return sys
 
-    def step(self, state: CoupledState) -> CoupledState:
+    def step(self, state: CoupledState,
+             coeffs: StepCoefficients | None = None) -> CoupledState:
+        """Advance ``state`` by one step, with the step's tabulated
+        coefficients or, when none are given, coefficients evaluated here."""
         m = self.model
         p = self.params
         dt, beta, gamma = p.dt, p.beta, p.gamma
-        sys = self._assemble(state)
+        if coeffs is None:
+            coeffs = self._coefficients(state.t)
+        sys = self._assemble(state, coeffs)
         at1, ab1, lam1 = self._solve(sys)
 
         new = state.copy()
@@ -302,7 +361,7 @@ class Stepper:
     def saddle_matrix(self, state: CoupledState) -> np.ndarray:
         """The full (n_t + n_b + n_lam) linear system matrix of this step."""
         m = self.model
-        sys = self._assemble(state)
+        sys = self._assemble(state, self._coefficients(state.t))
         nt, nb, nl = m.n_t, m.n_b, m.n_lam
         S = np.zeros((nt + nb + nl, nt + nb + nl))
         if nt:
@@ -407,20 +466,25 @@ def constraint_residuals(state: CoupledState):
 
 
 def initial_state(model: CoupledModel, t0_correction: bool = True,
-                  bridge_static_init: bool = True) -> CoupledState:
+                  bridge_static_init: bool = True,
+                  con: Constraint | None = None) -> CoupledState:
     """Vehicle at rest at the path start; bridge optionally in static
     equilibrium under self-weight. The optional t = 0 projection corrects
-    wheel velocity and acceleration to the differentiated constraints."""
+    wheel velocity and acceleration to the differentiated constraints.
+    ``con`` is the constraint at t = 0 when the caller has tabulated it;
+    otherwise it is evaluated here."""
     nb = model.n_b
     ub = np.zeros(nb)
     if nb and bridge_static_init:
         ub = np.linalg.solve(model.bridge.K, model.bridge.P)
+    if model.n_lam and con is None:
+        con = model.reduced_at(np.zeros(1))[0]
     state = CoupledState(
         t=0.0,
         ut=np.zeros(4), vt=np.zeros(4), at=np.zeros(4),
         ub=ub, vb=np.zeros(nb), ab=np.zeros(nb),
         lam=np.zeros(3),
-        con=model.reduced_at(0.0) if model.n_lam else None,
+        con=con,
     )
     if t0_correction and model.n_lam:
         project_constraints(state, "velocity")
@@ -434,12 +498,28 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
               displacement_repair_every: int = 0) -> TimeHistory:
     """Integrate ``n_steps`` uniform steps and record the standard probes.
 
+    Every time-varying coefficient is tabulated before the first step, in
+    one call of each model callable on all the run's distinct instants.
     Raises RuntimeError, naming the step and t, at the first step whose
     state is not finite."""
     if strategy == "C" and not params.is_newmark:
         params = scheme_params(newmark=True, dt=params.dt)
     stepper = Stepper(model, params, strategy)
-    state = initial_state(model, t0_correction, bridge_static_init)
+    # t_n accumulates dt exactly as the steps do; instants of step i
+    # (1-based) are t[i] and tf[i - 1].
+    t = np.cumsum(np.concatenate([[0.0], np.full(n_steps, params.dt)]))
+    t1, tf = stepper._instants(t[:-1])
+    con_t, con_at = np.unique(np.concatenate([t[:1], t1, tf]),
+                              return_inverse=True)
+    cons = model.reduced_at(con_t) if model.n_lam else [None] * len(con_t)
+    vehs = model.vehicle_at(tf) if model.n_t else [None] * n_steps
+
+    def coefficients(i):
+        return StepCoefficients(cons[con_at[i]], cons[con_at[n_steps + i]],
+                                vehs[i - 1])
+
+    state = initial_state(model, t0_correction, bridge_static_init,
+                          con=cons[con_at[0]])
 
     probes = probes or {}
     probe_rows = {}
@@ -470,7 +550,7 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
 
     record(0, state)
     for i in range(1, N):
-        state = stepper.step(state)
+        state = stepper.step(state, coefficients(i))
         if displacement_repair_every and i % displacement_repair_every == 0:
             project_constraints(state, "displacement")
         if not np.isfinite(np.concatenate((
@@ -497,13 +577,13 @@ def run_rigid_profile(params: VehicleParams, profile: CosineProfile,
     veh = vehicle_matrices(params, _straight_frame(v), rotation_ref=np.eye(3))
     no_rows = np.zeros((3, 0))
 
-    def reduced_at(t):
-        s = v * t
+    def gap(s):
         r = np.zeros((3, 3))
         r[:, 1] = profile.height(s), profile.z_dot(s, v), profile.z_ddot(s, v)
         return Constraint(no_rows, no_rows, no_rows, r)
 
-    model = CoupledModel(vehicle_at=lambda t: veh, reduced_at=reduced_at)
+    model = CoupledModel(vehicle_at=lambda t: [veh] * len(t),
+                         reduced_at=lambda t: [gap(v * ti) for ti in t])
     n_steps = int(round(horizon / scheme.dt))
     return run_model(model, scheme, "A", n_steps, t0_correction=t0_correction,
                      bridge_static_init=False)
@@ -524,15 +604,33 @@ def coupled_model(path, bridge, vehicle_params: VehicleParams) -> CoupledModel:
 
     curve, amap = path.curve, path.amap
     R0 = frame_kinematics(curve, amap, 0.0, v).rotation
-    no_gap = np.zeros((3, 3))
 
-    def vehicle_at(t):
-        fk = frame_kinematics(curve, amap, min(v * t, amap.length), v)
+    def vehicle_block(t):
+        fk = frame_kinematics(curve, amap, np.minimum(v * t, amap.length), v)
         return vehicle_matrices(vehicle_params, fk, rotation_ref=R0)
 
-    def reduced_at(t):
-        snap = constraint_rates(bridge, min(v * t, bridge.length), v)
-        return Constraint(*snap.reduced(bridge.Z), no_gap)
+    def reduced_block(t):
+        snap = constraint_rates(bridge, np.minimum(v * t, bridge.length), v)
+        return ConstraintTable(snap, bridge.Z)
 
-    return CoupledModel(vehicle_at=vehicle_at, bridge=bridge,
-                        reduced_at=reduced_at)
+    return CoupledModel(vehicle_at=_blockwise(vehicle_block), bridge=bridge,
+                        reduced_at=_blockwise(reduced_block))
+
+
+class _Blocks:
+    """One table made of consecutive blocks of TABLE_BLOCK entries."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+    def __getitem__(self, i: int):
+        return self.blocks[i // TABLE_BLOCK][i % TABLE_BLOCK]
+
+
+def _blockwise(table):
+    """``table`` evaluated on TABLE_BLOCK instants at a time, so that its
+    temporary arrays stay small however many instants a run has."""
+    def blocks(t):
+        return _Blocks([table(t[i:i + TABLE_BLOCK])
+                        for i in range(0, len(t), TABLE_BLOCK)])
+    return blocks

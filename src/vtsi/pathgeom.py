@@ -8,7 +8,7 @@ Positive curvature turns left (binormal up).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from math import inf, cos, sin, pi
 
 import numpy as np
@@ -40,6 +40,9 @@ GAUSS_PLAN = leggauss(20)
 GAUSS_ARCLENGTH = leggauss(10)
 ARCLENGTH_SUBDIV = 24   # arclength grid intervals per knot span
 SAMPLES_PER_ELEM = 20   # exact-plan samples per knot span of the fit
+# Intervals per batched curve evaluation in the arclength quadrature: each
+# costs 10 evaluation points, and larger batches only add to peak memory.
+QUADRATURE_BLOCK = 64
 
 
 def _curv(radius) -> float:
@@ -154,7 +157,8 @@ class PlanSpec:
 
 @dataclass(frozen=True)
 class FrameKinematics:
-    """Snapshot of the moving Frenet frame at one wheel position."""
+    """Snapshot of the moving Frenet frame at one wheel position, or a stack
+    of them with a leading axis over positions."""
 
     rotation: np.ndarray      # R^F, frame -> global
     omega: np.ndarray         # angular velocity, frame components (t, n, b)
@@ -162,66 +166,102 @@ class FrameKinematics:
     origin_vel: np.ndarray    # global
     origin_acc: np.ndarray    # global
 
+    def __getitem__(self, i) -> "FrameKinematics":
+        return FrameKinematics(*(getattr(self, f.name)[i]
+                                 for f in fields(self)))
+
+
+def ipow(x: np.ndarray, n: int) -> np.ndarray:
+    """x ** n element by element through the C library's pow, which is what
+    a scalar ``x ** n`` computes; numpy's array power rounds differently in
+    the last bit for some x."""
+    out = [pow(float(v), n) for v in np.ravel(x)]
+    return np.array(out).reshape(np.shape(x))
+
 
 class ArclengthMap:
     """Bidirectional map between curve parameter and arclength.
 
     Forward values come from per-span Gauss quadrature of the parametric
     speed accumulated on a fine grid; inversion refines a grid guess with
-    Newton steps using the exact jacobian.
+    Newton steps using the exact jacobian. Every method takes one value or
+    an array of them and evaluates the curve for the whole array at once.
     """
 
     def __init__(self, curve: NurbsCurve):
         self.curve = curve
-        nodes, wts = GAUSS_ARCLENGTH
         grid = [curve.domain[0]]
         for a, b in zip(curve.knots.breakpoints[:-1], curve.knots.breakpoints[1:]):
             grid.extend(np.linspace(a, b, ARCLENGTH_SUBDIV + 1)[1:])
         self._xi = np.asarray(grid)
         segs = np.zeros(len(self._xi))
-        for i in range(1, len(self._xi)):
-            a, b = self._xi[i - 1], self._xi[i]
-            half, mid = 0.5 * (b - a), 0.5 * (a + b)
-            segs[i] = half * sum(
-                w * self.jacobian(mid + half * t) for t, w in zip(nodes, wts))
+        segs[1:] = self._quadrature(self._xi[:-1], self._xi[1:])
         self._s = np.cumsum(segs)
 
     @property
     def length(self) -> float:
         return float(self._s[-1])
 
-    def jacobian(self, xi: float) -> float:
+    def _quadrature(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Gauss quadrature of J over each interval [a_i, b_i], evaluated
+        QUADRATURE_BLOCK intervals at a time."""
+        nodes, wts = GAUSS_ARCLENGTH
+        out = np.empty(len(a))
+        for i in range(0, len(a), QUADRATURE_BLOCK):
+            ai, bi = a[i:i + QUADRATURE_BLOCK], b[i:i + QUADRATURE_BLOCK]
+            half, mid = 0.5 * (bi - ai), 0.5 * (ai + bi)
+            J = self.jacobian(mid[:, None] + half[:, None] * nodes)
+            # Node by node: a dot product or np.sum may reorder the sum.
+            total = 0
+            for q, w in enumerate(wts):
+                total = total + w * J[:, q]
+            out[i:i + QUADRATURE_BLOCK] = half * total
+        return out
+
+    def jacobian(self, xi):
         """J = ds/dxi."""
-        d = eval_nurbs(self.curve, xi, 1)
-        return float(np.linalg.norm(d[1]))
+        x = np.asarray(xi, dtype=float)
+        d = eval_nurbs(self.curve, x.ravel(), 1)[:, 1]
+        J = np.sqrt(np.vecdot(d, d)).reshape(x.shape)
+        return J if x.ndim else float(J)
 
-    def jacobian_prime(self, xi: float) -> float:
+    def jacobian_prime(self, xi):
         """dJ/dxi = x' . x'' / J."""
-        d = eval_nurbs(self.curve, xi, 2)
-        return float(d[1] @ d[2] / np.linalg.norm(d[1]))
+        x = np.atleast_1d(xi)
+        d = eval_nurbs(self.curve, x, 2)
+        Jp = np.vecdot(d[:, 1], d[:, 2]) / np.sqrt(np.vecdot(d[:, 1], d[:, 1]))
+        return Jp if np.ndim(xi) else float(Jp[0])
 
-    def s_of_xi(self, xi: float) -> float:
-        i = int(np.searchsorted(self._xi, xi)) - 1
-        i = min(max(i, 0), len(self._xi) - 2)
-        a = self._xi[i]
-        half, mid = 0.5 * (xi - a), 0.5 * (xi + a)
-        ds = half * sum(
-            w * self.jacobian(mid + half * t)
-            for t, w in zip(*GAUSS_ARCLENGTH))
-        return float(self._s[i] + ds)
+    def s_of_xi(self, xi):
+        x = np.atleast_1d(np.asarray(xi, dtype=float))
+        i = np.clip(np.searchsorted(self._xi, x) - 1, 0, len(self._xi) - 2)
+        s = self._s[i] + self._quadrature(self._xi[i], x)
+        return s if np.ndim(xi) else float(s[0])
 
-    def xi_of_s(self, s: float) -> float:
-        if not (-1e-9 * self.length <= s <= self.length * (1 + 1e-9)):
-            raise ValueError("arclength %g outside [0, %g]" % (s, self.length))
-        s = min(max(s, 0.0), self.length)
-        xi = float(np.interp(s, self._s, self._xi))
+    def xi_of_s(self, s):
+        """Parameter at arclength ``s``: a grid guess, then Newton steps on
+        each point until its own residual meets the tolerance."""
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        outside = ~((-1e-9 * self.length <= s_arr)
+                    & (s_arr <= self.length * (1 + 1e-9)))
+        if np.any(outside):
+            raise ValueError("arclength %g outside [0, %g]"
+                             % (s_arr[outside][0], self.length))
+        s_arr = np.minimum(np.maximum(s_arr, 0.0), self.length)
+        xi = np.interp(s_arr, self._s, self._xi)
         lo, hi = self.curve.domain
+        tol = 1e-12 * max(self.length, 1.0)
+        active = np.arange(len(xi))
         for _ in range(30):
-            err = self.s_of_xi(xi) - s
-            if abs(err) <= 1e-12 * max(self.length, 1.0):
+            err = self.s_of_xi(xi[active]) - s_arr[active]
+            moving = ~(np.abs(err) <= tol)
+            active, err = active[moving], err[moving]
+            if not len(active):
                 break
-            xi = min(max(xi - err / self.jacobian(xi), lo), hi)
-        return xi
+            x = xi[active]
+            xi[active] = np.minimum(np.maximum(x - err / self.jacobian(x), lo),
+                                    hi)
+        return xi if np.ndim(s) else float(xi[0])
 
 
 @dataclass(frozen=True)
@@ -267,29 +307,39 @@ def build_plan_path(spec: PlanSpec, ctrl_per_span: int = 10,
     return PlanPath(spec, curve, ArclengthMap(curve))
 
 
-def _curvature_terms(curve: NurbsCurve, xi: float):
-    """Curve derivatives and (kappa, tau, dkappa/ds, dtau/ds) at xi."""
+def _curvature_terms(curve: NurbsCurve, xi: np.ndarray):
+    """Curve derivatives (m, 5, 3) and (kappa, tau, dkappa/ds, dtau/ds),
+    each of shape (m,), at the parameters ``xi``; all four are zero where
+    the curvature is below STRAIGHT_CURVATURE_TOL."""
     k = min(curve.degree, 4)
-    d = np.zeros((5, 3))
-    d[: k + 1] = eval_nurbs(curve, xi, k)
-    x1, x2, x3, x4 = d[1], d[2], d[3], d[4]
-    sp = np.linalg.norm(x1)
+    d = np.zeros((len(xi), 5, 3))
+    d[:, : k + 1] = eval_nurbs(curve, xi, k)
+    x1, x2, x3, x4 = d[:, 1], d[:, 2], d[:, 3], d[:, 4]
+    sp = np.sqrt(np.vecdot(x1, x1))
     c = np.cross(x1, x2)
-    cn = np.linalg.norm(c)
-    kappa = cn / sp ** 3
-    if kappa < STRAIGHT_CURVATURE_TOL:
-        return d, 0.0, 0.0, 0.0, 0.0
-    cp = np.cross(x1, x3)
-    # d/dxi of kappa and tau, then chain rule through J = sp.
-    kap_xi = (c @ cp) / (cn * sp ** 3) - 3.0 * kappa * (x1 @ x2) / sp ** 2
-    tau = (c @ x3) / cn ** 2
-    tau_xi = (cp @ x3 + c @ x4) / cn ** 2 - 2.0 * tau * (c @ cp) / cn ** 2
-    return d, kappa, tau, kap_xi / sp, tau_xi / sp
+    cn = np.sqrt(np.vecdot(c, c))
+    kappa = cn / ipow(sp, 3)
+    terms = np.zeros((4, len(xi)))
+    bent = ~(kappa < STRAIGHT_CURVATURE_TOL)
+    if bent.any():
+        x1, x2, x3, x4, c = x1[bent], x2[bent], x3[bent], x4[bent], c[bent]
+        sp, cn, kappa = sp[bent], cn[bent], kappa[bent]
+        cp = np.cross(x1, x3)
+        cn2 = ipow(cn, 2)
+        # d/dxi of kappa and tau, then chain rule through J = sp.
+        kap_xi = (np.vecdot(c, cp) / (cn * ipow(sp, 3))
+                  - 3.0 * kappa * np.vecdot(x1, x2) / ipow(sp, 2))
+        tau = np.vecdot(c, x3) / cn2
+        tau_xi = ((np.vecdot(cp, x3) + np.vecdot(c, x4)) / cn2
+                  - 2.0 * tau * np.vecdot(c, cp) / cn2)
+        terms[:, bent] = kappa, tau, kap_xi / sp, tau_xi / sp
+    return d, *terms
 
 
-def frame_kinematics(curve: NurbsCurve, amap: ArclengthMap, s: float,
+def frame_kinematics(curve: NurbsCurve, amap: ArclengthMap, s,
                      v: float) -> FrameKinematics:
-    """Moving-frame kinematics at arclength ``s`` for constant speed ``v``.
+    """Moving-frame kinematics at arclength ``s`` (one value or an array of
+    them) for constant speed ``v``.
 
     omega = v (tau t + kappa b) and its time derivative v^2 (tau' t + kappa' b),
     both in frame components; the origin travels at v t with centripetal
@@ -297,26 +347,24 @@ def frame_kinematics(curve: NurbsCurve, amap: ArclengthMap, s: float,
     """
     if v < 0.0:
         raise ValueError("speed must be nonnegative")
-    xi = amap.xi_of_s(s)
+    xi = amap.xi_of_s(np.atleast_1d(s))
     d, kappa, tau, dkap, dtau = _curvature_terms(curve, xi)
-    t = d[1] / np.linalg.norm(d[1])
-    c = np.cross(d[1], d[2])
-    if kappa == 0.0:
-        b = UP - (UP @ t) * t
-        b /= np.linalg.norm(b)
-    else:
-        b = c / np.linalg.norm(c)
+    x1 = d[:, 1]
+    t = x1 / np.sqrt(np.vecdot(x1, x1))[:, None]
+    b = np.cross(x1, d[:, 2])
+    straight = kappa == 0.0
+    b[straight] = UP - np.vecdot(t[straight], UP)[:, None] * t[straight]
+    b /= np.sqrt(np.vecdot(b, b))[:, None]
     n = np.cross(b, t)
-    R = np.column_stack([t, n, b])
-    omega = v * np.array([tau, 0.0, kappa])
-    omega_dot = v * v * np.array([dtau, 0.0, dkap])
-    return FrameKinematics(
-        rotation=R,
-        omega=omega,
-        omega_dot=omega_dot,
+    zero = np.zeros_like(kappa)
+    fk = FrameKinematics(
+        rotation=np.stack([t, n, b], axis=-1),
+        omega=v * np.stack([tau, zero, kappa], axis=-1),
+        omega_dot=v * v * np.stack([dtau, zero, dkap], axis=-1),
         origin_vel=v * t,
-        origin_acc=v * v * kappa * n,
+        origin_acc=(v * v * kappa)[:, None] * n,
     )
+    return fk if np.ndim(s) else fk[0]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ __all__ = ["Scenario", "RunConfig", "BridgeConfig", "Probe",
            "default_plan_spec"]
 
 
+# Largest step count of a run: its coefficient tables and time history are
+# allocated in full before the first step.
+MAX_STEPS = 1_000_000
+
+
 class ScenarioError(ValueError):
     """Invalid scenario file: bad key, bad value, or broken invariant."""
 
@@ -71,10 +76,18 @@ class RunConfig:
             raise ScenarioError("run.strategy must be 'A', 'B', or 'C'")
         if self.dt <= 0.0 or self.horizon <= 0.0:
             raise ScenarioError("run.dt and run.horizon must be positive")
+        if not self.horizon / self.dt <= MAX_STEPS:
+            raise ScenarioError(
+                "run.horizon / run.dt is %g steps, above the limit of %d"
+                % (self.horizon / self.dt, MAX_STEPS))
         if self.rho_inf is not None and not (0.0 <= self.rho_inf <= 1.0):
             raise ScenarioError("run.rho_inf must lie in [0, 1]")
         if self.displacement_repair_every < 0:
             raise ScenarioError("run.displacement_repair_every must be >= 0")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,9 @@ def run_simulation(scenario: Scenario, model: CoupledModel | None = None) -> Tim
         model = build_scenario_model(scenario)
     run = scenario.run
     params = scenario_scheme(scenario)
-    n_steps = int(round(run.horizon / run.dt))
     probes = {p.name: p.s for p in scenario.probes}
     return run_model(
-        model, params, run.strategy, n_steps, probes=probes,
+        model, params, run.strategy, run.n_steps, probes=probes,
         t0_correction=run.t0_correction,
         bridge_static_init=run.bridge_static_init,
         displacement_repair_every=run.displacement_repair_every)

@@ -71,13 +71,17 @@ class KnotVector:
         """Number of nonzero knot spans."""
         return len(self.breakpoints) - 1
 
-    def find_span(self, xi: float) -> int:
+    def find_span(self, xi):
+        """Knot-span index of ``xi`` (one parameter or an array of them)."""
+        xi = np.asarray(xi, dtype=float)
         lo, hi = self.domain
-        if not (lo - 1e-12 <= xi <= hi + 1e-12):
-            raise ValueError("parameter %g outside knot domain [%g, %g]" % (xi, lo, hi))
-        xi = min(max(xi, lo), hi)
-        span = int(np.searchsorted(self.values, xi, side="right")) - 1
-        return min(max(span, self.degree), self.n - 1)
+        outside = ~((lo - 1e-12 <= xi) & (xi <= hi + 1e-12))
+        if np.any(outside):
+            raise ValueError("parameter %g outside knot domain [%g, %g]"
+                             % (np.ravel(xi[outside])[0], lo, hi))
+        xi = np.minimum(np.maximum(xi, lo), hi)
+        span = np.searchsorted(self.values, xi, side="right") - 1
+        return np.minimum(np.maximum(span, self.degree), self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -86,16 +90,23 @@ class BasisSpan:
 
     ``table[j, i]`` holds the ``j``-th derivative of the basis function with
     global index ``span_index - p + i``. Row 0 of a rational span sums to one
-    (partition of unity); higher rows sum to zero.
+    (partition of unity); higher rows sum to zero. Evaluated at an array of
+    parameters, ``span_index`` and ``table`` gain a leading axis over them.
     """
 
-    span_index: int
+    span_index: int | np.ndarray
     table: np.ndarray
 
     @property
     def indices(self) -> np.ndarray:
-        p = self.table.shape[1] - 1
-        return np.arange(self.span_index - p, self.span_index + 1)
+        p = self.table.shape[-1] - 1
+        return np.asarray(self.span_index)[..., None] + np.arange(-p, 1)
+
+    def view(self, xi) -> "BasisSpan":
+        """This batch itself, or its only point when ``xi`` is a scalar."""
+        if np.ndim(xi):
+            return self
+        return BasisSpan(int(self.span_index[0]), self.table[0])
 
 
 def make_open_uniform_knots(p: int, n_elems: int) -> KnotVector:
@@ -111,27 +122,34 @@ def make_open_uniform_knots(p: int, n_elems: int) -> KnotVector:
     return KnotVector(vals, p)
 
 
-def eval_bspline_basis(knots: KnotVector, xi: float, k: int = 0) -> BasisSpan:
-    """Nonzero B-spline basis values and derivatives up to order ``k`` at ``xi``.
+def eval_bspline_basis(knots: KnotVector, xi, k: int = 0) -> BasisSpan:
+    """Nonzero B-spline basis values and derivatives up to order ``k`` at
+    ``xi``, one parameter or a 1-D array of them.
 
-    Cox-de Boor recursion with the standard triangular derivative scheme.
+    Cox-de Boor recursion with the triangular derivative scheme (Piegl &
+    Tiller, The NURBS Book, A2.2/A2.3), run on all points at once: every
+    branch depends on the degree and order only, so each point sees the
+    same operations in the same order as it would alone.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
+    x = np.atleast_1d(np.asarray(xi, dtype=float))
     p = knots.degree
     U = knots.values
-    span = knots.find_span(xi)
+    span = knots.find_span(x)
     lo, hi = knots.domain
-    xi = min(max(xi, lo), hi)
+    x = np.minimum(np.maximum(x, lo), hi)
+    m = len(x)
 
-    # ndu[j][r]: basis values of degree j and the knot differences.
-    ndu = np.zeros((p + 1, p + 1))
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
+    # ndu[j][r]: basis values of degree j and the knot differences; the
+    # last axis runs over the points.
+    ndu = np.zeros((p + 1, p + 1, m))
+    left = np.zeros((p + 1, m))
+    right = np.zeros((p + 1, m))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        left[j] = xi - U[span + 1 - j]
-        right[j] = U[span + j] - xi
+        left[j] = x - U[span + 1 - j]
+        right[j] = U[span + j] - x
         saved = 0.0
         for r in range(j):
             ndu[j, r] = right[r + 1] + left[j - r]
@@ -140,9 +158,9 @@ def eval_bspline_basis(knots: KnotVector, xi: float, k: int = 0) -> BasisSpan:
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((k + 1, p + 1))
+    ders = np.zeros((k + 1, p + 1, m))
     ders[0] = ndu[:, p]
-    a = np.zeros((2, p + 1))
+    a = np.zeros((2, p + 1, m))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -168,7 +186,10 @@ def eval_bspline_basis(knots: KnotVector, xi: float, k: int = 0) -> BasisSpan:
         ders[kk] *= r
         r *= p - kk
     # Orders beyond the polynomial degree are identically zero inside a span.
-    return BasisSpan(span, ders)
+    # A contiguous table keeps the products with it on the BLAS kernels that
+    # a single point's table uses, and so their summation order.
+    table = np.ascontiguousarray(ders.transpose(2, 0, 1))
+    return BasisSpan(span, table).view(xi)
 
 
 @dataclass(frozen=True)
@@ -201,48 +222,46 @@ class NurbsCurve:
         return self.knots.domain
 
 
-def _weight_derivs(curve: NurbsCurve, bspan: BasisSpan, k: int):
-    """Derivatives of A(xi) = sum N_i w_i x_i and W(xi) = sum N_i w_i."""
-    idx = bspan.indices
-    w = curve.weights[idx]
-    pw = curve.control_points[idx] * w[:, None]
-    A = bspan.table @ pw            # (k+1, 3)
-    W = bspan.table @ w             # (k+1,)
-    return A, W
+def _rational(curve: NurbsCurve, xi, k: int):
+    """B-spline basis at ``xi`` (always batched), the weights of its
+    functions, and the derivatives W of the weight sum sum N_i w_i."""
+    bspan = eval_bspline_basis(curve.knots, np.atleast_1d(xi), k)
+    w = curve.weights[bspan.indices]                    # (m, p+1)
+    W = (bspan.table @ w[..., None])[..., 0]            # (m, k+1)
+    return bspan, w, W
 
 
-def eval_nurbs(curve: NurbsCurve, xi: float, k: int = 0) -> np.ndarray:
-    """Point and parametric derivatives of a NURBS curve.
-
-    Returns an array of shape ``(k + 1, 3)`` whose row ``j`` is the ``j``-th
-    derivative of the curve with respect to ``xi``. Rational derivatives use
-    the quotient-rule recurrence on the weighted numerator and the weight sum.
-    """
-    bspan = eval_bspline_basis(curve.knots, xi, k)
-    A, W = _weight_derivs(curve, bspan, k)
-    out = np.zeros((k + 1, 3))
-    for j in range(k + 1):
-        v = A[j].copy()
+def _quotient(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Derivatives of X / W from those of X (m, k+1, ...) and W (m, k+1):
+    the quotient-rule recurrence of rational curves and bases."""
+    out = np.zeros_like(X)
+    for j in range(X.shape[1]):
+        v = X[:, j].copy()
         for i in range(1, j + 1):
-            v -= comb(j, i) * W[i] * out[j - i]
-        out[j] = v / W[0]
+            v -= (comb(j, i) * W[:, i])[:, None] * out[:, j - i]
+        out[:, j] = v / W[:, 0, None]
     return out
 
 
-def eval_nurbs_basis(curve: NurbsCurve, xi: float, k: int = 0) -> BasisSpan:
+def eval_nurbs(curve: NurbsCurve, xi, k: int = 0) -> np.ndarray:
+    """Point and parametric derivatives of a NURBS curve.
+
+    Returns an array of shape ``(k + 1, 3)`` whose row ``j`` is the ``j``-th
+    derivative of the curve with respect to ``xi``, or ``(m, k + 1, 3)`` for
+    an array of ``m`` parameters. Rational derivatives use the quotient-rule
+    recurrence on the weighted numerator and the weight sum.
+    """
+    bspan, w, W = _rational(curve, xi, k)
+    pw = curve.control_points[bspan.indices] * w[..., None]
+    out = _quotient(bspan.table @ pw, W)
+    return out if np.ndim(xi) else out[0]
+
+
+def eval_nurbs_basis(curve: NurbsCurve, xi, k: int = 0) -> BasisSpan:
     """Rational basis functions R_{i,p} and derivatives up to order ``k``."""
-    bspan = eval_bspline_basis(curve.knots, xi, k)
-    idx = bspan.indices
-    w = curve.weights[idx]
-    Nw = bspan.table * w[None, :]   # (k+1, p+1)
-    W = bspan.table @ w
-    table = np.zeros_like(Nw)
-    for j in range(k + 1):
-        v = Nw[j].copy()
-        for i in range(1, j + 1):
-            v -= comb(j, i) * W[i] * table[j - i]
-        table[j] = v / W[0]
-    return BasisSpan(bspan.span_index, table)
+    bspan, w, W = _rational(curve, xi, k)
+    table = _quotient(bspan.table * w[:, None, :], W)
+    return BasisSpan(bspan.span_index, table).view(xi)
 
 
 def fit_least_squares(xi_samples, points, p: int, n_ctrl: int) -> NurbsCurve:
@@ -269,9 +288,8 @@ def fit_least_squares(xi_samples, points, p: int, n_ctrl: int) -> NurbsCurve:
     u = lo + (xi - xi.min()) * (hi - lo) / span
 
     B = np.zeros((len(u), n_ctrl))
-    for row, ui in enumerate(u):
-        bspan = eval_bspline_basis(knots, ui, 0)
-        B[row, bspan.indices] = bspan.table[0]
+    bspan = eval_bspline_basis(knots, u, 0)
+    np.put_along_axis(B, bspan.indices, bspan.table[:, 0], axis=1)
 
     gram = B.T @ B
     if np.any(np.diag(gram) <= 0.0):

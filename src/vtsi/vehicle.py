@@ -8,7 +8,7 @@ closed-form vehicle matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,12 +51,14 @@ def t_car(l0: float) -> np.ndarray:
 
 
 def hat(w: np.ndarray) -> np.ndarray:
-    """Skew-symmetric cross-product matrix: hat(w) x = w cross x."""
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
+    """Skew-symmetric cross-product matrix: hat(w) x = w cross x, for one
+    vector w or (stacked) for each of an array of them."""
+    w = np.asarray(w, dtype=float)
+    H = np.zeros(w.shape + (3,))
+    H[..., 0, 1], H[..., 0, 2] = -w[..., 2], w[..., 1]
+    H[..., 1, 0], H[..., 1, 2] = w[..., 2], -w[..., 0]
+    H[..., 2, 0], H[..., 2, 1] = -w[..., 1], w[..., 0]
+    return H
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,17 @@ class VehicleParams:
 
 @dataclass(frozen=True)
 class VehicleSystem:
-    """Snapshot of the vehicle matrices at one frame configuration."""
+    """Snapshot of the vehicle matrices at one frame configuration, or a
+    stack of them with a leading axis over configurations."""
 
     M: np.ndarray
     C: np.ndarray
     K: np.ndarray
     P: np.ndarray
     L_tr: np.ndarray
+
+    def __getitem__(self, i) -> "VehicleSystem":
+        return VehicleSystem(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
 def mass_matrix(params: VehicleParams) -> np.ndarray:
@@ -100,7 +106,8 @@ def mass_matrix(params: VehicleParams) -> np.ndarray:
 
 def vehicle_matrices(params: VehicleParams, fk: FrameKinematics,
                      rotation_ref: np.ndarray | None = None) -> VehicleSystem:
-    """Time-varying vehicle matrices at one frame snapshot.
+    """Time-varying vehicle matrices at one frame snapshot, or stacked (by
+    stacked matrix products) at each of a stack of them.
 
     ``rotation_ref`` is the frame rotation at t = 0, entering the gravity term
     of the load vector; omitted, the gravity term vanishes (planar paths).
@@ -110,26 +117,29 @@ def vehicle_matrices(params: VehicleParams, fk: FrameKinematics,
     W = hat(fk.omega)
     Wd = hat(fk.omega_dot)
     W2 = W @ W
+    stack = W.shape[:-2]
 
-    M = mass_matrix(params)
+    M = np.broadcast_to(mass_matrix(params), stack + (4, 4))
     C = 2.0 * mw * Tw.T @ W @ Tw + 2.0 * mc * Tc.T @ W @ Tc
     K = mw * Tw.T @ (Wd + W2) @ Tw + mc * Tc.T @ (Wd + W2) @ Tc
     ks = params.k_s
-    K[1, 1] += ks
-    K[3, 3] += ks
-    K[1, 3] -= ks
-    K[3, 1] -= ks
+    K[..., 1, 1] += ks
+    K[..., 3, 3] += ks
+    K[..., 1, 3] -= ks
+    K[..., 3, 1] -= ks
 
     lever = np.array([0.0, 0.0, params.l_0])
-    R = fk.rotation
-    acc_local = R.T @ fk.origin_acc
+    RT = np.swapaxes(fk.rotation, -1, -2)
+    acc_local = RT @ fk.origin_acc[..., None]
     P = -(mw * Tw.T + mc * Tc.T) @ acc_local
-    P -= mc * Tc.T @ (Wd @ lever)
-    P -= mc * Tc.T @ (W2 @ lever)
+    P -= mc * Tc.T @ (Wd @ lever)[..., None]
+    P -= mc * Tc.T @ (W2 @ lever)[..., None]
     if rotation_ref is not None:
-        dR = R.T - rotation_ref.T
-        P -= (mw * params.g * Tw.T + mc * params.g * Tc.T) @ (dR @ np.array([0.0, 0.0, 1.0]))
-    return VehicleSystem(M, C, K, P, L_TR)
+        dR = RT - rotation_ref.T
+        P -= ((mw * params.g * Tw.T + mc * params.g * Tc.T)
+              @ (dR @ np.array([0.0, 0.0, 1.0]))[..., None])
+    return VehicleSystem(M, C, K, P[..., 0],
+                         np.broadcast_to(L_TR, stack + (4, 3)))
 
 
 def wheel_position(params: VehicleParams, fk: FrameKinematics, u: np.ndarray,

@@ -1,0 +1,363 @@
+"""Batched coefficient kernels against one-at-a-time evaluation, bit for bit.
+
+The reference functions below evaluate one parameter per call with scalar
+numpy arithmetic: Cox-de Boor, NURBS points and bases, the arclength map,
+frame kinematics and NURBS coupling rows. They live here only, as the
+oracle. Equality is exact (``np.array_equal``): a last-bit change in the
+frame or coupling rows moves the crossing time history by far more than
+round-off.
+"""
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vtsi import parse_scenario
+from vtsi.coupling import COUPLED_FIELDS, constraint_rates
+from vtsi.integrators import (TABLE_BLOCK, Stepper, coupled_model,
+                              initial_state, run_model, scheme_params)
+from vtsi.pathgeom import (ARCLENGTH_SUBDIV, GAUSS_ARCLENGTH,
+                           STRAIGHT_CURVATURE_TOL, UP, frame_kinematics)
+from vtsi.simulate import build_scenario_bridge
+from vtsi.splines import (KnotVector, NurbsCurve, eval_bspline_basis,
+                          eval_nurbs, eval_nurbs_basis)
+from vtsi.vehicle import VehicleParams, vehicle_matrices
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# --------------------------------------------------------------------------
+# Scalar oracle
+# --------------------------------------------------------------------------
+
+def ref_basis(knots: KnotVector, xi: float, k: int):
+    """(span index, (k + 1, p + 1) table) at one parameter."""
+    p = knots.degree
+    U = knots.values
+    lo, hi = knots.domain
+    xi = min(max(xi, lo), hi)
+    span = int(np.searchsorted(U, xi, side="right")) - 1
+    span = min(max(span, p), knots.n - 1)
+    ndu = np.zeros((p + 1, p + 1))
+    left = np.zeros(p + 1)
+    right = np.zeros(p + 1)
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = xi - U[span + 1 - j]
+        right[j] = U[span + j] - xi
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+    ders = np.zeros((k + 1, p + 1))
+    ders[0] = ndu[:, p]
+    a = np.zeros((2, p + 1))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for kk in range(1, min(k, p) + 1):
+            d = 0.0
+            rk, pk = r - kk, p - kk
+            if r >= kk:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = kk - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, kk] = -a[s1, kk - 1] / ndu[pk + 1, r]
+                d += a[s2, kk] * ndu[r, pk]
+            ders[kk, r] = d
+            s1, s2 = s2, s1
+    r = float(p)
+    for kk in range(1, min(k, p) + 1):
+        ders[kk] *= r
+        r *= p - kk
+    return span, ders
+
+
+def _ref_quotient(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(A)
+    for j in range(len(A)):
+        v = A[j].copy()
+        for i in range(1, j + 1):
+            v -= comb(j, i) * W[i] * out[j - i]
+        out[j] = v / W[0]
+    return out
+
+
+def ref_nurbs(curve: NurbsCurve, xi: float, k: int) -> np.ndarray:
+    span, table = ref_basis(curve.knots, xi, k)
+    idx = np.arange(span - curve.degree, span + 1)
+    w = curve.weights[idx]
+    A = table @ (curve.control_points[idx] * w[:, None])
+    return _ref_quotient(A, table @ w)
+
+
+def ref_nurbs_basis(curve: NurbsCurve, xi: float, k: int):
+    span, table = ref_basis(curve.knots, xi, k)
+    w = curve.weights[span - curve.degree:span + 1]
+    return span, _ref_quotient(table * w[None, :], table @ w)
+
+
+class RefArclength:
+    """Scalar arclength map: grid quadrature and Newton inversion."""
+
+    def __init__(self, curve: NurbsCurve):
+        self.curve = curve
+        nodes, wts = GAUSS_ARCLENGTH
+        bps = curve.knots.breakpoints
+        grid = [curve.domain[0]]
+        for a, b in zip(bps[:-1], bps[1:]):
+            grid.extend(np.linspace(a, b, ARCLENGTH_SUBDIV + 1)[1:])
+        self.xi = np.asarray(grid)
+        segs = np.zeros(len(self.xi))
+        for i in range(1, len(self.xi)):
+            a, b = self.xi[i - 1], self.xi[i]
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            segs[i] = half * sum(w * self.jacobian(mid + half * t)
+                                 for t, w in zip(nodes, wts))
+        self.s = np.cumsum(segs)
+        self.length = float(self.s[-1])
+
+    def jacobian(self, xi: float) -> float:
+        return float(np.linalg.norm(ref_nurbs(self.curve, xi, 1)[1]))
+
+    def s_of_xi(self, xi: float) -> float:
+        i = int(np.searchsorted(self.xi, xi)) - 1
+        i = min(max(i, 0), len(self.xi) - 2)
+        a = self.xi[i]
+        half, mid = 0.5 * (xi - a), 0.5 * (xi + a)
+        ds = half * sum(w * self.jacobian(mid + half * t)
+                        for t, w in zip(*GAUSS_ARCLENGTH))
+        return float(self.s[i] + ds)
+
+    def xi_of_s(self, s: float) -> float:
+        s = min(max(s, 0.0), self.length)
+        xi = float(np.interp(s, self.s, self.xi))
+        lo, hi = self.curve.domain
+        for _ in range(30):
+            err = self.s_of_xi(xi) - s
+            if abs(err) <= 1e-12 * max(self.length, 1.0):
+                break
+            xi = min(max(xi - err / self.jacobian(xi), lo), hi)
+        return xi
+
+
+def ref_frame(curve: NurbsCurve, amap: RefArclength, s: float, v: float):
+    """(rotation, omega, omega_dot, origin_vel, origin_acc) at one s."""
+    d = np.zeros((5, 3))
+    d[:4] = ref_nurbs(curve, amap.xi_of_s(s), 3)
+    x1, x2, x3, x4 = d[1:]
+    sp = np.linalg.norm(x1)
+    c = np.cross(x1, x2)
+    cn = np.linalg.norm(c)
+    kappa = cn / sp ** 3
+    tau = dkap = dtau = 0.0
+    if kappa < STRAIGHT_CURVATURE_TOL:
+        kappa = 0.0
+    else:
+        cp = np.cross(x1, x3)
+        dkap = ((c @ cp) / (cn * sp ** 3)
+                - 3.0 * kappa * (x1 @ x2) / sp ** 2) / sp
+        tau = (c @ x3) / cn ** 2
+        dtau = ((cp @ x3 + c @ x4) / cn ** 2
+                - 2.0 * tau * (c @ cp) / cn ** 2) / sp
+    t = x1 / np.linalg.norm(x1)
+    b = UP - (UP @ t) * t if kappa == 0.0 else c
+    b = b / np.linalg.norm(b)
+    n = np.cross(b, t)
+    return (np.column_stack([t, n, b]), v * np.array([tau, 0.0, kappa]),
+            v * v * np.array([dtau, 0.0, dkap]), v * t, v * v * kappa * n)
+
+
+def ref_rows(curve: NurbsCurve, amap: RefArclength, s: float, fields,
+             n_full: int) -> np.ndarray:
+    """(3, len(fields), n_full) rows of orders 0..2 at one s."""
+    xi = amap.xi_of_s(s)
+    span, R = ref_nurbs_basis(curve, xi, 2)
+    d = ref_nurbs(curve, xi, 2)
+    J = float(np.linalg.norm(d[1]))
+    Jp = float(d[1] @ d[2] / np.linalg.norm(d[1]))
+    vals = [R[0], R[1] / J, R[2] / J ** 2 - R[1] * Jp / J ** 3]
+    rows = np.zeros((3, len(fields), n_full))
+    cols = 6 * np.arange(span - curve.degree, span + 1)
+    for j, f in enumerate(fields):
+        rows[:, j, cols + f] = vals
+    return rows
+
+
+# --------------------------------------------------------------------------
+# Inputs
+# --------------------------------------------------------------------------
+
+def _arc() -> NurbsCurve:
+    """Rational quadratic: an exact quarter circle, then a straight leg."""
+    knots = KnotVector(np.array([0.0, 0, 0, 1, 2, 2, 2]), 2)
+    pts = np.array([[1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0], [-1.0, 1, 0.5]])
+    return NurbsCurve(knots, pts, np.array([1.0, 1 / np.sqrt(2), 1.0, 1.0]))
+
+
+@pytest.fixture(scope="module")
+def curves(default_path):
+    return [default_path.curve, _arc()]
+
+
+@pytest.fixture(scope="module")
+def ref_map(default_path):
+    return RefArclength(default_path.curve)
+
+
+@pytest.fixture(scope="module")
+def ref_bridge_map(default_bridge):
+    return RefArclength(default_bridge.shape.curve)
+
+
+@pytest.fixture(scope="module")
+def fem_bridge(default_path):
+    return build_scenario_bridge(parse_scenario({"bridge": {"kind": "fem"}}),
+                                 default_path)
+
+
+def unit_points():
+    """Arrays of positions in [0, 1]; the ends, and positions that land on
+    knots of the curves and bridges used here, are drawn often."""
+    special = st.sampled_from([0.0, 1.0, 0.5, 0.2, 0.4, 0.6, 0.8])
+    return st.lists(st.one_of(st.floats(0.0, 1.0), special),
+                    min_size=1, max_size=24).map(np.array)
+
+
+# --------------------------------------------------------------------------
+# Kernels
+# --------------------------------------------------------------------------
+
+class TestSplineKernel:
+    @SETTINGS
+    @given(u=unit_points())
+    def test_basis_and_curve_equal_scalar_oracle(self, curves, u):
+        for curve in curves:
+            lo, hi = curve.domain
+            xi = lo + u * (hi - lo)
+            for k in range(4):
+                basis = eval_bspline_basis(curve.knots, xi, k)
+                rational = eval_nurbs_basis(curve, xi, k)
+                pts = eval_nurbs(curve, xi, k)
+                for i, x in enumerate(xi):
+                    span, table = ref_basis(curve.knots, float(x), k)
+                    assert basis.span_index[i] == span
+                    assert np.array_equal(basis.table[i], table)
+                    assert np.array_equal(rational.table[i],
+                                          ref_nurbs_basis(curve, x, k)[1])
+                    assert np.array_equal(pts[i], ref_nurbs(curve, x, k))
+
+
+class TestArclength:
+    @SETTINGS
+    @given(u=unit_points())
+    def test_inversion_equals_scalar_oracle(self, default_path, ref_map, u):
+        amap = default_path.amap
+        assert amap.length == ref_map.length
+        s = u * amap.length
+        xi = amap.xi_of_s(s)
+        assert np.array_equal(xi, [ref_map.xi_of_s(float(x)) for x in s])
+        assert np.array_equal(amap.s_of_xi(xi),
+                              [ref_map.s_of_xi(float(x)) for x in xi])
+        assert np.array_equal(amap.jacobian(xi),
+                              [ref_map.jacobian(float(x)) for x in xi])
+
+
+class TestBatchedRows:
+    @SETTINGS
+    @given(u=unit_points())
+    def test_rows_equal_one_at_a_time(self, default_bridge, fem_bridge,
+                                      ref_bridge_map, u):
+        for bridge in (default_bridge, fem_bridge):
+            s = u * bridge.length
+            rows = bridge.shape.rows(s, COUPLED_FIELDS, 2).dense()
+            snap = constraint_rates(bridge, s, 100.0)
+            for i, x in enumerate(s):
+                one = bridge.shape.rows(float(x), COUPLED_FIELDS, 2).dense()
+                assert np.array_equal(rows[i], one[0])
+                if bridge is default_bridge:
+                    assert np.array_equal(rows[i], ref_rows(
+                        bridge.shape.curve, ref_bridge_map, float(x),
+                        COUPLED_FIELDS, bridge.n_full))
+                # The compact reduction equals the dense full-row product.
+                ref = constraint_rates(bridge, float(x), 100.0)
+                dense = (ref.L @ bridge.Z, ref.L_dot @ bridge.Z,
+                         ref.L_ddot @ bridge.Z)
+                for got, want in zip(snap.reduced(bridge.Z, i), dense):
+                    assert np.array_equal(got, want)
+
+    @SETTINGS
+    @given(u=unit_points())
+    def test_frames_and_vehicle_equal_one_at_a_time(self, default_path,
+                                                    ref_map, u):
+        params = VehicleParams()
+        curve, amap = default_path.curve, default_path.amap
+        s = u * amap.length
+        R0 = frame_kinematics(curve, amap, 0.0, params.v).rotation
+        fk = frame_kinematics(curve, amap, s, params.v)
+        veh = vehicle_matrices(params, fk, rotation_ref=R0)
+        names = ("rotation", "omega", "omega_dot", "origin_vel", "origin_acc")
+        for i, x in enumerate(s):
+            one = frame_kinematics(curve, amap, float(x), params.v)
+            ref = ref_frame(curve, ref_map, float(x), params.v)
+            for name, want in zip(names, ref):
+                assert np.array_equal(getattr(fk[i], name), want)
+                assert np.array_equal(getattr(one, name), want)
+            ref = vehicle_matrices(params, one, rotation_ref=R0)
+            for name in ("M", "C", "K", "P", "L_tr"):
+                assert np.array_equal(getattr(veh[i], name),
+                                      getattr(ref, name))
+
+
+class TestTabulatedRun:
+    @pytest.mark.parametrize("rho_inf,newmark", [(0.9, False), (None, True)])
+    def test_tabulated_instants_are_the_t_column(
+            self, default_scenario, default_path, default_bridge, rho_inf,
+            newmark):
+        model = coupled_model(default_path, default_bridge,
+                              default_scenario.vehicle)
+        seen = {}
+
+        def recording(name, fn):
+            def wrapped(t):
+                seen[name] = t
+                return fn(t)
+            return wrapped
+
+        model.vehicle_at = recording("vehicle", model.vehicle_at)
+        model.reduced_at = recording("constraint", model.reduced_at)
+        p = scheme_params(rho_inf=rho_inf, dt=1e-3, newmark=newmark)
+        hist = run_model(model, p, "A", 40)
+        t = hist.t
+        tf = (1.0 - p.alpha_f) * t[1:] + p.alpha_f * t[:-1]
+        assert np.array_equal(seen["vehicle"], tf)
+        assert np.array_equal(seen["constraint"],
+                              np.unique(np.concatenate([t, tf])))
+        assert len(seen["constraint"]) == (41 if newmark else 81)
+
+    def test_tabulated_run_equals_direct_steps(self, default_scenario,
+                                               default_path, default_bridge):
+        # Longer than one block of the tables, so lookups cross blocks.
+        model = coupled_model(default_path, default_bridge,
+                              default_scenario.vehicle)
+        p = scheme_params(rho_inf=0.9, dt=1e-3)
+        n = TABLE_BLOCK + 3
+        hist = run_model(model, p, "A", n)
+        stepper = Stepper(model, p, "A")
+        state = initial_state(model)
+        for i in range(1, n + 1):
+            state = stepper.step(state)
+            assert state.t == hist.t[i]
+            assert np.array_equal(state.ut, hist.ut[i])
+            assert np.array_equal(state.lam, hist.lam[i])

@@ -43,16 +43,17 @@ class TestRun:
 
     def test_divergence_exits_two(self, scenario_file, tmp_path, capsys,
                                   monkeypatch):
-        calls = []
         healthy = integ.vehicle_matrices
+        tabulated = [0]
 
         def poisoned(*args, **kwargs):
-            # vehicle_at(t_f) runs once per step, so call n is step n.
+            # The run tabulates the vehicle at t_f of steps 1..n in order
+            # before the first step, so entry n - 1 is step n.
             veh = healthy(*args, **kwargs)
-            calls.append(1)
-            if len(calls) < 50:
-                return veh
-            return dataclasses.replace(veh, P=veh.P * np.nan)
+            P = veh.P.copy()
+            P[max(49 - tabulated[0], 0):] = np.nan
+            tabulated[0] += len(P)
+            return dataclasses.replace(veh, P=P)
 
         monkeypatch.setattr(integ, "vehicle_matrices", poisoned)
         out = tmp_path / "out"
@@ -111,6 +112,10 @@ class TestMalformedScenario:
         ({"vehicle": {"v": True}}, "vehicle.v"),
         ({"run": []}, "run must be an object"),
         ({"flags": {"add_static_axle_load": 1}}, "flags.add_static_axle_load"),
+        # Step counts past MAX_STEPS, or not finite, which used to pass
+        # `check` and end `run` in a traceback or an unbounded allocation.
+        ({"run": {"dt": 1e-320}}, "run.dt"),
+        ({"run": {"horizon": 1e6}, "vehicle": {"v": 0.0}}, "run.horizon"),
     ])
     def test_rejected_with_key_named(self, data, key, tmp_path, capsys):
         p = tmp_path / "bad.json"

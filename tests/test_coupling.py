@@ -145,11 +145,12 @@ class TestCoupledSystem:
             return ((1.0 - alpha) * getattr(st1, name)
                     + alpha * getattr(st0, name))
 
-        veh = model.vehicle_at(tf)
+        veh = model.vehicle_at(np.array([tf]))[0]
+        con = model.reduced_at(np.array([tf]))[0]
         br = default_bridge
         ut, vt, at = avg(af, "ut"), avg(af, "vt"), avg(am, "at")
         ub, vb, ab = avg(af, "ub"), avg(af, "vb"), avg(am, "ab")
-        r_t, r_b, _ = residual(veh, br, model.reduced_at(tf).L,
+        r_t, r_b, _ = residual(veh, br, con.L,
                                ut, vt, at, ub, vb, ab, st1.lam)
         # Round-off scale of each row: sum of |term| over all its terms.
         scale_t = (abs(veh.M) @ abs(at) + abs(veh.C) @ abs(vt)

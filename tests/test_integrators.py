@@ -89,7 +89,7 @@ class TestProjection:
         rng = np.random.default_rng(3)
         st = initial_state(model, t0_correction=False)
         st.t = 0.31
-        st.con = model.reduced_at(st.t)
+        st.con = model.reduced_at(np.array([st.t]))[0]
         st.ut = rng.normal(size=4)
         st.vt = rng.normal(size=4)
         st.at = rng.normal(size=4)
@@ -187,8 +187,8 @@ class TestSaddleSystem:
 
         no_rows = np.zeros((3, 0))
         con = Constraint(no_rows, no_rows, no_rows, np.zeros((3, 3)))
-        model = CoupledModel(vehicle_at=lambda t: veh,
-                             reduced_at=lambda t: con)
+        model = CoupledModel(vehicle_at=lambda t: [veh] * len(t),
+                             reduced_at=lambda t: [con] * len(t))
         stepper = Stepper(model, scheme_params(newmark=True), "A")
         with pytest.raises(RuntimeError, match="singular"):
             stepper.step(initial_state(model, t0_correction=False,
@@ -233,10 +233,12 @@ class TestStrategyBehaviour:
 
 
 class TestCoefficientEvaluations:
-    """Each step evaluates the time-varying coefficients once per distinct
-    instant: the coupling rows at t_f and t_{n+1} (one instant under
-    Newmark), the vehicle frame at t_f. Projection, repair, and the residual
-    record reuse the constraint the state carries."""
+    """A run tabulates its time-varying coefficients before the first step,
+    in one call of each model callable on all its distinct instants: the
+    constraint at t_0, at every t_{n+1} and at every t_f (which equals
+    t_{n+1} under Newmark), the vehicle frame at every t_f and once at the
+    path start for the gravity reference. Projection, repair, and the
+    residual record reuse the constraint the state carries."""
 
     N_STEPS = 4
 
@@ -250,31 +252,38 @@ class TestCoefficientEvaluations:
         from vtsi import parse_scenario
         from vtsi.simulate import build_scenario_model, run_simulation
 
-        counts = {}
+        calls, instants = {}, {}
 
-        def counting(name, fn):
+        def counting(name, fn, arg):
             def wrapped(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
+                calls[name] = calls.get(name, 0) + 1
+                instants[name] = instants.get(name, 0) + np.size(args[arg])
                 return fn(*args, **kwargs)
             return wrapped
 
         monkeypatch.setattr(vtsi.integrators, "constraint_rates", counting(
-            "constraint_rates", vtsi.integrators.constraint_rates))
+            "constraint_rates", vtsi.integrators.constraint_rates, 1))
         monkeypatch.setattr(vtsi.pathgeom, "frame_kinematics", counting(
-            "frame_kinematics", vtsi.pathgeom.frame_kinematics))
+            "frame_kinematics", vtsi.pathgeom.frame_kinematics, 2))
         n = self.N_STEPS
         probes = []
         for axle_load in (False, True):
-            counts.clear()
+            calls.clear()
+            instants.clear()
             scenario = parse_scenario({
                 "run": {"strategy": strategy, "horizon": n * 1e-3,
                         "displacement_repair_every": 2},
                 "flags": {"add_static_axle_load": axle_load}})
             model = build_scenario_model(scenario, default_path,
                                          default_bridge)
+            model.vehicle_at = counting("vehicle_at", model.vehicle_at, 0)
+            model.reduced_at = counting("reduced_at", model.reduced_at, 0)
             hist = run_simulation(scenario, model)
-            assert counts == {"constraint_rates": rows_per_step * n + 1,
-                              "frame_kinematics": n + 1}
+            assert calls["vehicle_at"] == calls["reduced_at"] == 1
+            assert instants == {"reduced_at": rows_per_step * n + 1,
+                                "constraint_rates": rows_per_step * n + 1,
+                                "vehicle_at": n,
+                                "frame_kinematics": n + 1}
             assert hist.n_steps == n
             assert np.all(np.isfinite(hist.ut))
             assert np.all(np.isfinite(hist.lam))
