@@ -12,8 +12,7 @@ from .splines import (KnotVector, NurbsCurve, eval_bspline_basis, eval_nurbs,
                       eval_nurbs_basis, fit_least_squares,
                       make_open_uniform_knots)
 from .pathgeom import (ArclengthMap, CosineProfile, FrameKinematics, PlanPath,
-                       PlanSpec, Span, build_plan_path, cosine_profile,
-                       frame_kinematics)
+                       PlanSpec, Span, build_plan_path, frame_kinematics)
 from .vehicle import (L_TR, VehicleParams, VehicleSystem, vehicle_energy,
                       vehicle_matrices)
 from .beams import (BeamSection, BridgeSystem, assemble_bridge,

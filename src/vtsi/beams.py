@@ -446,35 +446,28 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
         geo = build_plan_path(spec, ctrl_per_span=elems_per_span, p=degree)
         shape = _NurbsShape(geo.curve, geo.amap)
         length = geo.amap.length
-        nfull = shape.n_full
-        M = np.zeros((nfull, nfull))
-        K = np.zeros((nfull, nfull))
-        P = np.zeros(nfull)
-        for e in range(geo.curve.knots.n_elems):
-            Ke, Me, Pe, idx = element_matrices_iga(section, geo.curve, geo.amap, e)
-            dofs = np.concatenate([N_FIELDS * i + np.arange(N_FIELDS) for i in idx])
-            M[np.ix_(dofs, dofs)] += Me
-            K[np.ix_(dofs, dofs)] += Ke
-            P[dofs] += Pe
+        elements = (element_matrices_iga(section, geo.curve, geo.amap, e)
+                    for e in range(geo.curve.knots.n_elems))
     elif kind == "fem":
         s_nodes = np.concatenate([
             np.linspace(joints[i], joints[i + 1], elems_per_span + 1)[(1 if i else 0):]
             for i in range(len(spec.spans))])
         shape = _FemShape(s_nodes)
         length = float(s_nodes[-1])
-        nfull = shape.n_full
-        M = np.zeros((nfull, nfull))
-        K = np.zeros((nfull, nfull))
-        P = np.zeros(nfull)
-        for e in range(len(s_nodes) - 1):
-            ell = s_nodes[e + 1] - s_nodes[e]
-            Ke, Me, Pe = _fem_local(section, ell)
-            dofs = np.arange(N_FIELDS * e, N_FIELDS * (e + 2))
-            M[np.ix_(dofs, dofs)] += Me
-            K[np.ix_(dofs, dofs)] += Ke
-            P[dofs] += Pe
+        elements = (_fem_local(section, s_nodes[e + 1] - s_nodes[e])
+                    + ((e, e + 1),) for e in range(len(s_nodes) - 1))
     else:
         raise ValueError("unknown bridge kind %r" % kind)
+
+    nfull = shape.n_full
+    M = np.zeros((nfull, nfull))
+    K = np.zeros((nfull, nfull))
+    P = np.zeros(nfull)
+    for Ke, Me, Pe, idx in elements:
+        dofs = np.concatenate([N_FIELDS * i + np.arange(N_FIELDS) for i in idx])
+        M[np.ix_(dofs, dofs)] += Me
+        K[np.ix_(dofs, dofs)] += Ke
+        P[dofs] += Pe
 
     rows = []
     for s, fields in supports:

@@ -42,9 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_one(scenario, out_dir: Path) -> None:
     history = run_simulation(scenario)
+    report = build_report(history, scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_timehistory(history, out_dir / "timehistory.csv")
-    write_report(build_report(history, scenario), out_dir / "report.json")
+    write_report(report, out_dir / "report.json")
 
 
 def _set_dotted(data, dotted: str, value) -> None:

@@ -44,7 +44,6 @@ __all__ = [
     "CoupledModel",
     "TimeHistory",
     "Stepper",
-    "saddle_condition",
     "project_constraints",
     "initial_state",
     "run_model",
@@ -206,55 +205,40 @@ class TimeHistory:
         return len(self.t) - 1
 
 
-@dataclass
-class _StepSystem:
-    """Predictors and blocks of one step's linear system in (a_t, a_b, lam):
-
-        [A_t  0    L_TR ] [a_t]   [r_t]
-        [0    A_b  Lf^T ] [a_b] = [r_b]
-        [C_t  C_b  0    ] [lam]   [r_c]
-
-    A_b is the bridge block factored once by the stepper. Absent blocks are
-    None; ``con`` is the constraint at ``t1``.
-    """
-
-    t1: float
-    con: Constraint | None
-    ut_pred: np.ndarray
-    vt_pred: np.ndarray
-    ub_pred: np.ndarray
-    vb_pred: np.ndarray
-    A_t: np.ndarray | None = None
-    r_t: np.ndarray | None = None
-    r_b: np.ndarray | None = None
-    Lf: np.ndarray | None = None
-    C_t: np.ndarray | None = None
-    C_b: np.ndarray | None = None
-    r_c: np.ndarray | None = None
-
-
 def _weighted(alpha, new, old):
     return (1.0 - alpha) * new + alpha * old
 
 
 class Stepper:
-    """One-step solver for a fixed model, scheme, and strategy."""
+    """One-step solver for a fixed model, scheme, and strategy.
+
+    Each step solves one linear system in (a_t, a_b, lam) at t_{n+1}:
+
+        [A_t  0    L_TR ] [a_t]   [r_t]
+        [0    A_b  Lf^T ] [a_b] = [r_b]
+        [C_t  C_b  0    ] [lam]   [r_c]
+
+    A_b is the bridge block, factored once here; Lf holds the coupling rows
+    at the collocation instant t_f, and the strategy sets the constraint
+    rows (C_t, C_b, r_c). The bridge is eliminated, leaving a reduced
+    system in (a_t, lam). Strategy C runs plain Newmark only.
+    """
 
     def __init__(self, model: CoupledModel, params: SchemeParams,
                  strategy: str = "A"):
         if strategy not in ("A", "B", "C"):
             raise ValueError("strategy must be A, B, or C")
+        if strategy == "C" and not params.is_newmark:
+            raise ValueError("strategy C runs plain Newmark; got "
+                             "generalized-alpha parameters")
         self.model = model
         self.params = params
         self.strategy = strategy
         self._bridge_lu = None
         if model.bridge is not None:
-            self._bridge_lu = lu_factor(self._bridge_block())
-
-    def _bridge_block(self) -> np.ndarray:
-        p = self.params
-        br = self.model.bridge
-        return ((1.0 - p.alpha_m) * br.M
+            p, br = params, model.bridge
+            self._bridge_lu = lu_factor(
+                (1.0 - p.alpha_m) * br.M
                 + (1.0 - p.alpha_f) * (p.gamma * p.dt * br.C
                                        + p.beta * p.dt ** 2 * br.K))
 
@@ -280,54 +264,6 @@ class Stepper:
             veh = m.vehicle_at(np.array([tf]))[0]
         return StepCoefficients(con1, conf, veh)
 
-    def _assemble(self, state: CoupledState,
-                  coeffs: StepCoefficients) -> _StepSystem:
-        """Newmark predictors and all linear blocks of the step system."""
-        m = self.model
-        p = self.params
-        dt, beta, gamma = p.dt, p.beta, p.gamma
-        am, af = p.alpha_m, p.alpha_f
-        t1 = state.t + dt
-        con1, conf, veh = coeffs
-        sys = _StepSystem(
-            t1=t1, con=con1,
-            ut_pred=state.ut + dt * state.vt + dt * dt * (0.5 - beta) * state.at,
-            vt_pred=state.vt + dt * (1.0 - gamma) * state.at,
-            ub_pred=state.ub + dt * state.vb + dt * dt * (0.5 - beta) * state.ab,
-            vb_pred=state.vb + dt * (1.0 - gamma) * state.ab)
-
-        if m.n_t:
-            sys.A_t = ((1.0 - am) * veh.M
-                       + (1.0 - af) * (gamma * dt * veh.C
-                                       + beta * dt * dt * veh.K))
-            sys.r_t = (veh.P - veh.M @ (am * state.at)
-                       - veh.C @ _weighted(af, sys.vt_pred, state.vt)
-                       - veh.K @ _weighted(af, sys.ut_pred, state.ut))
-
-        if m.n_b:
-            br = m.bridge
-            P_b = br.P
-            if conf is not None:
-                sys.Lf = conf.L
-                if m.axle_load is not None:
-                    P_b = P_b + conf.L.T @ m.axle_load
-            sys.r_b = (P_b - br.M @ (am * state.ab)
-                       - br.C @ _weighted(af, sys.vb_pred, state.vb)
-                       - br.K @ _weighted(af, sys.ub_pred, state.ub))
-
-        if con1 is not None:
-            L1, Ld1, Ldd1, r1 = con1
-            if self.strategy == "B":
-                sys.C_t = L_TR.T
-                sys.C_b = beta * dt * dt * Ldd1 + gamma * dt * 2.0 * Ld1 + L1
-                sys.r_c = (-(Ldd1 @ sys.ub_pred + 2.0 * Ld1 @ sys.vb_pred)
-                           - r1[2])
-            else:
-                sys.C_t = beta * dt * dt * L_TR.T
-                sys.C_b = beta * dt * dt * L1
-                sys.r_c = -(L_TR.T @ sys.ut_pred + L1 @ sys.ub_pred) - r1[0]
-        return sys
-
     def step(self, state: CoupledState,
              coeffs: StepCoefficients | None = None) -> CoupledState:
         """Advance ``state`` by one step, with the step's tabulated
@@ -335,21 +271,89 @@ class Stepper:
         m = self.model
         p = self.params
         dt, beta, gamma = p.dt, p.beta, p.gamma
+        am, af = p.alpha_m, p.alpha_f
+        nt = m.n_t
+        t1 = state.t + dt
         if coeffs is None:
             coeffs = self._coefficients(state.t)
-        sys = self._assemble(state, coeffs)
-        at1, ab1, lam1 = self._solve(sys)
+        con1, conf, veh = coeffs
+
+        # Newmark predictors.
+        ut_pred = state.ut + dt * state.vt + dt * dt * (0.5 - beta) * state.at
+        vt_pred = state.vt + dt * (1.0 - gamma) * state.at
+        ub_pred = state.ub + dt * state.vb + dt * dt * (0.5 - beta) * state.ab
+        vb_pred = state.vb + dt * (1.0 - gamma) * state.ab
+
+        if nt:
+            A_t = ((1.0 - am) * veh.M
+                   + (1.0 - af) * (gamma * dt * veh.C + beta * dt * dt * veh.K))
+            r_t = (veh.P - veh.M @ (am * state.at)
+                   - veh.C @ _weighted(af, vt_pred, state.vt)
+                   - veh.K @ _weighted(af, ut_pred, state.ut))
+        if m.n_b:
+            br = m.bridge
+            P_b = br.P
+            if conf is not None and m.axle_load is not None:
+                P_b = P_b + conf.L.T @ m.axle_load
+            r_b = (P_b - br.M @ (am * state.ab)
+                   - br.C @ _weighted(af, vb_pred, state.vb)
+                   - br.K @ _weighted(af, ub_pred, state.ub))
+
+        if con1 is not None:
+            L1, Ld1, Ldd1, r1 = con1
+            if self.strategy == "B":
+                C_t = L_TR.T
+                C_b = beta * dt * dt * Ldd1 + gamma * dt * 2.0 * Ld1 + L1
+                r_c = -(Ldd1 @ ub_pred + 2.0 * Ld1 @ vb_pred) - r1[2]
+            else:
+                C_t = beta * dt * dt * L_TR.T
+                C_b = beta * dt * dt * L1
+                r_c = -(L_TR.T @ ut_pred + L1 @ ub_pred) - r1[0]
+
+        at1 = np.zeros(0)
+        ab1 = np.zeros(0)
+        lam1 = np.zeros(3)
+        try:
+            if con1 is None:
+                if nt:
+                    at1 = np.linalg.solve(A_t, r_t)
+                if m.n_b:
+                    ab1 = lu_solve(self._bridge_lu, r_b)
+            else:
+                # Eliminate the bridge, leaving a reduced system in
+                # (a_t, lam).
+                if m.n_b:
+                    y0 = lu_solve(self._bridge_lu, r_b)
+                    Y = lu_solve(self._bridge_lu, conf.L.T)
+                A = np.zeros((nt + 3, nt + 3))
+                b = np.zeros(nt + 3)
+                if nt:
+                    A[:nt, :nt] = A_t
+                    A[:nt, nt:] = L_TR
+                    b[:nt] = r_t
+                A[nt:, :nt] = C_t
+                b[nt:] = r_c
+                if m.n_b:
+                    A[nt:, nt:] -= C_b @ Y
+                    b[nt:] -= C_b @ y0
+                x = np.linalg.solve(A, b)
+                at1 = x[:nt]
+                lam1 = x[nt:]
+                if m.n_b:
+                    ab1 = y0 - Y @ lam1
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("singular saddle system at t=%.6g" % t1) from exc
 
         new = state.copy()
-        new.t = sys.t1
-        new.con = sys.con
-        if m.n_t:
-            new.ut = sys.ut_pred + beta * dt * dt * at1
-            new.vt = sys.vt_pred + gamma * dt * at1
+        new.t = t1
+        new.con = con1
+        if nt:
+            new.ut = ut_pred + beta * dt * dt * at1
+            new.vt = vt_pred + gamma * dt * at1
             new.at = at1
         if m.n_b:
-            new.ub = sys.ub_pred + beta * dt * dt * ab1
-            new.vb = sys.vb_pred + gamma * dt * ab1
+            new.ub = ub_pred + beta * dt * dt * ab1
+            new.vb = vb_pred + gamma * dt * ab1
             new.ab = ab1
         if m.n_lam:
             new.lam = lam1
@@ -357,80 +361,6 @@ class Stepper:
             project_constraints(new, "velocity")
             project_constraints(new, "acceleration")
         return new
-
-    def saddle_matrix(self, state: CoupledState) -> np.ndarray:
-        """The full (n_t + n_b + n_lam) linear system matrix of this step."""
-        m = self.model
-        sys = self._assemble(state, self._coefficients(state.t))
-        nt, nb, nl = m.n_t, m.n_b, m.n_lam
-        S = np.zeros((nt + nb + nl, nt + nb + nl))
-        if nt:
-            S[:nt, :nt] = sys.A_t
-            if nl:
-                S[:nt, nt + nb:] = L_TR
-        if nb:
-            S[nt:nt + nb, nt:nt + nb] = self._bridge_block()
-            if nl:
-                S[nt:nt + nb, nt + nb:] = sys.Lf.T
-        if nl:
-            S[nt + nb:, :nt] = sys.C_t
-            S[nt + nb:, nt:nt + nb] = sys.C_b
-        return S
-
-    def _solve(self, sys: _StepSystem):
-        m = self.model
-        nt = m.n_t
-        at1 = np.zeros(0)
-        ab1 = np.zeros(0)
-        lam1 = np.zeros(3)
-        try:
-            if sys.r_c is None:
-                if nt:
-                    at1 = np.linalg.solve(sys.A_t, sys.r_t)
-                if m.n_b:
-                    ab1 = lu_solve(self._bridge_lu, sys.r_b)
-                return at1, ab1, lam1
-
-            # Eliminate the bridge, leaving a reduced system in (a_t, lam).
-            if m.n_b:
-                y0 = lu_solve(self._bridge_lu, sys.r_b)
-                Y = lu_solve(self._bridge_lu, sys.Lf.T)
-            A = np.zeros((nt + 3, nt + 3))
-            b = np.zeros(nt + 3)
-            if nt:
-                A[:nt, :nt] = sys.A_t
-                A[:nt, nt:] = L_TR
-                b[:nt] = sys.r_t
-            A[nt:, :nt] = sys.C_t
-            b[nt:] = sys.r_c
-            if m.n_b:
-                A[nt:, nt:] -= sys.C_b @ Y
-                b[nt:] -= sys.C_b @ y0
-            x = np.linalg.solve(A, b)
-            if nt:
-                at1 = x[:nt]
-            lam1 = x[nt:]
-            if m.n_b:
-                ab1 = y0 - Y @ lam1
-            return at1, ab1, lam1
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "singular saddle system at t=%.6g" % sys.t1) from exc
-
-
-def saddle_condition(stepper: Stepper, state: CoupledState) -> float:
-    """Condition number of the step saddle matrix after row/column
-    equilibration (the blocks carry incommensurate physical units, so the
-    raw condition number only measures scaling, not solvability)."""
-    S = stepper.saddle_matrix(state)
-    for _ in range(2):
-        r = np.max(np.abs(S), axis=1)
-        r[r == 0.0] = 1.0
-        S = S / r[:, None]
-        c = np.max(np.abs(S), axis=0)
-        c[c == 0.0] = 1.0
-        S = S / c[None, :]
-    return float(np.linalg.cond(S))
 
 
 def project_constraints(state: CoupledState, level: str) -> CoupledState:
@@ -502,8 +432,6 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
     one call of each model callable on all the run's distinct instants.
     Raises RuntimeError, naming the step and t, at the first step whose
     state is not finite."""
-    if strategy == "C" and not params.is_newmark:
-        params = scheme_params(newmark=True, dt=params.dt)
     stepper = Stepper(model, params, strategy)
     # t_n accumulates dt exactly as the steps do; instants of step i
     # (1-based) are t[i] and tf[i - 1].

@@ -25,7 +25,6 @@ __all__ = [
     "build_plan_path",
     "frame_kinematics",
     "CosineProfile",
-    "cosine_profile",
 ]
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -391,17 +390,9 @@ class CosineProfile:
         w = 2.0 * pi / self.wavelength
         return 0.5 * self.amplitude * w * w * cos(w * s)
 
-    def jerk(self, s: float) -> float:
-        w = 2.0 * pi / self.wavelength
-        return -0.5 * self.amplitude * w ** 3 * sin(w * s)
-
     # Time derivatives for a wheel moving at constant speed v (s = v t).
     def z_dot(self, s: float, v: float) -> float:
         return v * self.slope(s)
 
     def z_ddot(self, s: float, v: float) -> float:
         return v * v * self.curvature(s)
-
-
-def cosine_profile(amplitude: float, wavelength: float, length: float) -> CosineProfile:
-    return CosineProfile(amplitude, wavelength, length)

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 
-from .beams import BeamSection
+from .beams import N_FIELDS, BeamSection
 from .pathgeom import PlanSpec, Span
 from .vehicle import VehicleParams
 
@@ -25,6 +25,20 @@ __all__ = ["Scenario", "RunConfig", "BridgeConfig", "Probe",
 # Largest step count of a run: its coefficient tables and time history are
 # allocated in full before the first step.
 MAX_STEPS = 1_000_000
+# Smallest step count of a run: the report's oscillation indices need eight
+# samples, the initial state and seven steps.
+MIN_STEPS = 7
+# Largest bridge, in DOFs before supports: N_FIELDS (n_spans
+# elements_per_span + degree) for NURBS, N_FIELDS (n_spans elements_per_span
+# + 1) for FEM. The bridge is dense, and a run holds about seven n_full^2
+# float64 arrays at its peak: 273 MB at n_full 1,938, of which about 67 MB
+# is the interpreter and libraries. A 2 GB budget, a quarter of an 8 GB
+# machine, allows 7 * 8 B * n_full^2 <= 2e9, so n_full <= 5,976.
+MAX_BRIDGE_DOFS = 5_976
+# Largest plan fit, in knot spans N = n_spans ctrl_per_span: its collocation
+# matrix is (20 N + 1) x (N + 3) float64, and a 1 GB budget for it allows
+# 160 B * N^2 <= 1e9, so N <= 2,500.
+MAX_FIT_SPANS = 2_500
 
 
 class ScenarioError(ValueError):
@@ -80,8 +94,16 @@ class RunConfig:
             raise ScenarioError(
                 "run.horizon / run.dt is %g steps, above the limit of %d"
                 % (self.horizon / self.dt, MAX_STEPS))
+        if self.n_steps < MIN_STEPS:
+            raise ScenarioError(
+                "run.horizon / run.dt is %d steps, below the minimum of %d"
+                % (self.n_steps, MIN_STEPS))
         if self.rho_inf is not None and not (0.0 <= self.rho_inf <= 1.0):
             raise ScenarioError("run.rho_inf must lie in [0, 1]")
+        if self.strategy == "C" and self.rho_inf is not None \
+                and not self.newmark:
+            raise ScenarioError("run.rho_inf must be null with strategy C, "
+                                "which runs plain Newmark")
         if self.displacement_repair_every < 0:
             raise ScenarioError("run.displacement_repair_every must be >= 0")
 
@@ -111,6 +133,21 @@ class Scenario:
             object.__setattr__(self, "probes", (_default_probe(self.plan),))
         if self.ctrl_per_span < 1:
             raise ScenarioError("plan.ctrl_per_span must be >= 1")
+        n_spans = len(self.plan.spans)
+        if n_spans * self.ctrl_per_span > MAX_FIT_SPANS:
+            raise ScenarioError(
+                "plan.ctrl_per_span %d on %d spans is above the limit of %d "
+                "knot spans in all" % (self.ctrl_per_span, n_spans,
+                                       MAX_FIT_SPANS))
+        br = self.bridge
+        n_full = N_FIELDS * (n_spans * br.elements_per_span
+                             + (br.degree if br.kind == "nurbs" else 1))
+        if n_full > MAX_BRIDGE_DOFS:
+            raise ScenarioError(
+                "bridge.elements_per_span %d (bridge.degree %d) on %d spans "
+                "gives %d bridge DOFs, above the limit of %d"
+                % (br.elements_per_span, br.degree, n_spans, n_full,
+                   MAX_BRIDGE_DOFS))
         L = self.plan.total_length
         if self.vehicle.v > 0 and self.run.horizon > L / self.vehicle.v + 1e-12:
             raise ScenarioError(

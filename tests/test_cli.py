@@ -116,6 +116,14 @@ class TestMalformedScenario:
         # `check` and end `run` in a traceback or an unbounded allocation.
         ({"run": {"dt": 1e-320}}, "run.dt"),
         ({"run": {"horizon": 1e6}, "vehicle": {"v": 0.0}}, "run.horizon"),
+        # Strategy C runs plain Newmark; a rho_inf used to be dropped.
+        ({"run": {"strategy": "C", "rho_inf": 0.5}}, "run.rho_inf"),
+        # One step, too few for the report, which used to fail after the
+        # time history was written.
+        ({"run": {"horizon": 1e-3}}, "run.horizon"),
+        # Sizes whose dense matrices would not fit in memory.
+        ({"bridge": {"elements_per_span": 100000}}, "bridge.elements_per_span"),
+        ({"plan": {"ctrl_per_span": 1000}}, "plan.ctrl_per_span"),
     ])
     def test_rejected_with_key_named(self, data, key, tmp_path, capsys):
         p = tmp_path / "bad.json"

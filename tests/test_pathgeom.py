@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vtsi.pathgeom import (CosineProfile, PlanSpec, Span, build_plan_path,
-                           cosine_profile, frame_kinematics)
+                           frame_kinematics)
 from vtsi.splines import eval_nurbs
 
 R_ARC = 6000.0
@@ -154,7 +154,7 @@ class TestFrameKinematics:
 
 class TestCosineProfile:
     def test_flat_profile(self):
-        prof = cosine_profile(0.0, 30.0, 100.0)
+        prof = CosineProfile(0.0, 30.0, 100.0)
         assert prof.height(12.3) == 0.0
         assert prof.z_ddot(12.3, 100.0) == 0.0
 
