@@ -110,37 +110,48 @@ def strain_operator(curve: NurbsCurve, amap: ArclengthMap,
 
 
 def element_matrices_iga(section: BeamSection, curve: NurbsCurve,
-                         amap: ArclengthMap, elem: int):
-    """Stiffness, consistent mass, and self-weight load of one knot span.
+                         amap: ArclengthMap, elem):
+    """Stiffness, consistent mass, and self-weight load of one knot span,
+    or stacked for each of an array of them.
 
     Gauss-Legendre with p + 1 points; self-weight acts in the -b direction.
-    Returns ``(K_e, M_e, P_e, indices)``.
+    Returns ``(K_e, M_e, P_e, indices)``, each with a leading axis over the
+    elements when ``elem`` is an array. The strain operator, jacobian and
+    basis come from one evaluation at every element's Gauss points; each
+    element's integrals are then summed point by point.
     """
     bks = curve.knots.breakpoints
-    if not (0 <= elem < len(bks) - 1):
-        raise ValueError("element %d outside knot domain" % elem)
-    a, b = bks[elem], bks[elem + 1]
+    el = np.atleast_1d(elem)
+    outside = (el < 0) | (el >= len(bks) - 1)
+    if np.any(outside):
+        raise ValueError("element %d outside knot domain" % el[outside][0])
+    a, b = bks[el][:, None], bks[el + 1][:, None]
     p = curve.degree
     nodes, wts = leggauss(p + 1)
     m = p + 1
-    K = np.zeros((N_FIELDS * m, N_FIELDS * m))
+    K = np.zeros((len(el), N_FIELDS * m, N_FIELDS * m))
     M = np.zeros_like(K)
-    P = np.zeros(N_FIELDS * m)
+    P = np.zeros((len(el), N_FIELDS * m))
     D = section.stiffness_diag
     rho = section.inertia_diag
     g = 9.81
-    xi = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    xi = (0.5 * (a + b) + 0.5 * (b - a) * nodes).ravel()
     B_q, idx = strain_operator(curve, amap, xi)
     J_q = amap.jacobian(xi)
     R_q = eval_nurbs_basis(curve, xi, 0).table[:, 0]
-    for B, J, R, wq in zip(B_q, J_q, R_q, 0.5 * (b - a) * wts):
-        K += wq * J * (B.T * D) @ B
+    w_q = (0.5 * (b - a) * wts).ravel()
+    for k, (B, J, R, wq) in enumerate(zip(B_q, J_q, R_q, w_q)):
+        e = k // m
+        K[e] += wq * J * (B.T * D) @ B
         N = np.zeros((N_FIELDS, N_FIELDS * m))
         for f in range(N_FIELDS):
             N[f, f::N_FIELDS] = R
-        M += wq * J * (N.T * rho) @ N
-        P[F_UB::N_FIELDS] -= wq * J * section.rho_lin * g * R
-    return K, M, P, idx[-1]
+        M[e] += wq * J * (N.T * rho) @ N
+        P[e, F_UB::N_FIELDS] -= wq * J * section.rho_lin * g * R
+    idx = idx[m - 1::m]
+    if np.ndim(elem):
+        return K, M, P, idx
+    return K[0], M[0], P[0], idx[0]
 
 
 # ----------------------------------------------------------------------------
@@ -426,6 +437,21 @@ def _default_supports(joints: np.ndarray):
     return sup
 
 
+def _full_matrices(n_full: int, elements):
+    """Full M, K and P summed from each element's (K_e, M_e, P_e, node
+    indices). Nothing of the elements outlives the call, so stacked element
+    arrays are freed before the dense null space."""
+    M = np.zeros((n_full, n_full))
+    K = np.zeros((n_full, n_full))
+    P = np.zeros(n_full)
+    for Ke, Me, Pe, idx in elements:
+        dofs = np.concatenate([N_FIELDS * i + np.arange(N_FIELDS) for i in idx])
+        M[np.ix_(dofs, dofs)] += Me
+        K[np.ix_(dofs, dofs)] += Ke
+        P[dofs] += Pe
+    return M, K, P
+
+
 def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
                     degree: int = 3, elems_per_span: int = 8,
                     supports=None, rayleigh=(0.0, 0.0)) -> BridgeSystem:
@@ -446,28 +472,20 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
         geo = build_plan_path(spec, ctrl_per_span=elems_per_span, p=degree)
         shape = _NurbsShape(geo.curve, geo.amap)
         length = geo.amap.length
-        elements = (element_matrices_iga(section, geo.curve, geo.amap, e)
-                    for e in range(geo.curve.knots.n_elems))
+        M, K, P = _full_matrices(shape.n_full, zip(*element_matrices_iga(
+            section, geo.curve, geo.amap,
+            np.arange(geo.curve.knots.n_elems))))
     elif kind == "fem":
         s_nodes = np.concatenate([
             np.linspace(joints[i], joints[i + 1], elems_per_span + 1)[(1 if i else 0):]
             for i in range(len(spec.spans))])
         shape = _FemShape(s_nodes)
         length = float(s_nodes[-1])
-        elements = (_fem_local(section, s_nodes[e + 1] - s_nodes[e])
-                    + ((e, e + 1),) for e in range(len(s_nodes) - 1))
+        M, K, P = _full_matrices(shape.n_full, (
+            _fem_local(section, s_nodes[e + 1] - s_nodes[e]) + ((e, e + 1),)
+            for e in range(len(s_nodes) - 1)))
     else:
         raise ValueError("unknown bridge kind %r" % kind)
-
-    nfull = shape.n_full
-    M = np.zeros((nfull, nfull))
-    K = np.zeros((nfull, nfull))
-    P = np.zeros(nfull)
-    for Ke, Me, Pe, idx in elements:
-        dofs = np.concatenate([N_FIELDS * i + np.arange(N_FIELDS) for i in idx])
-        M[np.ix_(dofs, dofs)] += Me
-        K[np.ix_(dofs, dofs)] += Ke
-        P[dofs] += Pe
 
     rows = []
     for s, fields in supports:
@@ -477,7 +495,7 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
             raise ValueError("support field indices %s outside 0..5"
                              % list(fields))
         rows.extend(shape.rows(min(s, length), fields, 0).dense()[0, 0])
-    Z = null_space(np.array(rows)) if rows else np.eye(nfull)
+    Z = null_space(np.array(rows)) if rows else np.eye(shape.n_full)
 
     a0, a1 = rayleigh
     Mr = Z.T @ M @ Z

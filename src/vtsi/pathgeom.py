@@ -101,6 +101,24 @@ class PlanSpec:
                     "curvature jump %.3g at span joint" % abs(ka - kb))
         joints = np.concatenate([[0.0], np.cumsum([sp.length for sp in spans])])
         object.__setattr__(self, "_joints", joints)
+        # Per-span curvature k0 + dk ds / length: the transition formula
+        # gives straight and arc spans their constant bits too.
+        k0 = np.array([sp.curvature(0.0) for sp in spans])
+        dk = np.array([_curv(sp.radius_end) for sp in spans]) - k0
+        object.__setattr__(self, "_k0", k0)
+        object.__setattr__(self, "_dk", dk)
+        object.__setattr__(self, "_length", np.array([sp.length
+                                                      for sp in spans]))
+        # Heading and position at each joint, span by span: each is the
+        # previous joint's plus the whole span, the partial sums in the
+        # order that a sample past them adds them up.
+        theta = np.zeros(len(joints))
+        xy = np.zeros((len(joints), 2))
+        object.__setattr__(self, "_theta", theta)
+        object.__setattr__(self, "_xy", xy)
+        for i in range(len(spans)):
+            theta[i + 1] = self.heading(joints[i + 1])
+            xy[i + 1] = self.point(joints[i + 1])[:2]
 
     @property
     def total_length(self) -> float:
@@ -117,41 +135,45 @@ class PlanSpec:
         i = min(int(np.searchsorted(joints, s, side="right")) - 1, len(self.spans) - 1)
         return self.spans[i].curvature(s - joints[i])
 
-    def heading(self, s: float) -> float:
-        """Integral of curvature from 0 to s (closed form per span)."""
-        joints = self.joints
-        theta = 0.0
-        for i, sp in enumerate(self.spans):
-            s0, s1 = joints[i], joints[i + 1]
-            ds = min(s, s1) - s0
-            if ds <= 0.0:
-                break
-            k0 = sp.curvature(0.0)
-            k1 = sp.curvature(ds)
-            theta += 0.5 * (k0 + k1) * ds
-            if s <= s1:
-                break
-        return theta
+    def _span(self, s: np.ndarray):
+        """Span i with J_i < s <= J_{i+1} of each s, clipped to the plan,
+        and the joints J_i and J_{i+1}."""
+        i = np.clip(np.searchsorted(self._joints, s, side="left") - 1, 0,
+                    len(self.spans) - 1)
+        return i, self._joints[i], self._joints[i + 1]
 
-    def point(self, s: float) -> np.ndarray:
-        """Exact plan position by Gauss quadrature of the heading."""
+    def heading(self, s):
+        """Integral of curvature from 0 to s (closed form per span), at one
+        s or at each of an array of them: the heading at the span's start
+        joint plus the trapezoid over [J_i, min(s, J_{i+1})]. Zero for
+        s <= 0, and the final heading past the end."""
+        s = np.asarray(s, dtype=float)
+        i, s0, s1 = self._span(s)
+        ds = np.minimum(s, s1) - s0
+        k0 = self._k0[i]
+        k1 = k0 + self._dk[i] * ds / self._length[i]
+        theta = np.where(ds > 0.0, self._theta[i] + 0.5 * (k0 + k1) * ds,
+                         self._theta[i])
+        return theta if theta.ndim else float(theta)
+
+    def point(self, s) -> np.ndarray:
+        """Exact plan position (x, y, 0) at one s, or (m, 3) at an array of
+        them, by Gauss quadrature of the heading: the position at the
+        span's start joint plus the 20 node terms over [J_i, min(s,
+        J_{i+1})], added node by node where that interval is non-empty."""
+        s = np.asarray(s, dtype=float)
+        i, s0, s1 = self._span(s)
+        hi = np.minimum(s, s1)
+        on = hi > s0
+        half = 0.5 * (hi - s0)
+        mid = 0.5 * (hi + s0)
         nodes, wts = GAUSS_PLAN
-        x = y = 0.0
-        joints = self.joints
-        for i, sp in enumerate(self.spans):
-            s0, s1 = joints[i], joints[i + 1]
-            hi = min(s, s1)
-            if hi <= s0:
-                break
-            half = 0.5 * (hi - s0)
-            mid = 0.5 * (hi + s0)
-            for t, w in zip(nodes, wts):
-                th = self.heading(mid + half * t)
-                x += half * w * cos(th)
-                y += half * w * sin(th)
-            if s <= s1:
-                break
-        return np.array([x, y, 0.0])
+        th = self.heading(mid[..., None] + half[..., None] * nodes)
+        x, y = self._xy[i, 0], self._xy[i, 1]
+        for q, w in enumerate(wts):
+            x = np.where(on, x + half * w * np.cos(th[..., q]), x)
+            y = np.where(on, y + half * w * np.sin(th[..., q]), y)
+        return np.stack([x, y, np.zeros_like(x)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -281,18 +303,19 @@ def build_plan_path(spec: PlanSpec, ctrl_per_span: int = 10,
     """Fit the exact plan geometry with a spline.
 
     Each span is meshed into ``ctrl_per_span`` knot spans so that span joints
-    (where the curvature derivative may jump) land on knots. Sample
-    parameters are assigned per span by chord length, scaled to the knot
-    interval of the span.
+    (where the curvature derivative may jump) land on knots. The exact
+    plan is sampled at every span's samples in one call; sample parameters
+    are assigned per span by chord length, scaled to the knot interval of
+    the span.
     """
     n_spans = len(spec.spans)
     e = ctrl_per_span
     joints = spec.joints
+    m = e * SAMPLES_PER_ELEM + 1
+    s_all = np.concatenate([np.linspace(joints[i], joints[i + 1], m)
+                            for i in range(n_spans)])
     xi_all, pts_all = [], []
-    for i, sp in enumerate(spec.spans):
-        m = e * SAMPLES_PER_ELEM + 1
-        s_loc = np.linspace(joints[i], joints[i + 1], m)
-        pts = np.array([spec.point(s) for s in s_loc])
+    for i, pts in enumerate(spec.point(s_all).reshape(n_spans, m, 3)):
         chord = np.concatenate([[0.0], np.cumsum(
             np.linalg.norm(np.diff(pts, axis=0), axis=1))])
         xi = i * e + chord / chord[-1] * e

@@ -76,9 +76,16 @@ class BridgeConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Time integration of a run.
+
+    ``rho_inf`` and ``newmark`` left at ``"auto"`` follow the strategy:
+    B and C run plain Newmark (``rho_inf`` None, ``newmark`` True) unless
+    either is given; otherwise ``rho_inf`` is 0.9 and ``newmark`` False.
+    """
+
     strategy: str = "A"
-    rho_inf: float | None = 0.9
-    newmark: bool = False
+    rho_inf: float | None | str = "auto"
+    newmark: bool | str = "auto"
     dt: float = 1e-3
     horizon: float = 1.5
     t0_correction: bool = True
@@ -88,6 +95,12 @@ class RunConfig:
     def __post_init__(self):
         if self.strategy not in ("A", "B", "C"):
             raise ScenarioError("run.strategy must be 'A', 'B', or 'C'")
+        plain = (self.strategy != "A" and self.rho_inf == "auto"
+                 and self.newmark == "auto")
+        if self.rho_inf == "auto":
+            object.__setattr__(self, "rho_inf", None if plain else 0.9)
+        if self.newmark == "auto":
+            object.__setattr__(self, "newmark", plain)
         if self.dt <= 0.0 or self.horizon <= 0.0:
             raise ScenarioError("run.dt and run.horizon must be positive")
         if not self.horizon / self.dt <= MAX_STEPS:
@@ -271,11 +284,6 @@ def _object(make=None, **keys):
     return read
 
 
-def _plain_newmark(kw, path) -> bool:
-    # B and C run plain Newmark unless rho_inf is given (read before newmark)
-    return kw.get("strategy") in ("B", "C") and "rho_inf" not in kw
-
-
 def _probe_name(kw, path) -> str:  # probes[i] is named probe<i>
     return "probe" + path[path.rindex("[") + 1:-1]
 
@@ -301,7 +309,7 @@ _SCENARIO = _object(
                     v=_number),
     run=_object(
         RunConfig, strategy=_text(str.upper), rho_inf=_nullable(_number),
-        newmark=(_boolean, _plain_newmark), dt=_number, horizon=_number,
+        newmark=_boolean, dt=_number, horizon=_number,
         t0_correction=_boolean, displacement_repair_every=_integer,
         bridge_static_init=_boolean),
     probes=_list(_object(Probe, name=(_text(), _probe_name),

@@ -1,13 +1,13 @@
 """Batched coefficient kernels against one-at-a-time evaluation, bit for bit.
 
 The reference functions below evaluate one parameter per call with scalar
-numpy arithmetic: Cox-de Boor, NURBS points and bases, the arclength map,
-frame kinematics and NURBS coupling rows. They live here only, as the
-oracle. Equality is exact (``np.array_equal``): a last-bit change in the
-frame or coupling rows moves the crossing time history by far more than
-round-off.
+numpy arithmetic: the exact plan heading and position, Cox-de Boor, NURBS
+points and bases, the arclength map, frame kinematics and NURBS coupling
+rows. They live here only, as the oracle. Equality is exact
+(``np.array_equal``): a last-bit change in the frame or coupling rows moves
+the crossing time history by far more than round-off.
 """
-from math import comb
+from math import comb, cos, sin
 
 import numpy as np
 import pytest
@@ -15,12 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vtsi import parse_scenario
+from vtsi.beams import BeamSection, element_matrices_iga
 from vtsi.coupling import COUPLED_FIELDS, constraint_rates
 from vtsi.integrators import (TABLE_BLOCK, Stepper, coupled_model,
                               initial_state, run_model, scheme_params)
-from vtsi.pathgeom import (ARCLENGTH_SUBDIV, GAUSS_ARCLENGTH,
-                           STRAIGHT_CURVATURE_TOL, UP, frame_kinematics)
-from vtsi.simulate import build_scenario_bridge
+from vtsi.pathgeom import (ARCLENGTH_SUBDIV, GAUSS_ARCLENGTH, GAUSS_PLAN,
+                           STRAIGHT_CURVATURE_TOL, UP, PlanSpec, Span,
+                           build_plan_path, frame_kinematics)
+from vtsi.scenario import default_plan_spec
+from vtsi.simulate import build_scenario_bridge, build_scenario_model
 from vtsi.splines import (KnotVector, NurbsCurve, eval_bspline_basis,
                           eval_nurbs, eval_nurbs_basis)
 from vtsi.vehicle import VehicleParams, vehicle_matrices
@@ -32,6 +35,45 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
 # --------------------------------------------------------------------------
 # Scalar oracle
 # --------------------------------------------------------------------------
+
+def ref_heading(spec: PlanSpec, s: float) -> float:
+    """Integral of curvature from 0 to s, span by span."""
+    joints = spec.joints
+    theta = 0.0
+    for i, sp in enumerate(spec.spans):
+        s0, s1 = joints[i], joints[i + 1]
+        ds = min(s, s1) - s0
+        if ds <= 0.0:
+            break
+        k0 = sp.curvature(0.0)
+        k1 = sp.curvature(ds)
+        theta += 0.5 * (k0 + k1) * ds
+        if s <= s1:
+            break
+    return theta
+
+
+def ref_point(spec: PlanSpec, s: float) -> np.ndarray:
+    """Plan position at s: 20 Gauss nodes of the heading per span, each
+    heading integrated from 0."""
+    nodes, wts = GAUSS_PLAN
+    x = y = 0.0
+    joints = spec.joints
+    for i, sp in enumerate(spec.spans):
+        s0, s1 = joints[i], joints[i + 1]
+        hi = min(s, s1)
+        if hi <= s0:
+            break
+        half = 0.5 * (hi - s0)
+        mid = 0.5 * (hi + s0)
+        for t, w in zip(nodes, wts):
+            th = ref_heading(spec, mid + half * t)
+            x += half * w * cos(th)
+            y += half * w * sin(th)
+        if s <= s1:
+            break
+    return np.array([x, y, 0.0])
+
 
 def ref_basis(knots: KnotVector, xi: float, k: int):
     """(span index, (k + 1, p + 1) table) at one parameter."""
@@ -199,6 +241,38 @@ def ref_rows(curve: NurbsCurve, amap: RefArclength, s: float, fields,
 # Inputs
 # --------------------------------------------------------------------------
 
+@st.composite
+def plans(draw):
+    """Curvature-continuous plans of 1 to 6 spans with uneven lengths: a
+    straight or a transition from zero curvature, an arc or a transition
+    from a curved end, turning either way."""
+    radius = st.floats(150.0, 9000.0).flatmap(
+        lambda r: st.sampled_from([r, -r]))
+    spans, r = [], None
+    for _ in range(draw(st.integers(1, 6))):
+        length = draw(st.floats(0.5, 80.0))
+        kind = draw(st.sampled_from(
+            ["straight", "transition"] if r is None else ["arc", "transition"]))
+        if kind == "straight":
+            spans.append(Span(kind, length))
+        elif kind == "arc":
+            spans.append(Span(kind, length, r, r))
+        else:
+            end = draw(st.none() | radius) if r is not None else draw(radius)
+            spans.append(Span(kind, length, r, end))
+            r = end
+    return PlanSpec(tuple(spans))
+
+
+def plan_samples(spec: PlanSpec, u: np.ndarray) -> np.ndarray:
+    """Arclengths at the fractions ``u`` of the plan, with 0, every joint,
+    its neighbours one ulp away, the total length and values past both
+    ends."""
+    J, L = spec.joints, spec.total_length
+    return np.concatenate([u * L, J, np.nextafter(J, -np.inf),
+                           np.nextafter(J, np.inf), [-1.0, L + 1e-9, L + 7.0]])
+
+
 def _arc() -> NurbsCurve:
     """Rational quadratic: an exact quarter circle, then a straight leg."""
     knots = KnotVector(np.array([0.0, 0, 0, 1, 2, 2, 2]), 2)
@@ -238,6 +312,59 @@ def unit_points():
 # --------------------------------------------------------------------------
 # Kernels
 # --------------------------------------------------------------------------
+
+class TestPlanGeometry:
+    @SETTINGS
+    @given(spec=plans(), u=unit_points())
+    def test_heading_and_point_equal_scalar_oracle(self, spec, u):
+        s = plan_samples(spec, u)
+        heading, point = spec.heading(s), spec.point(s)
+        assert np.array_equal(heading, [ref_heading(spec, x) for x in s])
+        assert np.array_equal(point, [ref_point(spec, x) for x in s])
+        for i in (0, len(u), len(s) - 1):
+            assert spec.heading(float(s[i])) == heading[i]
+            assert np.array_equal(spec.point(float(s[i])), point[i])
+
+    def test_plan_sampled_once_per_fit(self, monkeypatch):
+        """Building a model samples the exact plan in one call per fit: the
+        vehicle path and the NURBS bridge's own geometry. The count does
+        not grow with the sample count."""
+        calls = {}
+
+        def counting(name):
+            fn = getattr(PlanSpec, name)
+
+            def wrapped(self, s):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(self, s)
+            return wrapped
+
+        monkeypatch.setattr(PlanSpec, "point", counting("point"))
+        monkeypatch.setattr(PlanSpec, "heading", counting("heading"))
+        for data in ({}, {"plan": {"ctrl_per_span": 30}},
+                     {"bridge": {"elements_per_span": 32}}):
+            scenario = parse_scenario(data)
+            calls.clear()
+            build_scenario_model(scenario)
+            assert calls == {"point": 2, "heading": 2}
+
+
+class TestElementIntegrals:
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_array_equals_one_element_calls(self, degree):
+        path = build_plan_path(default_plan_spec(), ctrl_per_span=2,
+                               p=degree)
+        section = BeamSection()
+        elems = np.arange(path.curve.knots.n_elems)
+        stacked = element_matrices_iga(section, path.curve, path.amap, elems)
+        for e in elems:
+            one = element_matrices_iga(section, path.curve, path.amap, int(e))
+            for got, want in zip(stacked, one):
+                assert np.array_equal(got[e], want)
+        with pytest.raises(ValueError, match="outside knot domain"):
+            element_matrices_iga(section, path.curve, path.amap,
+                                 np.array([0, len(elems)]))
+
 
 class TestSplineKernel:
     @SETTINGS

@@ -263,7 +263,7 @@ class TestCurvatureContinuity:
         joints = arc_path.spec.joints
         ne = 8
         s_nodes = np.linspace(joints[0], joints[-1], ne + 1)
-        pts = np.array([arc_path.spec.point(s) for s in s_nodes])
+        pts = arc_path.spec.point(s_nodes)
         chords = np.diff(pts, axis=0)
         # curvature of the chord polyline interior is identically zero
         # relative deviation from true curvature is 1

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtsi.scenario import (Scenario, ScenarioError, load_scenario,
-                           parse_scenario)
+from vtsi.scenario import (RunConfig, Scenario, ScenarioError,
+                           load_scenario, parse_scenario)
+from vtsi.simulate import scenario_scheme
 
 
 class TestDefaults:
@@ -68,6 +69,30 @@ class TestOverrides:
         sc = parse_scenario({"run": {"strategy": "B", "horizon": 0.9}})
         assert sc.run.strategy == "B"
         assert sc.run.newmark
+
+    @pytest.mark.parametrize("run", [
+        {"strategy": "A"}, {"strategy": "B"}, {"strategy": "C"},
+        {"strategy": "B", "rho_inf": 0.8}, {"strategy": "B", "rho_inf": None},
+        {"strategy": "B", "newmark": False}, {"strategy": "A", "newmark": True},
+        {"strategy": "C", "rho_inf": 0.5, "newmark": True}])
+    def test_python_and_json_configs_agree(self, run):
+        # The strategy's default scheme lives in RunConfig itself, so a
+        # config built in Python runs what the same keys in a file run.
+        built = RunConfig(**run, horizon=0.9)
+        parsed = parse_scenario({"run": {**run, "horizon": 0.9}})
+        assert built == parsed.run
+        assert scenario_scheme(Scenario(run=built)) == scenario_scheme(parsed)
+
+    @pytest.mark.parametrize("run,rho_inf,newmark", [
+        ({"strategy": "A"}, 0.9, False),
+        ({"strategy": "B"}, None, True),
+        ({"strategy": "C"}, None, True),
+        ({"strategy": "B", "newmark": False}, 0.9, False),
+        ({"strategy": "B", "rho_inf": None}, None, False),
+        ({"strategy": "A", "newmark": True}, 0.9, True)])
+    def test_scheme_defaults_by_strategy(self, run, rho_inf, newmark):
+        cfg = RunConfig(**run)
+        assert (cfg.rho_inf, cfg.newmark) == (rho_inf, newmark)
 
     def test_strategy_b_keeps_explicit_rho(self):
         sc = parse_scenario({"run": {"strategy": "B", "rho_inf": 0.8,
