@@ -23,6 +23,19 @@ projection, displacement repair, and the residual record read it there.
 The same machinery also integrates unconstrained systems (no vehicle or no
 constraint) and the rigid-profile run, whose constraint has no bridge
 columns and a prescribed gap instead.
+
+Two OpenBLAS runtimes are loaded: numpy's and scipy's, each with its own
+thread pool, whose idle workers spin for a while before they sleep. A step
+that alternated numpy's n_red x n_red products with scipy's solves kept
+both pools awake on the same cores; at n_red 954 a step cost 7.7 ms where
+its arithmetic needs about 2. So the step's multithreaded work, the three
+bridge products of r_b and the two bridge solves, goes through scipy alone:
+dgemv with the transposed kernel, which numpy's ``A @ x`` calls for a
+C-contiguous A, and LAPACK getrs, which ``lu_solve`` calls. The bits are
+unchanged. The static self-weight state stays ``np.linalg.solve``: neither
+scipy's gesv nor ``lu_factor`` with ``lu_solve`` gives its bits at every
+bridge size, so the first steps of a large bridge still run while numpy's
+pool spins down.
 """
 from __future__ import annotations
 
@@ -30,7 +43,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.blas import get_blas_funcs
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .coupling import ConstraintSnapshot, constraint_rates
 from .pathgeom import CosineProfile
@@ -124,11 +139,6 @@ class CoupledState:
     ab: np.ndarray
     lam: np.ndarray
     con: Constraint | None = None
-
-    def copy(self) -> "CoupledState":
-        return CoupledState(self.t, self.ut.copy(), self.vt.copy(),
-                            self.at.copy(), self.ub.copy(), self.vb.copy(),
-                            self.ab.copy(), self.lam.copy(), self.con)
 
 
 @dataclass
@@ -234,6 +244,14 @@ class Stepper:
         self.model = model
         self.params = params
         self.strategy = strategy
+        # Step constants, each rounded as the step's expressions group it:
+        # scalar factors first, left to right.
+        dt, beta, gamma = params.dt, params.beta, params.gamma
+        self._disp_pred = dt * dt * (0.5 - beta)
+        self._vel_pred = dt * (1.0 - gamma)
+        self._bdt2 = beta * dt * dt
+        self._gdt = gamma * dt
+        self._C_t = self._bdt2 * L_TR.T
         self._bridge_lu = None
         if model.bridge is not None:
             p, br = params, model.bridge
@@ -241,6 +259,21 @@ class Stepper:
                 (1.0 - p.alpha_m) * br.M
                 + (1.0 - p.alpha_f) * (p.gamma * p.dt * br.C
                                        + p.beta * p.dt ** 2 * br.K))
+            self._getrs, = get_lapack_funcs(("getrs",),
+                                              (self._bridge_lu[0],))
+            self._gemv, = get_blas_funcs(("gemv",), (br.M,))
+
+    def _bridge_solve(self, b: np.ndarray) -> np.ndarray:
+        """A_b^-1 b from the factors, by LAPACK getrs as ``lu_solve`` calls
+        it but without its finiteness scan: ``run_model`` checks every
+        state instead."""
+        return self._getrs(*self._bridge_lu, b)[0]
+
+    def _bridge_product(self, A: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A @ x for a bridge matrix by scipy's dgemv, the transposed
+        kernel that numpy's ``A @ x`` calls for a C-contiguous A, so the
+        bits are the same; see the module docstring for why."""
+        return self._gemv(1.0, A.T, x, trans=1)
 
     def _instants(self, t):
         """t_{n+1} and the collocation instant t_f of the step(s) starting
@@ -270,8 +303,8 @@ class Stepper:
         coefficients or, when none are given, coefficients evaluated here."""
         m = self.model
         p = self.params
-        dt, beta, gamma = p.dt, p.beta, p.gamma
-        am, af = p.alpha_m, p.alpha_f
+        dt, am, af = p.dt, p.alpha_m, p.alpha_f
+        bdt2, gdt = self._bdt2, self._gdt
         nt = m.n_t
         t1 = state.t + dt
         if coeffs is None:
@@ -279,14 +312,14 @@ class Stepper:
         con1, conf, veh = coeffs
 
         # Newmark predictors.
-        ut_pred = state.ut + dt * state.vt + dt * dt * (0.5 - beta) * state.at
-        vt_pred = state.vt + dt * (1.0 - gamma) * state.at
-        ub_pred = state.ub + dt * state.vb + dt * dt * (0.5 - beta) * state.ab
-        vb_pred = state.vb + dt * (1.0 - gamma) * state.ab
+        ut_pred = state.ut + dt * state.vt + self._disp_pred * state.at
+        vt_pred = state.vt + self._vel_pred * state.at
+        ub_pred = state.ub + dt * state.vb + self._disp_pred * state.ab
+        vb_pred = state.vb + self._vel_pred * state.ab
 
         if nt:
             A_t = ((1.0 - am) * veh.M
-                   + (1.0 - af) * (gamma * dt * veh.C + beta * dt * dt * veh.K))
+                   + (1.0 - af) * (gdt * veh.C + bdt2 * veh.K))
             r_t = (veh.P - veh.M @ (am * state.at)
                    - veh.C @ _weighted(af, vt_pred, state.vt)
                    - veh.K @ _weighted(af, ut_pred, state.ut))
@@ -295,19 +328,20 @@ class Stepper:
             P_b = br.P
             if conf is not None and m.axle_load is not None:
                 P_b = P_b + conf.L.T @ m.axle_load
-            r_b = (P_b - br.M @ (am * state.ab)
-                   - br.C @ _weighted(af, vb_pred, state.vb)
-                   - br.K @ _weighted(af, ub_pred, state.ub))
+            mv = self._bridge_product
+            r_b = (P_b - mv(br.M, am * state.ab)
+                   - mv(br.C, _weighted(af, vb_pred, state.vb))
+                   - mv(br.K, _weighted(af, ub_pred, state.ub)))
 
         if con1 is not None:
             L1, Ld1, Ldd1, r1 = con1
             if self.strategy == "B":
                 C_t = L_TR.T
-                C_b = beta * dt * dt * Ldd1 + gamma * dt * 2.0 * Ld1 + L1
+                C_b = bdt2 * Ldd1 + gdt * 2.0 * Ld1 + L1
                 r_c = -(Ldd1 @ ub_pred + 2.0 * Ld1 @ vb_pred) - r1[2]
             else:
-                C_t = beta * dt * dt * L_TR.T
-                C_b = beta * dt * dt * L1
+                C_t = self._C_t
+                C_b = bdt2 * L1
                 r_c = -(L_TR.T @ ut_pred + L1 @ ub_pred) - r1[0]
 
         at1 = np.zeros(0)
@@ -318,13 +352,13 @@ class Stepper:
                 if nt:
                     at1 = np.linalg.solve(A_t, r_t)
                 if m.n_b:
-                    ab1 = lu_solve(self._bridge_lu, r_b)
+                    ab1 = self._bridge_solve(r_b)
             else:
                 # Eliminate the bridge, leaving a reduced system in
                 # (a_t, lam).
                 if m.n_b:
-                    y0 = lu_solve(self._bridge_lu, r_b)
-                    Y = lu_solve(self._bridge_lu, conf.L.T)
+                    y0 = self._bridge_solve(r_b)
+                    Y = self._bridge_solve(conf.L.T)
                 A = np.zeros((nt + 3, nt + 3))
                 b = np.zeros(nt + 3)
                 if nt:
@@ -344,16 +378,17 @@ class Stepper:
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("singular saddle system at t=%.6g" % t1) from exc
 
-        new = state.copy()
-        new.t = t1
-        new.con = con1
+        # A block the model lacks keeps the old state's arrays, which no
+        # step writes.
+        new = CoupledState(t1, state.ut, state.vt, state.at, state.ub,
+                           state.vb, state.ab, state.lam, con1)
         if nt:
-            new.ut = ut_pred + beta * dt * dt * at1
-            new.vt = vt_pred + gamma * dt * at1
+            new.ut = ut_pred + bdt2 * at1
+            new.vt = vt_pred + gdt * at1
             new.at = at1
         if m.n_b:
-            new.ub = ub_pred + beta * dt * dt * ab1
-            new.vb = vb_pred + gamma * dt * ab1
+            new.ub = ub_pred + bdt2 * ab1
+            new.vb = vb_pred + gdt * ab1
             new.ab = ab1
         if m.n_lam:
             new.lam = lam1
@@ -443,7 +478,10 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
     vehs = model.vehicle_at(tf) if model.n_t else [None] * n_steps
 
     def coefficients(i):
-        return StepCoefficients(cons[con_at[i]], cons[con_at[n_steps + i]],
+        # Under Newmark t_f is t_{n+1}: one entry, looked up once.
+        j, jf = con_at[i], con_at[n_steps + i]
+        con1 = cons[j]
+        return StepCoefficients(con1, con1 if jf == j else cons[jf],
                                 vehs[i - 1])
 
     state = initial_state(model, t0_correction, bridge_static_init,

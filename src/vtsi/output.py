@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .integrators import TimeHistory
 from .metrics import DiagnosticReport
 
@@ -23,19 +25,15 @@ def timehistory_header(history: TimeHistory) -> list[str]:
 
 
 def write_timehistory(history: TimeHistory, out) -> None:
-    """Write the run as CSV: header then one full-precision row per step."""
-    probe_series = list(history.probes.values())
+    """Write the run as CSV: header then one full-precision row per step,
+    each row formatted by one ``%`` from a stacked table."""
+    table = np.column_stack([history.t, history.ut, history.vt, history.at,
+                             history.lam, *history.probes.values()])
+    row = ",".join([_FMT] * table.shape[1]) + "\n"
     with open(out, "w", newline="\n") as f:
         f.write(",".join(timehistory_header(history)) + "\n")
-        for i in range(len(history.t)):
-            row = [history.t[i]]
-            row.extend(history.ut[i])
-            row.extend(history.vt[i])
-            row.extend(history.at[i])
-            row.extend(history.lam[i])
-            for series in probe_series:
-                row.extend(series[i])
-            f.write(",".join(_FMT % x for x in row) + "\n")
+        for values in table:
+            f.write(row % tuple(values.tolist()))
 
 
 def write_report(report: DiagnosticReport, out) -> None:

@@ -5,28 +5,34 @@ numpy arithmetic: the exact plan heading and position, Cox-de Boor, NURBS
 points and bases, the arclength map, frame kinematics and NURBS coupling
 rows. They live here only, as the oracle. Equality is exact
 (``np.array_equal``): a last-bit change in the frame or coupling rows moves
-the crossing time history by far more than round-off.
+the crossing time history by far more than round-off. The same holds for
+the time step, checked against a copy that forms the bridge products with
+numpy's ``@`` and solves with ``lu_solve``.
 """
+import dataclasses
 from math import comb, cos, sin
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from vtsi import parse_scenario
 from vtsi.beams import BeamSection, element_matrices_iga
 from vtsi.coupling import COUPLED_FIELDS, constraint_rates
-from vtsi.integrators import (TABLE_BLOCK, Stepper, coupled_model,
-                              initial_state, run_model, scheme_params)
+from vtsi.integrators import (TABLE_BLOCK, CoupledState, Stepper,
+                              coupled_model, initial_state,
+                              project_constraints, run_model, scheme_params)
 from vtsi.pathgeom import (ARCLENGTH_SUBDIV, GAUSS_ARCLENGTH, GAUSS_PLAN,
                            STRAIGHT_CURVATURE_TOL, UP, PlanSpec, Span,
                            build_plan_path, frame_kinematics)
 from vtsi.scenario import default_plan_spec
-from vtsi.simulate import build_scenario_bridge, build_scenario_model
+from vtsi.simulate import (build_scenario_bridge, build_scenario_model,
+                           scenario_scheme)
 from vtsi.splines import (KnotVector, NurbsCurve, eval_bspline_basis,
                           eval_nurbs, eval_nurbs_basis)
-from vtsi.vehicle import VehicleParams, vehicle_matrices
+from vtsi.vehicle import L_TR, VehicleParams, vehicle_matrices
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -488,3 +494,139 @@ class TestTabulatedRun:
             assert state.t == hist.t[i]
             assert np.array_equal(state.ut, hist.ut[i])
             assert np.array_equal(state.lam, hist.lam[i])
+
+
+# --------------------------------------------------------------------------
+# Step oracle: the step with numpy's `@` for the bridge products and
+# scipy's `lu_solve` for the bridge solves.
+# --------------------------------------------------------------------------
+
+class RefStepper:
+    """The one-step solver with every product and solve through numpy and
+    ``lu_solve``."""
+
+    def __init__(self, model, params, strategy):
+        self.model, self.params, self.strategy = model, params, strategy
+        p, br = params, model.bridge
+        self.lu = lu_factor(
+            (1.0 - p.alpha_m) * br.M
+            + (1.0 - p.alpha_f) * (p.gamma * p.dt * br.C
+                                   + p.beta * p.dt ** 2 * br.K))
+
+    def step(self, state, coeffs):
+        m, p = self.model, self.params
+        dt, beta, gamma = p.dt, p.beta, p.gamma
+        am, af = p.alpha_m, p.alpha_f
+        con1, conf, veh = coeffs
+
+        def weighted(alpha, new, old):
+            return (1.0 - alpha) * new + alpha * old
+
+        ut_pred = state.ut + dt * state.vt + dt * dt * (0.5 - beta) * state.at
+        vt_pred = state.vt + dt * (1.0 - gamma) * state.at
+        ub_pred = state.ub + dt * state.vb + dt * dt * (0.5 - beta) * state.ab
+        vb_pred = state.vb + dt * (1.0 - gamma) * state.ab
+        A_t = ((1.0 - am) * veh.M
+               + (1.0 - af) * (gamma * dt * veh.C + beta * dt * dt * veh.K))
+        r_t = (veh.P - veh.M @ (am * state.at)
+               - veh.C @ weighted(af, vt_pred, state.vt)
+               - veh.K @ weighted(af, ut_pred, state.ut))
+        br = m.bridge
+        P_b = br.P
+        if m.axle_load is not None:
+            P_b = P_b + conf.L.T @ m.axle_load
+        r_b = (P_b - br.M @ (am * state.ab)
+               - br.C @ weighted(af, vb_pred, state.vb)
+               - br.K @ weighted(af, ub_pred, state.ub))
+        L1, Ld1, Ldd1, r1 = con1
+        if self.strategy == "B":
+            C_t = L_TR.T
+            C_b = beta * dt * dt * Ldd1 + gamma * dt * 2.0 * Ld1 + L1
+            r_c = -(Ldd1 @ ub_pred + 2.0 * Ld1 @ vb_pred) - r1[2]
+        else:
+            C_t = beta * dt * dt * L_TR.T
+            C_b = beta * dt * dt * L1
+            r_c = -(L_TR.T @ ut_pred + L1 @ ub_pred) - r1[0]
+        y0 = lu_solve(self.lu, r_b)
+        Y = lu_solve(self.lu, conf.L.T)
+        A = np.zeros((7, 7))
+        b = np.zeros(7)
+        A[:4, :4] = A_t
+        A[:4, 4:] = L_TR
+        b[:4] = r_t
+        A[4:, :4] = C_t
+        b[4:] = r_c
+        A[4:, 4:] -= C_b @ Y
+        b[4:] -= C_b @ y0
+        x = np.linalg.solve(A, b)
+        at1, lam1 = x[:4], x[4:]
+        ab1 = y0 - Y @ lam1
+        new = CoupledState(state.t + dt, ut_pred + beta * dt * dt * at1,
+                           vt_pred + gamma * dt * at1, at1,
+                           ub_pred + beta * dt * dt * ab1,
+                           vb_pred + gamma * dt * ab1, ab1, lam1, con1)
+        if self.strategy == "C":
+            project_constraints(new, "velocity")
+            project_constraints(new, "acceleration")
+        return new
+
+
+STATE_FIELDS = ("t", "ut", "vt", "at", "ub", "vb", "ab", "lam")
+
+
+class TestStepOracle:
+    @pytest.fixture(scope="class")
+    def bridges(self, default_path):
+        """Bridges on the default path, built once per bridge config."""
+        built = {}
+
+        def bridge(scenario):
+            key = dataclasses.astuple(scenario.bridge)
+            if key not in built:
+                built[key] = build_scenario_bridge(scenario, default_path)
+            return built[key]
+        return bridge
+
+    @pytest.mark.parametrize("elements", [8, 32])
+    @pytest.mark.parametrize("case", [
+        {"run": {"strategy": "A"}},
+        {"run": {"strategy": "B"}, "flags": {"add_static_axle_load": True}},
+        {"run": {"strategy": "C"}},
+        {"run": {"strategy": "A"}, "bridge": {"rayleigh": [0.5, 1e-4]}},
+    ], ids=["A", "B-axle-load", "C", "A-rayleigh"])
+    def test_step_equals_numpy_oracle(self, case, elements, default_path,
+                                      bridges):
+        scenario = parse_scenario(dict(case, bridge=dict(
+            case.get("bridge", {}), elements_per_span=elements)))
+        model = build_scenario_model(scenario, default_path,
+                                     bridges(scenario))
+        params = scenario_scheme(scenario)
+        stepper = Stepper(model, params, scenario.run.strategy)
+        ref = RefStepper(model, params, scenario.run.strategy)
+        state = want = initial_state(model)
+        for _ in range(20):
+            coeffs = stepper._coefficients(state.t)
+            state = stepper.step(state, coeffs)
+            want = ref.step(want, coeffs)
+            for name in STATE_FIELDS:
+                assert np.array_equal(getattr(state, name),
+                                      getattr(want, name)), name
+
+    def test_bridge_products_bypass_numpy_matmul(self, default_scenario,
+                                                 default_path, default_bridge):
+        class NoMatmul(np.ndarray):
+            def __matmul__(self, other):
+                raise AssertionError("bridge matrix product through numpy @")
+
+            __rmatmul__ = __matmul__
+
+        guarded = dataclasses.replace(default_bridge, **{
+            name: getattr(default_bridge, name).view(NoMatmul)
+            for name in ("M", "C", "K")})
+        p = scheme_params(rho_inf=0.9, dt=1e-3)
+        hist = run_model(coupled_model(default_path, guarded,
+                                       default_scenario.vehicle), p, "A", 20)
+        want = run_model(coupled_model(default_path, default_bridge,
+                                       default_scenario.vehicle), p, "A", 20)
+        for name in ("t", "ut", "vt", "at", "lam"):
+            assert np.array_equal(getattr(hist, name), getattr(want, name))

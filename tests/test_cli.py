@@ -62,6 +62,31 @@ class TestRun:
         assert "step 50 " in err and "t=0.05" in err
         assert not (out / "timehistory.csv").exists()
 
+    def test_nonfinite_coupling_rows_exit_two(self, tmp_path, capsys,
+                                              monkeypatch):
+        healthy = integ.constraint_rates
+        tabulated = [0]
+
+        def poisoned(*args, **kwargs):
+            # The run tabulates the constraint at its sorted distinct
+            # instants 0, t_f of step 1, t_1, t_f of step 2, ... before the
+            # first step, so entry 99 is t_f of step 50.
+            snap = healthy(*args, **kwargs)
+            vals = snap.rows.vals
+            vals[max(99 - tabulated[0], 0):] = np.nan
+            tabulated[0] += len(vals)
+            return snap
+
+        monkeypatch.setattr(integ, "constraint_rates", poisoned)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"bridge": {"kind": "fem"},
+                                        "run": {"horizon": 0.2}}))
+        out = tmp_path / "out"
+        assert cli(["run", str(scenario), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "step 50 " in err and "t=0.05" in err
+        assert not (out / "timehistory.csv").exists()
+
 
 class TestCheck:
     def test_valid_scenario(self, scenario_file, capsys):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,7 @@ class TestProjection:
                                    "acceleration")):
             project_constraints(st, level)
             assert constraint_residuals(st)[i] <= 1e-12
-            before = st.copy()
+            before = copy.deepcopy(st)
             project_constraints(st, level)
             assert np.array_equal(st.ut, before.ut)
             assert np.array_equal(st.vt, before.vt)
