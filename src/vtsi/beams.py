@@ -302,7 +302,10 @@ class FieldRows(NamedTuple):
         """(k + 1, n_fields, n_red) rows of position i times Z, one product
         per order over the window's rows of Z. The window keeps the DOF
         order of the full rows, and the full-row product L @ Z gives the
-        same bits (tests/test_batched.py)."""
+        same bits (tests/test_batched.py) unless OpenBLAS splits its sum at
+        a block edge: on the default plan at 64 elements per span, the rows
+        at the joints 30 and 90 m differ by about 1e-38 of their largest
+        entry."""
         return self.block(i) @ Z[self.first[i] + self.window]
 
 
@@ -402,7 +405,10 @@ def _fem_field(f: int, x: np.ndarray, ell: np.ndarray, order: int):
 
 @dataclass
 class BridgeSystem:
-    """Assembled bridge: reduced matrices plus the full-DOF shape provider."""
+    """Assembled bridge: reduced matrices plus the full-DOF shape provider.
+
+    An undamped bridge's C is a read-only zero view with strides (0, 0).
+    """
 
     kind: str
     section: BeamSection
@@ -423,8 +429,10 @@ class BridgeSystem:
         return self.Z.shape[1]
 
     def probe_rows(self, s: float) -> np.ndarray:
-        """2 x n_red rows for (u_n, u_b) at ``s`` in reduced coordinates."""
-        return self.shape.rows(s, (F_UN, F_UB), 0).dense()[0, 0] @ self.Z
+        """2 x n_red rows for (u_n, u_b) at ``s`` in reduced coordinates,
+        reduced over the rows' window, so that no n_full-long numpy product
+        runs (see ``integrators``)."""
+        return self.shape.rows(s, (F_UN, F_UB), 0).reduced(0, self.Z)[0]
 
 
 def _default_supports(joints: np.ndarray):
@@ -499,8 +507,14 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
 
     a0, a1 = rayleigh
     Mr = Z.T @ M @ Z
+    del M
     Kr = Z.T @ K @ Z
-    Cr = a0 * Mr + a1 * Kr
+    del K
+    if a0 or a1:
+        Cr = a0 * Mr + a1 * Kr
+    else:
+        # Undamped: a read-only zero view, which holds no n_red^2 buffer.
+        Cr = np.broadcast_to(0.0, Mr.shape)
     Pr = Z.T @ P
     return BridgeSystem(
         kind=kind, section=section, shape=shape, length=length,

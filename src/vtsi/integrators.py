@@ -28,14 +28,17 @@ Two OpenBLAS runtimes are loaded: numpy's and scipy's, each with its own
 thread pool, whose idle workers spin for a while before they sleep. A step
 that alternated numpy's n_red x n_red products with scipy's solves kept
 both pools awake on the same cores; at n_red 954 a step cost 7.7 ms where
-its arithmetic needs about 2. So the step's multithreaded work, the three
-bridge products of r_b and the two bridge solves, goes through scipy alone:
+its arithmetic needs about 2. So a run switches pools once. ``run_model``
+first does its n_red-sized numpy work: the static self-weight state, by
+``np.linalg.solve`` (no scipy routine gives its bits at every bridge size),
+and the probe rows, reduced over their few nonzero columns. Then it builds
+the ``Stepper``, whose factor is scipy's getrf, and from there each step's
+multithreaded work goes through scipy alone: the bridge products of r_b by
 dgemv with the transposed kernel, which numpy's ``A @ x`` calls for a
-C-contiguous A, and LAPACK getrs, which ``lu_solve`` calls. The bits are
-unchanged. The static self-weight state stays ``np.linalg.solve``: neither
-scipy's gesv nor ``lu_factor`` with ``lu_solve`` gives its bits at every
-bridge size, so the first steps of a large bridge still run while numpy's
-pool spins down.
+C-contiguous A, and the two bridge solves by LAPACK getrs, which
+``lu_solve`` calls. The bits are unchanged. An undamped bridge's C is a
+read-only zero view (``beams.assemble_bridge``); a stepper whose C is all
+zero leaves the C term out of A_b and r_b.
 """
 from __future__ import annotations
 
@@ -219,6 +222,29 @@ def _weighted(alpha, new, old):
     return (1.0 - alpha) * new + alpha * old
 
 
+def _instants(params: SchemeParams, t):
+    """t_{n+1} and the collocation instant t_f of the step(s) starting at t
+    (a scalar or an array)."""
+    t1 = t + params.dt
+    af = params.alpha_f
+    return t1, (1.0 - af) * t1 + af * t
+
+
+def _step_block(bridge, p: SchemeParams, damped: bool) -> np.ndarray:
+    """A_b = (1 - a_m) M + (1 - a_f) (gamma dt C + beta dt^2 K), each
+    product and sum grouped as written, in two Fortran-ordered buffers, so
+    that getrf factors the returned one in place. Undamped, the C term is
+    left out."""
+    A = np.empty(bridge.M.shape, order="F")
+    B = np.multiply(p.beta * p.dt ** 2, bridge.K, order="F")
+    if damped:
+        B += np.multiply(p.gamma * p.dt, bridge.C, out=A)
+    B *= 1.0 - p.alpha_f
+    np.multiply(1.0 - p.alpha_m, bridge.M, out=A)
+    A += B
+    return A
+
+
 class Stepper:
     """One-step solver for a fixed model, scheme, and strategy.
 
@@ -254,11 +280,10 @@ class Stepper:
         self._C_t = self._bdt2 * L_TR.T
         self._bridge_lu = None
         if model.bridge is not None:
-            p, br = params, model.bridge
-            self._bridge_lu = lu_factor(
-                (1.0 - p.alpha_m) * br.M
-                + (1.0 - p.alpha_f) * (p.gamma * p.dt * br.C
-                                       + p.beta * p.dt ** 2 * br.K))
+            br = model.bridge
+            self._damped = bool(br.C.any())
+            self._bridge_lu = lu_factor(_step_block(br, params, self._damped),
+                                        overwrite_a=True)
             self._getrs, = get_lapack_funcs(("getrs",),
                                               (self._bridge_lu[0],))
             self._gemv, = get_blas_funcs(("gemv",), (br.M,))
@@ -275,18 +300,11 @@ class Stepper:
         bits are the same; see the module docstring for why."""
         return self._gemv(1.0, A.T, x, trans=1)
 
-    def _instants(self, t):
-        """t_{n+1} and the collocation instant t_f of the step(s) starting
-        at t (a scalar or an array)."""
-        t1 = t + self.params.dt
-        af = self.params.alpha_f
-        return t1, (1.0 - af) * t1 + af * t
-
     def _coefficients(self, t: float) -> StepCoefficients:
         """Coefficients of the step starting at t, evaluated as one batch of
         its distinct instants (one under Newmark, else two)."""
         m = self.model
-        t1, tf = self._instants(t)
+        t1, tf = _instants(self.params, t)
         con1 = conf = veh = None
         if m.n_lam:
             one_instant = tf == t1
@@ -329,9 +347,10 @@ class Stepper:
             if conf is not None and m.axle_load is not None:
                 P_b = P_b + conf.L.T @ m.axle_load
             mv = self._bridge_product
-            r_b = (P_b - mv(br.M, am * state.ab)
-                   - mv(br.C, _weighted(af, vb_pred, state.vb))
-                   - mv(br.K, _weighted(af, ub_pred, state.ub)))
+            r_b = P_b - mv(br.M, am * state.ab)
+            if self._damped:
+                r_b -= mv(br.C, _weighted(af, vb_pred, state.vb))
+            r_b -= mv(br.K, _weighted(af, ub_pred, state.ub))
 
         if con1 is not None:
             L1, Ld1, Ldd1, r1 = con1
@@ -467,11 +486,10 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
     one call of each model callable on all the run's distinct instants.
     Raises RuntimeError, naming the step and t, at the first step whose
     state is not finite."""
-    stepper = Stepper(model, params, strategy)
     # t_n accumulates dt exactly as the steps do; instants of step i
     # (1-based) are t[i] and tf[i - 1].
     t = np.cumsum(np.concatenate([[0.0], np.full(n_steps, params.dt)]))
-    t1, tf = stepper._instants(t[:-1])
+    t1, tf = _instants(params, t[:-1])
     con_t, con_at = np.unique(np.concatenate([t[:1], t1, tf]),
                               return_inverse=True)
     cons = model.reduced_at(con_t) if model.n_lam else [None] * len(con_t)
@@ -486,12 +504,13 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
 
     state = initial_state(model, t0_correction, bridge_static_init,
                           con=cons[con_at[0]])
-
-    probes = probes or {}
     probe_rows = {}
     if model.bridge is not None and probes:
         for name, s in probes.items():
             probe_rows[name] = model.bridge.probe_rows(s)
+    # The factor and the steps use scipy's BLAS; numpy's n_red-sized work
+    # is done (see the module docstring).
+    stepper = Stepper(model, params, strategy)
 
     N = n_steps + 1
     out = TimeHistory(

@@ -18,8 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+import vtsi.integrators as integrators
 from vtsi import parse_scenario
-from vtsi.beams import BeamSection, element_matrices_iga
+from vtsi.beams import (F_UB, F_UN, BeamSection, FieldRows,
+                        element_matrices_iga)
 from vtsi.coupling import COUPLED_FIELDS, constraint_rates
 from vtsi.integrators import (TABLE_BLOCK, CoupledState, Stepper,
                               coupled_model, initial_state,
@@ -29,7 +31,7 @@ from vtsi.pathgeom import (ARCLENGTH_SUBDIV, GAUSS_ARCLENGTH, GAUSS_PLAN,
                            build_plan_path, frame_kinematics)
 from vtsi.scenario import default_plan_spec
 from vtsi.simulate import (build_scenario_bridge, build_scenario_model,
-                           scenario_scheme)
+                           run_simulation, scenario_scheme)
 from vtsi.splines import (KnotVector, NurbsCurve, eval_bspline_basis,
                           eval_nurbs, eval_nurbs_basis)
 from vtsi.vehicle import L_TR, VehicleParams, vehicle_matrices
@@ -630,3 +632,88 @@ class TestStepOracle:
                                        default_scenario.vehicle), p, "A", 20)
         for name in ("t", "ut", "vt", "at", "lam"):
             assert np.array_equal(getattr(hist, name), getattr(want, name))
+
+    @pytest.mark.parametrize("rayleigh,products", [((0.0, 0.0), 2),
+                                                   ((0.5, 1e-4), 3)],
+                             ids=["undamped", "rayleigh"])
+    def test_bridge_products_per_step(self, rayleigh, products, default_path,
+                                      bridges):
+        # An undamped bridge's C is zero, so its product is left out.
+        scenario = parse_scenario({"bridge": {"rayleigh": list(rayleigh)}})
+        model = build_scenario_model(scenario, default_path,
+                                     bridges(scenario))
+        stepper = Stepper(model, scenario_scheme(scenario), "A")
+        calls = []
+        product = stepper._bridge_product
+
+        def counting(A, x):
+            calls.append(A)
+            return product(A, x)
+
+        stepper._bridge_product = counting
+        state = initial_state(model)
+        for n in range(1, 4):
+            state = stepper.step(state)
+            assert len(calls) == products * n
+
+
+# --------------------------------------------------------------------------
+# Probe rows and the order of a run's numpy and scipy work.
+# --------------------------------------------------------------------------
+
+class TestProbeRows:
+    @pytest.fixture(scope="class")
+    def fem_bridge(self, default_path):
+        return build_scenario_bridge(
+            parse_scenario({"bridge": {"kind": "fem"}}), default_path)
+
+    @pytest.mark.parametrize("kind", ["nurbs", "fem"])
+    @SETTINGS
+    @given(data=st.data())
+    def test_probe_rows_are_full_rows_times_z(self, kind, data, default_path,
+                                              default_bridge, fem_bridge):
+        br = default_bridge if kind == "nurbs" else fem_bridge
+        shape = br.shape
+        knots = (shape.amap.s_of_xi(shape.curve.knots.breakpoints)
+                 if kind == "nurbs" else shape.s_nodes)
+        special = [min(float(s), br.length) for s in np.concatenate(
+            [[0.0, br.length], default_path.spec.joints, knots])]
+        s = data.draw(st.one_of(st.sampled_from(special),
+                                st.floats(0.0, br.length)))
+        want = shape.rows(s, (F_UN, F_UB), 0).dense()[0, 0] @ br.Z
+
+        def dense(self):
+            raise AssertionError("probe_rows formed the full rows")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FieldRows, "dense", dense)
+            got = br.probe_rows(s)
+        assert np.array_equal(got, want)
+
+
+class TestRunSchedule:
+    def test_numpy_solves_precede_the_factor(self, default_path, monkeypatch):
+        # numpy's n_red-sized work (the static solve) ends before scipy
+        # factors the step block, so the steps run with one pool awake.
+        scenario = parse_scenario({"bridge": {"elements_per_span": 16},
+                                   "run": {"horizon": 0.02}})
+        model = build_scenario_model(scenario, default_path)
+        n_red = model.bridge.n_red
+        events = []
+        solve, factor = np.linalg.solve, integrators.lu_factor
+
+        def recording_solve(a, b):
+            events.append(("solve", len(a)))
+            return solve(a, b)
+
+        def recording_factor(a, **kwargs):
+            events.append(("factor", len(a)))
+            return factor(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(integrators, "lu_factor", recording_factor)
+        run_simulation(scenario, model)
+        assert events.count(("factor", n_red)) == 1
+        at = events.index(("factor", n_red))
+        assert ("solve", n_red) in events[:at]
+        assert all(size < n_red for _, size in events[at + 1:])

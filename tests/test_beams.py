@@ -187,6 +187,14 @@ class TestAssembly:
                               rayleigh=(2.0, 3e-4))
         assert np.allclose(br1.C, 2.0 * br1.M + 3e-4 * br1.K)
 
+    def test_undamped_c_is_a_read_only_zero_view(self, straight_path):
+        br = assemble_bridge(straight_path, BeamSection(), supports=PIN)
+        assert br.C.shape == br.M.shape
+        assert br.C.strides == (0, 0)
+        assert not br.C.any()
+        with pytest.raises(ValueError, match="read-only"):
+            br.C[0, 0] = 1.0
+
     def test_static_midspan_deflection(self, straight_path):
         # Simply supported under self-weight: 5 w L^4 / (384 E I).
         sect = BeamSection()
