@@ -274,20 +274,19 @@ class FieldRows(NamedTuple):
 
     At position i the rows are nonzero only in the DOFs
     ``first[i] + window``. There, the row of field j and order o holds
-    ``vals[i, o, place[j]]``, read as zero where ``place`` is -1.
+    ``vals[i, o, place[j]]``. The last entry of ``vals`` is a zero, which
+    ``place`` -1 selects.
     """
 
     first: np.ndarray    # (m,) int
-    vals: np.ndarray     # (m, k + 1, n_vals)
+    vals: np.ndarray     # (m, k + 1, n_vals + 1)
     window: np.ndarray   # (w,) int, increasing
     place: np.ndarray    # (n_fields, w) int
     n_full: int
 
     def block(self, i) -> np.ndarray:
         """(k + 1, n_fields, w) rows over the window of position(s) i."""
-        v = self.vals[i]
-        pad = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
-        return pad[..., self.place]
+        return self.vals[i][..., self.place]
 
     def dense(self) -> np.ndarray:
         """(m, k + 1, n_fields, n_full) rows."""
@@ -307,6 +306,11 @@ class FieldRows(NamedTuple):
         at the joints 30 and 90 m differ by about 1e-38 of their largest
         entry."""
         return self.block(i) @ Z[self.first[i] + self.window]
+
+
+def _zero_padded(vals: np.ndarray) -> np.ndarray:
+    """``vals`` of FieldRows with the zero that ``place`` -1 selects."""
+    return np.concatenate([vals, np.zeros(vals.shape[:-1] + (1,))], axis=-1)
 
 
 def _layout(offsets, value_index):
@@ -344,8 +348,8 @@ class _NurbsShape:
         ctrl = np.arange(self.curve.degree + 1)
         window, place = _layout([N_FIELDS * ctrl + f for f in fields],
                                 [ctrl] * len(fields))
-        return FieldRows(N_FIELDS * bspan.indices[:, 0], vals, window, place,
-                         self.n_full)
+        return FieldRows(N_FIELDS * bspan.indices[:, 0], _zero_padded(vals),
+                         window, place, self.n_full)
 
 
 class _FemShape:
@@ -379,7 +383,8 @@ class _FemShape:
             offsets.append(dofs[0])
             vals.append(np.stack(v, axis=1))
         window, place = _layout(offsets, value_index)
-        return FieldRows(N_FIELDS * e, np.concatenate(vals, axis=-1), window,
+        return FieldRows(N_FIELDS * e,
+                         _zero_padded(np.concatenate(vals, axis=-1)), window,
                          place, self.n_full)
 
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import F_TT, F_UB, F_UN, BridgeSystem, FieldRows
-from .vehicle import L_TR, VehicleSystem
 
-__all__ = ["ConstraintSnapshot", "constraint_rates", "residual"]
+__all__ = ["ConstraintSnapshot", "constraint_rates"]
 
 COUPLED_FIELDS = (F_UN, F_UB, F_TT)
 
@@ -65,14 +64,3 @@ def constraint_rates(bridge: BridgeSystem, s, v: float) -> ConstraintSnapshot:
     rows.vals[:, 2] *= v * v
     return ConstraintSnapshot(s, rows)
 
-
-def residual(vehicle: VehicleSystem, bridge: BridgeSystem, Lb: np.ndarray,
-             ut, vt, at, ub, vb, ab, lam):
-    """Block residuals of the coupled equations (train, bridge, constraint)
-    with reduced coupling rows ``Lb``."""
-    r_t = (vehicle.M @ at + vehicle.C @ vt + vehicle.K @ ut + L_TR @ lam
-           - vehicle.P)
-    r_b = (bridge.M @ ab + bridge.C @ vb + bridge.K @ ub + Lb.T @ lam
-           - bridge.P)
-    r_c = L_TR.T @ ut + Lb @ ub
-    return r_t, r_b, r_c

@@ -36,9 +36,18 @@ the ``Stepper``, whose factor is scipy's getrf, and from there each step's
 multithreaded work goes through scipy alone: the bridge products of r_b by
 dgemv with the transposed kernel, which numpy's ``A @ x`` calls for a
 C-contiguous A, and the two bridge solves by LAPACK getrs, which
-``lu_solve`` calls. The bits are unchanged. An undamped bridge's C is a
-read-only zero view (``beams.assemble_bridge``); a stepper whose C is all
-zero leaves the C term out of A_b and r_b.
+``lu_solve`` calls; the reduced (a_t, lam) system by gesv, which
+``np.linalg.solve`` calls, so no numpy solve runs in the loop. The bits are
+unchanged (for gesv, checked on the step's own systems in
+tests/test_batched.py: the two OpenBLAS builds round some other 7 x 7
+systems differently).
+
+A step leaves out each term whose weight is exactly zero, which keeps the
+bits (x - (+-0) and 1.0 x + (+-0) are x for nonzero x): the C term of an
+undamped bridge, whose C is a read-only zero view
+(``beams.assemble_bridge``); the M products of r_t and r_b when alpha_m is 0
+(Newmark, and rho_inf = 0.5); the averages at t_f when alpha_f is 0
+(Newmark).
 """
 from __future__ import annotations
 
@@ -218,10 +227,6 @@ class TimeHistory:
         return len(self.t) - 1
 
 
-def _weighted(alpha, new, old):
-    return (1.0 - alpha) * new + alpha * old
-
-
 def _instants(params: SchemeParams, t):
     """t_{n+1} and the collocation instant t_f of the step(s) starting at t
     (a scalar or an array)."""
@@ -278,6 +283,10 @@ class Stepper:
         self._bdt2 = beta * dt * dt
         self._gdt = gamma * dt
         self._C_t = self._bdt2 * L_TR.T
+        am, af = params.alpha_m, params.alpha_f
+        self._am, self._af = am, af
+        self._keep_m, self._keep_f = 1.0 - am, 1.0 - af
+        self._gesv, = get_lapack_funcs(("gesv",), dtype=np.float64)
         self._bridge_lu = None
         if model.bridge is not None:
             br = model.bridge
@@ -300,6 +309,22 @@ class Stepper:
         bits are the same; see the module docstring for why."""
         return self._gemv(1.0, A.T, x, trans=1)
 
+    def _at_f(self, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        """(1 - a_f) new + a_f old, the value at t_f; when a_f is 0,
+        ``new`` itself, which has the same bits."""
+        if self._af:
+            return self._keep_f * new + self._af * old
+        return new
+
+    def _solve(self, A: np.ndarray, b: np.ndarray, t1: float) -> np.ndarray:
+        """A^-1 b for a small system, by LAPACK gesv as ``np.linalg.solve``
+        calls it, overwriting A and b; a singular A raises RuntimeError
+        naming t1."""
+        x, info = self._gesv(A, b, overwrite_a=True, overwrite_b=True)[2:]
+        if info > 0:
+            raise RuntimeError("singular saddle system at t=%.6g" % t1)
+        return x
+
     def _coefficients(self, t: float) -> StepCoefficients:
         """Coefficients of the step starting at t, evaluated as one batch of
         its distinct instants (one under Newmark, else two)."""
@@ -320,8 +345,7 @@ class Stepper:
         """Advance ``state`` by one step, with the step's tabulated
         coefficients or, when none are given, coefficients evaluated here."""
         m = self.model
-        p = self.params
-        dt, am, af = p.dt, p.alpha_m, p.alpha_f
+        dt, am = self.params.dt, self._am
         bdt2, gdt = self._bdt2, self._gdt
         nt = m.n_t
         t1 = state.t + dt
@@ -335,22 +359,26 @@ class Stepper:
         ub_pred = state.ub + dt * state.vb + self._disp_pred * state.ab
         vb_pred = state.vb + self._vel_pred * state.ab
 
+        # A term with a zero scheme weight is left out: x - (+-0) is x.
         if nt:
-            A_t = ((1.0 - am) * veh.M
-                   + (1.0 - af) * (gdt * veh.C + bdt2 * veh.K))
-            r_t = (veh.P - veh.M @ (am * state.at)
-                   - veh.C @ _weighted(af, vt_pred, state.vt)
-                   - veh.K @ _weighted(af, ut_pred, state.ut))
+            A_t = (self._keep_m * veh.M
+                   + self._keep_f * (gdt * veh.C + bdt2 * veh.K))
+            r_t = veh.P
+            if am:
+                r_t = r_t - veh.M @ (am * state.at)
+            r_t = (r_t - veh.C @ self._at_f(vt_pred, state.vt)
+                   - veh.K @ self._at_f(ut_pred, state.ut))
         if m.n_b:
             br = m.bridge
-            P_b = br.P
+            r_b = br.P
             if conf is not None and m.axle_load is not None:
-                P_b = P_b + conf.L.T @ m.axle_load
+                r_b = r_b + conf.L.T @ m.axle_load
             mv = self._bridge_product
-            r_b = P_b - mv(br.M, am * state.ab)
+            if am:
+                r_b = r_b - mv(br.M, am * state.ab)
             if self._damped:
-                r_b -= mv(br.C, _weighted(af, vb_pred, state.vb))
-            r_b -= mv(br.K, _weighted(af, ub_pred, state.ub))
+                r_b = r_b - mv(br.C, self._at_f(vb_pred, state.vb))
+            r_b = r_b - mv(br.K, self._at_f(ub_pred, state.ub))
 
         if con1 is not None:
             L1, Ld1, Ldd1, r1 = con1
@@ -366,36 +394,32 @@ class Stepper:
         at1 = np.zeros(0)
         ab1 = np.zeros(0)
         lam1 = np.zeros(3)
-        try:
-            if con1 is None:
-                if nt:
-                    at1 = np.linalg.solve(A_t, r_t)
-                if m.n_b:
-                    ab1 = self._bridge_solve(r_b)
-            else:
-                # Eliminate the bridge, leaving a reduced system in
-                # (a_t, lam).
-                if m.n_b:
-                    y0 = self._bridge_solve(r_b)
-                    Y = self._bridge_solve(conf.L.T)
-                A = np.zeros((nt + 3, nt + 3))
-                b = np.zeros(nt + 3)
-                if nt:
-                    A[:nt, :nt] = A_t
-                    A[:nt, nt:] = L_TR
-                    b[:nt] = r_t
-                A[nt:, :nt] = C_t
-                b[nt:] = r_c
-                if m.n_b:
-                    A[nt:, nt:] -= C_b @ Y
-                    b[nt:] -= C_b @ y0
-                x = np.linalg.solve(A, b)
-                at1 = x[:nt]
-                lam1 = x[nt:]
-                if m.n_b:
-                    ab1 = y0 - Y @ lam1
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("singular saddle system at t=%.6g" % t1) from exc
+        if con1 is None:
+            if nt:
+                at1 = self._solve(A_t, r_t, t1)
+            if m.n_b:
+                ab1 = self._bridge_solve(r_b)
+        else:
+            # Eliminate the bridge, leaving a reduced system in (a_t, lam).
+            if m.n_b:
+                y0 = self._bridge_solve(r_b)
+                Y = self._bridge_solve(conf.L.T)
+            A = np.zeros((nt + 3, nt + 3), order="F")
+            b = np.zeros(nt + 3)
+            if nt:
+                A[:nt, :nt] = A_t
+                A[:nt, nt:] = L_TR
+                b[:nt] = r_t
+            A[nt:, :nt] = C_t
+            b[nt:] = r_c
+            if m.n_b:
+                A[nt:, nt:] -= C_b @ Y
+                b[nt:] -= C_b @ y0
+            x = self._solve(A, b, t1)
+            at1 = x[:nt]
+            lam1 = x[nt:]
+            if m.n_b:
+                ab1 = y0 - Y @ lam1
 
         # A block the model lacks keeps the old state's arrays, which no
         # step writes.

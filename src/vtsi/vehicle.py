@@ -8,7 +8,7 @@ closed-form vehicle matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +94,8 @@ class VehicleSystem:
     L_tr: np.ndarray
 
     def __getitem__(self, i) -> "VehicleSystem":
-        return VehicleSystem(*(getattr(self, f.name)[i] for f in fields(self)))
+        return VehicleSystem(self.M[i], self.C[i], self.K[i], self.P[i],
+                             self.L_tr[i])
 
 
 def mass_matrix(params: VehicleParams) -> np.ndarray:

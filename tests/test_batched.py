@@ -6,8 +6,9 @@ points and bases, the arclength map, frame kinematics and NURBS coupling
 rows. They live here only, as the oracle. Equality is exact
 (``np.array_equal``): a last-bit change in the frame or coupling rows moves
 the crossing time history by far more than round-off. The same holds for
-the time step, checked against a copy that forms the bridge products with
-numpy's ``@`` and solves with ``lu_solve``.
+the time step, checked against a copy that forms every product with
+numpy's ``@``, including those whose scheme weight is zero, and solves with
+``lu_solve`` and ``np.linalg.solve``.
 """
 import dataclasses
 from math import comb, cos, sin
@@ -499,8 +500,8 @@ class TestTabulatedRun:
 
 
 # --------------------------------------------------------------------------
-# Step oracle: the step with numpy's `@` for the bridge products and
-# scipy's `lu_solve` for the bridge solves.
+# Step oracle: the step with numpy's `@` for every product, scipy's
+# `lu_solve` for the bridge solves and `np.linalg.solve` for the 7 x 7.
 # --------------------------------------------------------------------------
 
 class RefStepper:
@@ -576,26 +577,30 @@ class RefStepper:
 STATE_FIELDS = ("t", "ut", "vt", "at", "ub", "vb", "ab", "lam")
 
 
+@pytest.fixture(scope="module")
+def bridges(default_path):
+    """Bridges on the default path, built once per bridge config."""
+    built = {}
+
+    def bridge(scenario):
+        key = dataclasses.astuple(scenario.bridge)
+        if key not in built:
+            built[key] = build_scenario_bridge(scenario, default_path)
+        return built[key]
+    return bridge
+
+
 class TestStepOracle:
-    @pytest.fixture(scope="class")
-    def bridges(self, default_path):
-        """Bridges on the default path, built once per bridge config."""
-        built = {}
-
-        def bridge(scenario):
-            key = dataclasses.astuple(scenario.bridge)
-            if key not in built:
-                built[key] = build_scenario_bridge(scenario, default_path)
-            return built[key]
-        return bridge
-
     @pytest.mark.parametrize("elements", [8, 32])
     @pytest.mark.parametrize("case", [
         {"run": {"strategy": "A"}},
         {"run": {"strategy": "B"}, "flags": {"add_static_axle_load": True}},
         {"run": {"strategy": "C"}},
         {"run": {"strategy": "A"}, "bridge": {"rayleigh": [0.5, 1e-4]}},
-    ], ids=["A", "B-axle-load", "C", "A-rayleigh"])
+        # alpha_m is exactly 0 and alpha_f 1/3: the step leaves out the
+        # alpha_m terms and keeps the alpha_f averages.
+        {"run": {"rho_inf": 0.5}},
+    ], ids=["A", "B-axle-load", "C", "A-rayleigh", "A-rho-0.5"])
     def test_step_equals_numpy_oracle(self, case, elements, default_path,
                                       bridges):
         scenario = parse_scenario(dict(case, bridge=dict(
@@ -633,16 +638,21 @@ class TestStepOracle:
         for name in ("t", "ut", "vt", "at", "lam"):
             assert np.array_equal(getattr(hist, name), getattr(want, name))
 
-    @pytest.mark.parametrize("rayleigh,products", [((0.0, 0.0), 2),
-                                                   ((0.5, 1e-4), 3)],
-                             ids=["undamped", "rayleigh"])
-    def test_bridge_products_per_step(self, rayleigh, products, default_path,
-                                      bridges):
-        # An undamped bridge's C is zero, so its product is left out.
-        scenario = parse_scenario({"bridge": {"rayleigh": list(rayleigh)}})
+    @pytest.mark.parametrize("strategy,rayleigh,products", [
+        ("A", (0.0, 0.0), 2),
+        ("A", (0.5, 1e-4), 3),
+        ("C", (0.0, 0.0), 1),
+        ("C", (0.5, 1e-4), 2),
+    ], ids=["undamped", "rayleigh", "newmark-undamped", "newmark-rayleigh"])
+    def test_bridge_products_per_step(self, strategy, rayleigh, products,
+                                      default_path, bridges):
+        # An undamped bridge's C is zero, so its product is left out; so is
+        # the M product under Newmark, whose alpha_m is zero.
+        scenario = parse_scenario({"bridge": {"rayleigh": list(rayleigh)},
+                                   "run": {"strategy": strategy}})
         model = build_scenario_model(scenario, default_path,
                                      bridges(scenario))
-        stepper = Stepper(model, scenario_scheme(scenario), "A")
+        stepper = Stepper(model, scenario_scheme(scenario), strategy)
         calls = []
         product = stepper._bridge_product
 
@@ -662,17 +672,18 @@ class TestStepOracle:
 # --------------------------------------------------------------------------
 
 class TestProbeRows:
-    @pytest.fixture(scope="class")
-    def fem_bridge(self, default_path):
-        return build_scenario_bridge(
-            parse_scenario({"bridge": {"kind": "fem"}}), default_path)
-
-    @pytest.mark.parametrize("kind", ["nurbs", "fem"])
+    # At 64 elements per span the full-row product L @ Z is left out: there
+    # OpenBLAS splits its sum at column 384, and the rows at two span
+    # joints differ from the window's product in their last bits.
+    @pytest.mark.parametrize("kind,elements", [
+        ("nurbs", 8), ("fem", 8), ("nurbs", 32), ("fem", 32)],
+        ids=["nurbs", "fem", "nurbs-32", "fem-32"])
     @SETTINGS
     @given(data=st.data())
-    def test_probe_rows_are_full_rows_times_z(self, kind, data, default_path,
-                                              default_bridge, fem_bridge):
-        br = default_bridge if kind == "nurbs" else fem_bridge
+    def test_probe_rows_are_full_rows_times_z(self, kind, elements, data,
+                                              default_path, bridges):
+        br = bridges(parse_scenario({"bridge": {
+            "kind": kind, "elements_per_span": elements}}))
         shape = br.shape
         knots = (shape.amap.s_of_xi(shape.curve.knots.breakpoints)
                  if kind == "nurbs" else shape.s_nodes)
@@ -694,7 +705,8 @@ class TestProbeRows:
 class TestRunSchedule:
     def test_numpy_solves_precede_the_factor(self, default_path, monkeypatch):
         # numpy's n_red-sized work (the static solve) ends before scipy
-        # factors the step block, so the steps run with one pool awake.
+        # factors the step block, and no numpy solve runs after it, so the
+        # steps run with one pool awake.
         scenario = parse_scenario({"bridge": {"elements_per_span": 16},
                                    "run": {"horizon": 0.02}})
         model = build_scenario_model(scenario, default_path)
@@ -716,4 +728,5 @@ class TestRunSchedule:
         assert events.count(("factor", n_red)) == 1
         at = events.index(("factor", n_red))
         assert ("solve", n_red) in events[:at]
-        assert all(size < n_red for _, size in events[at + 1:])
+        # The steps' small systems go through scipy's gesv too.
+        assert events[at + 1:] == []

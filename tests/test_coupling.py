@@ -4,12 +4,23 @@ import numpy as np
 import pytest
 
 from vtsi import parse_scenario
-from vtsi.coupling import constraint_rates, residual
+from vtsi.coupling import constraint_rates
 from vtsi.integrators import (Stepper, coupled_model, initial_state,
                               scheme_params)
 from vtsi.simulate import build_scenario_bridge
-from vtsi.vehicle import VehicleParams, vehicle_matrices
+from vtsi.vehicle import L_TR, VehicleParams, vehicle_matrices
 from vtsi.pathgeom import frame_kinematics
+
+
+def residual(vehicle, bridge, Lb, ut, vt, at, ub, vb, ab, lam):
+    """Block residuals of the coupled equations (train, bridge, constraint)
+    with reduced coupling rows ``Lb``."""
+    r_t = (vehicle.M @ at + vehicle.C @ vt + vehicle.K @ ut + L_TR @ lam
+           - vehicle.P)
+    r_b = (bridge.M @ ab + bridge.C @ vb + bridge.K @ ub + Lb.T @ lam
+           - bridge.P)
+    r_c = L_TR.T @ ut + Lb @ ub
+    return r_t, r_b, r_c
 
 
 @pytest.fixture(scope="module")
