@@ -47,9 +47,10 @@ class ConstraintSnapshot:
     def L_ddot(self) -> np.ndarray:
         return self._full(2)
 
-    def reduced(self, Z: np.ndarray, i: int = 0):
-        """L Z, L_dot Z and L_ddot Z at position ``i``."""
-        return tuple(self.rows.reduced(i, Z))
+    def reduced(self, Z: np.ndarray, i=0):
+        """L Z, L_dot Z and L_ddot Z at position ``i``, or stacked at each
+        position of an index array ``i``."""
+        return tuple(np.moveaxis(self.rows.reduced(i, Z), -3, 0))
 
 
 def constraint_rates(bridge: BridgeSystem, s, v: float) -> ConstraintSnapshot:

@@ -15,10 +15,27 @@ source: ``CoupledModel.reduced_at``. The model's callables take an array of
 instants and return one entry per instant. A run knows every instant before
 its first step (t_{n+1} = t_n + dt, accumulated, and the collocation
 instant t_f between t_n and t_{n+1}), so ``run_model`` calls each callable
-once on all of them and the stepper reads the entries by step index; a
-direct ``Stepper.step`` evaluates its own one or two instants. The t_{n+1}
-constraint travels with the new state as ``CoupledState.con``, so
-projection, displacement repair, and the residual record read it there.
+once on all of them; a direct ``Stepper.step`` evaluates its own one or two
+instants. The t_{n+1} constraint travels with the new state as
+``CoupledState.con``, so projection, displacement repair, and the residual
+record read it there.
+
+What a step uses that depends only on its index is tabulated ahead of it,
+a block of steps at a time (``Stepper.tabulate``): the coupling rows of
+each distinct instant, reduced through Z by stacked matmuls; the
+constraint rows C_b; the Schur columns Y = A_b^-1 Lf^T; C_b Y, in one
+stacked matmul; the reduced (a_t, lam) matrix; and, with an axle load, the
+bridge load. The step itself forms the predictors and the residuals, makes
+one one-column bridge solve, and solves a copy of the tabulated matrix. A
+direct ``Stepper.step`` tabulates a block of one step, so every step runs
+the same code. A block is sized by bytes, at most STEP_TABLE_BYTES (at
+n_red 234, 15 steps under Newmark and 9 under generalized-alpha; from 954
+on, 3), since a run's peak memory is reached while it steps. It holds a
+multiple of three steps: the Schur columns of three steps, 9 columns, are
+one getrs call. Wider calls cost less per column, but from n_red 474 on
+OpenBLAS's trsm then rounds differently (above 9 columns with 1 thread,
+above 21 with 2). Up to 9, every operator has the bits of a block of one
+step, so a run's output does not depend on its blocks.
 
 The same machinery also integrates unconstrained systems (no vehicle or no
 constraint) and the rigid-profile run, whose constraint has no bridge
@@ -35,9 +52,10 @@ and the probe rows, reduced over their few nonzero columns. Then it builds
 the ``Stepper``, whose factor is scipy's getrf, and from there each step's
 multithreaded work goes through scipy alone: the bridge products of r_b by
 dgemv with the transposed kernel, which numpy's ``A @ x`` calls for a
-C-contiguous A, and the two bridge solves by LAPACK getrs, which
-``lu_solve`` calls; the reduced (a_t, lam) system by gesv, which
-``np.linalg.solve`` calls, so no numpy solve runs in the loop. The bits are
+C-contiguous A, and the bridge solves by LAPACK getrs, which ``lu_solve``
+calls; the reduced (a_t, lam) system by gesv, which ``np.linalg.solve``
+calls, so no numpy solve runs in the loop. The tables' stacked numpy
+products are 3-row items, each below OpenBLAS's threading size. The bits are
 unchanged (for gesv, checked on the step's own systems in
 tests/test_batched.py: the two OpenBLAS builds round some other 7 x 7
 systems differently).
@@ -51,7 +69,7 @@ undamped bridge, whose C is a read-only zero view
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -120,10 +138,19 @@ NO_GAP = np.zeros((3, 3))
 # large enough to amortise the per-call overhead, small enough that the
 # temporary arrays of a batch stay well below the tables kept.
 TABLE_BLOCK = 512
+# Bytes of step operators tabulated at a time (``Stepper.block_steps``):
+# they add to a run's peak memory, 0.5 MiB to criterion 6's 67 MB.
+STEP_TABLE_BYTES = 1 << 19
+# Widest solve of Schur columns: three steps' three columns. Up to this
+# width OpenBLAS's trsm gives each column the bits of a 3-column solve at
+# every bridge size with 1 or 2 threads; wider, from n_red 474 on, it takes
+# another path (21 columns still match with 2 threads, not with 1).
+SCHUR_COLUMNS = 9
 
 
 class Constraint(NamedTuple):
-    """Wheel constraint L_TR^T u_t + L u_b + r = 0 at one instant.
+    """Wheel constraint L_TR^T u_t + L u_b + r = 0 at one instant, or at
+    each of a stack of instants (a leading axis on every field).
 
     ``L``, ``L_dot``, ``L_ddot`` are 3 x n_red coupling rows and their time
     rates; ``r`` stacks the prescribed gap and its two rates (3 x 3, one row
@@ -157,10 +184,13 @@ class CoupledState:
 class CoupledModel:
     """Everything the stepper needs, as uncached callables of time.
 
-    Both callables take a 1-D array of instants and return a sequence with
+    Both callables take a 1-D array of instants and return a table with
     one entry per instant: ``vehicle_at(t)`` the vehicle matrices
-    (``VehicleSystem``), ``reduced_at(t)`` the wheel ``Constraint``.
-    ``run_model`` tabulates them once per run. ``bridge`` needs M, C, K, P
+    (``VehicleSystem``), ``reduced_at(t)`` the wheel ``Constraint``. A
+    direct ``Stepper.step`` reads single entries, ``table[i]``;
+    ``run_model`` tabulates both once per run and reads a block of steps'
+    entries at once, ``table[idx]`` for an index array, as one entry of
+    stacked arrays. ``bridge`` needs M, C, K, P
     (and Z for coupling). ``axle_load`` (3-vector), when set, adds
     L(t_f)^T axle_load to the bridge load. Any block may be absent: no
     vehicle (pure structural run), no bridge (rigid-profile run), or no
@@ -186,25 +216,44 @@ class CoupledModel:
 
 
 class StepCoefficients(NamedTuple):
-    """Time-varying coefficients of one step: the constraint at t_{n+1} and
-    at t_f, and the vehicle matrices at t_f; None where the model has no
-    such block."""
+    """Time-varying coefficients of one step, or stacked of a block of
+    steps: the constraint at t_{n+1} and at t_f, and the vehicle matrices
+    at t_f; None where the model has no such block."""
 
     con1: Constraint | None
     conf: Constraint | None
     veh: VehicleSystem | None
 
 
+class StepOperators(NamedTuple):
+    """What one step uses that does not depend on the state, from
+    ``Stepper.tabulate``; None where the model lacks the block."""
+
+    con1: Constraint | None     # the constraint at t_{n+1}
+    veh: tuple | None           # the vehicle's M, C, K and P at t_f
+    A: np.ndarray | None        # the reduced (a_t, lam) matrix, or A_t
+    P_b: np.ndarray | None      # the bridge load, with L(t_f)^T axle_load
+    C_b: np.ndarray | None      # the constraint rows' bridge columns
+    Y: np.ndarray | None        # the Schur columns A_b^-1 L(t_f)^T
+
+
 @dataclass
 class ConstraintTable:
-    """Wheel constraints on a bridge at an array of instants: the compact
-    coupling rows of all of them, each reduced through Z when looked up."""
+    """Wheel constraints at an array of instants: the prescribed gap ``r``
+    of each, (m, 3, 3), and on a bridge the compact coupling rows, reduced
+    through Z when looked up (no rows: a rigid profile's constraint)."""
 
-    snap: ConstraintSnapshot
-    Z: np.ndarray
+    r: np.ndarray
+    snap: ConstraintSnapshot | None = None
+    Z: np.ndarray | None = None
 
-    def __getitem__(self, i: int) -> Constraint:
-        return Constraint(*self.snap.reduced(self.Z, i), NO_GAP)
+    def __getitem__(self, i) -> Constraint:
+        """Entry i, or the entries of an index array i stacked."""
+        r = self.r[i]
+        if self.snap is None:
+            L = np.zeros(r.shape[:-1] + (0,))
+            return Constraint(L, L, L, r)
+        return Constraint(*self.snap.reduced(self.Z, i), r)
 
 
 @dataclass
@@ -263,6 +312,11 @@ class Stepper:
     at the collocation instant t_f, and the strategy sets the constraint
     rows (C_t, C_b, r_c). The bridge is eliminated, leaving a reduced
     system in (a_t, lam). Strategy C runs plain Newmark only.
+
+    What depends only on the step index (the constraint rows, the Schur
+    columns A_b^-1 Lf^T, the reduced matrix) is tabulated a block of steps
+    at a time, by ``tabulate``; ``step`` does the work that depends on the
+    state.
     """
 
     def __init__(self, model: CoupledModel, params: SchemeParams,
@@ -318,9 +372,9 @@ class Stepper:
 
     def _solve(self, A: np.ndarray, b: np.ndarray, t1: float) -> np.ndarray:
         """A^-1 b for a small system, by LAPACK gesv as ``np.linalg.solve``
-        calls it, overwriting A and b; a singular A raises RuntimeError
-        naming t1."""
-        x, info = self._gesv(A, b, overwrite_a=True, overwrite_b=True)[2:]
+        calls it, on a copy of A and overwriting b; a singular A raises
+        RuntimeError naming t1."""
+        x, info = self._gesv(A, b, overwrite_b=True)[2:]
         if info > 0:
             raise RuntimeError("singular saddle system at t=%.6g" % t1)
         return x
@@ -340,18 +394,88 @@ class Stepper:
             veh = m.vehicle_at(np.array([tf]))[0]
         return StepCoefficients(con1, conf, veh)
 
+    def block_steps(self) -> int:
+        """Steps per block of ``tabulate``: a multiple of the three steps
+        of one Schur solve, whose operators take at most STEP_TABLE_BYTES
+        (or one solve's steps, if those take more)."""
+        m = self.model
+        instants = 1 if self._af == 0.0 else 2
+        # Per bridge DOF: the three orders' reduced rows of each distinct
+        # instant (9), C_b and Y (6); then the reduced matrix, and about
+        # 2 KB of views.
+        per_step = (8 * (m.n_b * (9 * instants + 6) + (m.n_t + 3) ** 2)
+                    + 2048)
+        per_solve = SCHUR_COLUMNS // 3
+        return per_solve * max(1, STEP_TABLE_BYTES // (per_step * per_solve))
+
+    def _schur_columns(self, Lf: np.ndarray) -> np.ndarray:
+        """A_b^-1 L^T for each L of a stack of 3 x n_red rows, stacked as
+        (n, n_red, 3) Fortran-ordered columns, as getrs returns them; each
+        solve takes at most SCHUR_COLUMNS columns."""
+        Yt = np.empty(Lf.shape)
+        nb, per_solve = Lf.shape[-1], SCHUR_COLUMNS // 3
+        for j in range(0, len(Lf), per_solve):
+            rhs = Lf[j:j + per_solve].reshape(-1, nb).T
+            Yt[j:j + per_solve] = self._bridge_solve(rhs).T.reshape(-1, 3, nb)
+        return Yt.transpose(0, 2, 1)
+
+    def tabulate(self, coeffs: StepCoefficients, n: int) -> list:
+        """The ``StepOperators`` of a block of n steps, from the block's
+        coefficients stacked along a leading axis.
+
+        Each operator is formed by the operations a step would apply to its
+        own coefficients, in the same order, and the stacked products call
+        the same BLAS kernel on each step's operands, so no operator's bits
+        depend on the block (tests/test_batched.py)."""
+        m = self.model
+        nt = m.n_t
+        bdt2, gdt = self._bdt2, self._gdt
+        con1, conf, veh = coeffs
+        cons = vehs = A = P_b = C_b = Y = [None] * n
+        if m.n_b:
+            P_b = [m.bridge.P] * n
+            if conf is not None and m.axle_load is not None:
+                P_b = m.bridge.P + np.swapaxes(conf.L, 1, 2) @ m.axle_load
+        if nt:
+            vehs = list(zip(veh.M, veh.C, veh.K, veh.P))
+            A = A_t = (self._keep_m * veh.M
+                       + self._keep_f * (gdt * veh.C + bdt2 * veh.K))
+        if con1 is not None:
+            L1, Ld1, Ldd1, r1 = con1
+            cons = [Constraint(*c) for c in zip(L1, Ld1, Ldd1, r1)]
+            if self.strategy == "B":
+                C_t = L_TR.T
+                C_b = bdt2 * Ldd1 + gdt * 2.0 * Ld1 + L1
+            else:
+                C_t = self._C_t
+                C_b = bdt2 * L1
+            A = np.zeros((n, nt + 3, nt + 3))
+            if nt:
+                A[:, :nt, :nt] = A_t
+                A[:, :nt, nt:] = L_TR
+            A[:, nt:, :nt] = C_t
+            if m.n_b:
+                Y = self._schur_columns(conf.L)
+                A[:, nt:, nt:] -= C_b @ Y
+        return [StepOperators(*ops)
+                for ops in zip(cons, vehs, A, P_b, C_b, Y)]
+
     def step(self, state: CoupledState,
-             coeffs: StepCoefficients | None = None) -> CoupledState:
+             coeffs: StepOperators | StepCoefficients | None = None
+             ) -> CoupledState:
         """Advance ``state`` by one step, with the step's tabulated
-        coefficients or, when none are given, coefficients evaluated here."""
+        operators; given the step's coefficients, or none (they are then
+        evaluated here), it tabulates them as a block of one step."""
+        if not isinstance(coeffs, StepOperators):
+            if coeffs is None:
+                coeffs = self._coefficients(state.t)
+            coeffs = self.tabulate(_one_step(coeffs), 1)[0]
+        con1, veh, A, P_b, C_b, Y = coeffs
         m = self.model
         dt, am = self.params.dt, self._am
         bdt2, gdt = self._bdt2, self._gdt
         nt = m.n_t
         t1 = state.t + dt
-        if coeffs is None:
-            coeffs = self._coefficients(state.t)
-        con1, conf, veh = coeffs
 
         # Newmark predictors.
         ut_pred = state.ut + dt * state.vt + self._disp_pred * state.at
@@ -361,18 +485,14 @@ class Stepper:
 
         # A term with a zero scheme weight is left out: x - (+-0) is x.
         if nt:
-            A_t = (self._keep_m * veh.M
-                   + self._keep_f * (gdt * veh.C + bdt2 * veh.K))
-            r_t = veh.P
+            M_t, C_t, K_t, r_t = veh
             if am:
-                r_t = r_t - veh.M @ (am * state.at)
-            r_t = (r_t - veh.C @ self._at_f(vt_pred, state.vt)
-                   - veh.K @ self._at_f(ut_pred, state.ut))
+                r_t = r_t - M_t @ (am * state.at)
+            r_t = (r_t - C_t @ self._at_f(vt_pred, state.vt)
+                   - K_t @ self._at_f(ut_pred, state.ut))
         if m.n_b:
             br = m.bridge
-            r_b = br.P
-            if conf is not None and m.axle_load is not None:
-                r_b = r_b + conf.L.T @ m.axle_load
+            r_b = P_b
             mv = self._bridge_product
             if am:
                 r_b = r_b - mv(br.M, am * state.ab)
@@ -380,40 +500,28 @@ class Stepper:
                 r_b = r_b - mv(br.C, self._at_f(vb_pred, state.vb))
             r_b = r_b - mv(br.K, self._at_f(ub_pred, state.ub))
 
-        if con1 is not None:
-            L1, Ld1, Ldd1, r1 = con1
-            if self.strategy == "B":
-                C_t = L_TR.T
-                C_b = bdt2 * Ldd1 + gdt * 2.0 * Ld1 + L1
-                r_c = -(Ldd1 @ ub_pred + 2.0 * Ld1 @ vb_pred) - r1[2]
-            else:
-                C_t = self._C_t
-                C_b = bdt2 * L1
-                r_c = -(L_TR.T @ ut_pred + L1 @ ub_pred) - r1[0]
-
         at1 = np.zeros(0)
         ab1 = np.zeros(0)
         lam1 = np.zeros(3)
         if con1 is None:
             if nt:
-                at1 = self._solve(A_t, r_t, t1)
+                at1 = self._solve(A, r_t, t1)
             if m.n_b:
                 ab1 = self._bridge_solve(r_b)
         else:
-            # Eliminate the bridge, leaving a reduced system in (a_t, lam).
-            if m.n_b:
-                y0 = self._bridge_solve(r_b)
-                Y = self._bridge_solve(conf.L.T)
-            A = np.zeros((nt + 3, nt + 3), order="F")
+            L1, Ld1, Ldd1, r1 = con1
+            if self.strategy == "B":
+                r_c = -(Ldd1 @ ub_pred + 2.0 * Ld1 @ vb_pred) - r1[2]
+            else:
+                r_c = -(L_TR.T @ ut_pred + L1 @ ub_pred) - r1[0]
+            # The bridge is eliminated: A holds the reduced system in
+            # (a_t, lam), and b gets the bridge solve's share.
             b = np.zeros(nt + 3)
             if nt:
-                A[:nt, :nt] = A_t
-                A[:nt, nt:] = L_TR
                 b[:nt] = r_t
-            A[nt:, :nt] = C_t
             b[nt:] = r_c
             if m.n_b:
-                A[nt:, nt:] -= C_b @ Y
+                y0 = self._bridge_solve(r_b)
                 b[nt:] -= C_b @ y0
             x = self._solve(A, b, t1)
             at1 = x[:nt]
@@ -439,6 +547,21 @@ class Stepper:
             project_constraints(new, "velocity")
             project_constraints(new, "acceleration")
         return new
+
+
+def _one_step(coeffs: StepCoefficients) -> StepCoefficients:
+    """One step's coefficients as a block of one step."""
+    con1, conf, veh = coeffs
+
+    def stacked(con):
+        return None if con is None else Constraint(*(a[None] for a in con))
+
+    if veh is not None:
+        veh = VehicleSystem(*(np.asarray(a)[None] for a in (
+            veh.M, veh.C, veh.K, veh.P)), L_TR[None])
+    con1_block = stacked(con1)
+    return StepCoefficients(
+        con1_block, con1_block if conf is con1 else stacked(conf), veh)
 
 
 def project_constraints(state: CoupledState, level: str) -> CoupledState:
@@ -469,8 +592,7 @@ def constraint_residuals(state: CoupledState):
     c1 = L_TR.T @ state.vt + Ld @ state.ub + L @ state.vb + r[1]
     c2 = (L_TR.T @ state.at + Ldd @ state.ub + 2.0 * Ld @ state.vb
           + L @ state.ab + r[2])
-    return (float(np.max(np.abs(c0))), float(np.max(np.abs(c1))),
-            float(np.max(np.abs(c2))))
+    return tuple(np.abs(np.array((c0, c1, c2))).max(axis=1).tolist())
 
 
 def initial_state(model: CoupledModel, t0_correction: bool = True,
@@ -508,26 +630,31 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
 
     Every time-varying coefficient is tabulated before the first step, in
     one call of each model callable on all the run's distinct instants.
-    Raises RuntimeError, naming the step and t, at the first step whose
-    state is not finite."""
+    The steps' operators are tabulated from them a block of steps at a
+    time (``Stepper.tabulate``). Raises RuntimeError, naming the step and
+    t, at the first step whose state is not finite."""
     # t_n accumulates dt exactly as the steps do; instants of step i
     # (1-based) are t[i] and tf[i - 1].
     t = np.cumsum(np.concatenate([[0.0], np.full(n_steps, params.dt)]))
     t1, tf = _instants(params, t[:-1])
     con_t, con_at = np.unique(np.concatenate([t[:1], t1, tf]),
                               return_inverse=True)
-    cons = model.reduced_at(con_t) if model.n_lam else [None] * len(con_t)
-    vehs = model.vehicle_at(tf) if model.n_t else [None] * n_steps
+    cons = model.reduced_at(con_t) if model.n_lam else None
+    vehs = model.vehicle_at(tf) if model.n_t else None
 
     def coefficients(i):
-        # Under Newmark t_f is t_{n+1}: one entry, looked up once.
+        """Coefficients of the steps of index array i, stacked."""
         j, jf = con_at[i], con_at[n_steps + i]
-        con1 = cons[j]
-        return StepCoefficients(con1, con1 if jf == j else cons[jf],
-                                vehs[i - 1])
+        con1 = conf = None
+        if cons is not None:
+            # Under Newmark t_f is t_{n+1}: one entry, looked up once.
+            con1 = cons[j]
+            conf = con1 if np.array_equal(jf, j) else cons[jf]
+        return StepCoefficients(con1, conf,
+                                None if vehs is None else vehs[i - 1])
 
     state = initial_state(model, t0_correction, bridge_static_init,
-                          con=cons[con_at[0]])
+                          con=None if cons is None else cons[con_at[0]])
     probe_rows = {}
     if model.bridge is not None and probes:
         for name, s in probes.items():
@@ -558,16 +685,26 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
             constraint_residuals(st)
 
     record(0, state)
-    for i in range(1, N):
-        state = stepper.step(state, coefficients(i))
-        if displacement_repair_every and i % displacement_repair_every == 0:
-            project_constraints(state, "displacement")
-        if not np.isfinite(np.concatenate((
-                state.ut, state.vt, state.at, state.ub, state.vb, state.ab,
-                state.lam))).all():
-            raise RuntimeError("state is not finite after step %d (t=%.6g)"
-                               % (i, state.t))
-        record(i, state)
+    block = stepper.block_steps()
+    for first in range(1, N, block):
+        if state.con is not None:
+            # A copy, so that the last block's rows, which it views, are
+            # freed before the next block's are built.
+            state.con = Constraint(*map(np.array, state.con))
+        steps = np.arange(first, min(first + block, N))
+        # Popped, so that no step's operators outlive their block.
+        ops = stepper.tabulate(coefficients(steps), len(steps))[::-1]
+        for i in steps.tolist():
+            state = stepper.step(state, ops.pop())
+            if displacement_repair_every and \
+                    i % displacement_repair_every == 0:
+                project_constraints(state, "displacement")
+            if not np.isfinite(np.concatenate((
+                    state.ut, state.vt, state.at, state.ub, state.vb,
+                    state.ab, state.lam))).all():
+                raise RuntimeError("state is not finite after step %d "
+                                   "(t=%.6g)" % (i, state.t))
+            record(i, state)
     return out
 
 
@@ -584,15 +721,20 @@ def run_rigid_profile(params: VehicleParams, profile: CosineProfile,
     if profile.length < v * horizon - 1e-9:
         raise ValueError("profile shorter than the requested horizon")
     veh = vehicle_matrices(params, _straight_frame(v), rotation_ref=np.eye(3))
-    no_rows = np.zeros((3, 0))
 
-    def gap(s):
-        r = np.zeros((3, 3))
-        r[:, 1] = profile.height(s), profile.z_dot(s, v), profile.z_ddot(s, v)
-        return Constraint(no_rows, no_rows, no_rows, r)
+    def vehicles(t):
+        return VehicleSystem(*(np.broadcast_to(a, t.shape + a.shape) for a in (
+            veh.M, veh.C, veh.K, veh.P, veh.L_tr)))
 
-    model = CoupledModel(vehicle_at=lambda t: [veh] * len(t),
-                         reduced_at=lambda t: [gap(v * ti) for ti in t])
+    def gaps(t):
+        r = np.zeros((len(t), 3, 3))
+        for r_i, t_i in zip(r, t):
+            s = v * t_i
+            r_i[:, 1] = (profile.height(s), profile.z_dot(s, v),
+                         profile.z_ddot(s, v))
+        return ConstraintTable(r)
+
+    model = CoupledModel(vehicle_at=vehicles, reduced_at=gaps)
     n_steps = int(round(horizon / scheme.dt))
     return run_model(model, scheme, "A", n_steps, t0_correction=t0_correction,
                      bridge_static_init=False)
@@ -620,20 +762,38 @@ def coupled_model(path, bridge, vehicle_params: VehicleParams) -> CoupledModel:
 
     def reduced_block(t):
         snap = constraint_rates(bridge, np.minimum(v * t, bridge.length), v)
-        return ConstraintTable(snap, bridge.Z)
+        return ConstraintTable(np.broadcast_to(NO_GAP, t.shape + NO_GAP.shape),
+                               snap, bridge.Z)
 
     return CoupledModel(vehicle_at=_blockwise(vehicle_block), bridge=bridge,
                         reduced_at=_blockwise(reduced_block))
 
 
 class _Blocks:
-    """One table made of consecutive blocks of TABLE_BLOCK entries."""
+    """One table made of consecutive blocks of TABLE_BLOCK entries. An
+    increasing index array reads each block's entries stacked, and joins
+    the stacks."""
 
     def __init__(self, blocks):
         self.blocks = blocks
 
-    def __getitem__(self, i: int):
-        return self.blocks[i // TABLE_BLOCK][i % TABLE_BLOCK]
+    def __getitem__(self, i):
+        b, j = np.divmod(i, TABLE_BLOCK)
+        if np.min(b) == np.max(b):
+            return self.blocks[np.min(b)][j]
+        cut = np.flatnonzero(np.diff(b)) + 1
+        return _joined([self.blocks[bb[0]][jj]
+                        for bb, jj in zip(np.split(b, cut), np.split(j, cut))])
+
+
+def _joined(parts):
+    """Consecutive stacked entries (``Constraint``, ``VehicleSystem``) as
+    one, each field's arrays concatenated."""
+    first = parts[0]
+    names = (first._fields if isinstance(first, tuple)
+             else [f.name for f in fields(first)])
+    return type(first)(*(np.concatenate([getattr(p, k) for p in parts])
+                         for k in names))
 
 
 def _blockwise(table):

@@ -76,6 +76,15 @@ class BridgeConfig:
         if self.degree < 1 or self.elements_per_span < 1:
             raise ScenarioError(
                 "bridge.degree and bridge.elements_per_span must be >= 1")
+        # An empty list would mean a bridge with no supports, which is
+        # singular; null or no key gives the default supports.
+        if self.supports is not None and not self.supports:
+            raise ScenarioError("bridge.supports is empty: list at least one "
+                                "support, or leave the key out for the "
+                                "default supports")
+        # Negative damping feeds energy into the bridge.
+        if min(self.rayleigh) < 0.0:
+            raise ScenarioError("bridge.rayleigh coefficients must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ rows. They live here only, as the oracle. Equality is exact
 the crossing time history by far more than round-off. The same holds for
 the time step, checked against a copy that forms every product with
 numpy's ``@``, including those whose scheme weight is zero, and solves with
-``lu_solve`` and ``np.linalg.solve``.
+``lu_solve`` and ``np.linalg.solve``, and for a run's blocks of tabulated
+step operators, checked against blocks of one step.
 """
 import dataclasses
 from math import comb, cos, sin
@@ -665,6 +666,87 @@ class TestStepOracle:
         for n in range(1, 4):
             state = stepper.step(state)
             assert len(calls) == products * n
+
+
+# --------------------------------------------------------------------------
+# Step tables: a run's blocks of tabulated operators against one-step blocks.
+# --------------------------------------------------------------------------
+
+TABLE_CASES = {
+    "A": {"run": {"strategy": "A"}},
+    "B-axle-load": {"run": {"strategy": "B"},
+                    "flags": {"add_static_axle_load": True}},
+    "C": {"run": {"strategy": "C"}},
+    "A-rayleigh": {"run": {"strategy": "A"},
+                   "bridge": {"rayleigh": [0.5, 1e-4]}},
+}
+
+
+class TestStepTables:
+    def _model(self, case, elements, default_path, bridges):
+        scenario = parse_scenario(dict(case, bridge=dict(
+            case.get("bridge", {}), elements_per_span=elements)))
+        model = build_scenario_model(scenario, default_path,
+                                     bridges(scenario))
+        return model, scenario_scheme(scenario), scenario.run.strategy
+
+    # At 16 elements per span (n_red 474) a Schur solve wider than
+    # SCHUR_COLUMNS changes bits with one BLAS thread, and above 21
+    # columns with two.
+    @pytest.mark.parametrize("elements", [8, 16, 32])
+    @pytest.mark.parametrize("case", TABLE_CASES.values(), ids=TABLE_CASES)
+    def test_blocks_equal_one_step_blocks(self, case, elements, default_path,
+                                          bridges, monkeypatch):
+        model, params, strategy = self._model(case, elements, default_path,
+                                              bridges)
+        stepper = Stepper(model, params, strategy)
+        block = stepper.block_steps()
+        assert block % (integrators.SCHUR_COLUMNS // 3) == 0
+        n = 2 * block + 2
+        blocks = []
+        tabulate = Stepper.tabulate
+
+        def counting(self, coeffs, n):
+            blocks.append(n)
+            return tabulate(self, coeffs, n)
+
+        monkeypatch.setattr(Stepper, "tabulate", counting)
+        hist = run_model(model, params, strategy, n, probes={"mid": 75.0})
+        assert blocks == [block, block, 2]
+        rows = model.bridge.probe_rows(75.0)
+        state = initial_state(model)
+        for i in range(1, n + 1):
+            state = stepper.step(state)
+            assert state.t == hist.t[i]
+            for name in ("ut", "vt", "at", "lam"):
+                assert np.array_equal(getattr(state, name),
+                                      getattr(hist, name)[i]), (i, name)
+            assert np.array_equal(rows @ state.ub, hist.probes["mid"][i, :2])
+            assert np.array_equal(rows @ state.ab, hist.probes["mid"][i, 2:])
+            assert integrators.constraint_residuals(state) == (
+                hist.res_disp[i], hist.res_vel[i], hist.res_acc[i])
+
+    @pytest.mark.parametrize("case", ["A", "C"])
+    def test_solves_per_step(self, case, default_path, bridges,
+                             monkeypatch):
+        # One one-column solve per step for the state; the Schur columns,
+        # three per step, in solves of at most 9 columns (SCHUR_COLUMNS).
+        model, params, strategy = self._model(TABLE_CASES[case], 16,
+                                              default_path, bridges)
+        widths = []
+        solve = Stepper._bridge_solve
+
+        def recording(self, b):
+            widths.append(1 if b.ndim == 1 else -b.shape[1])
+            return solve(self, b)
+
+        monkeypatch.setattr(Stepper, "_bridge_solve", recording)
+        n = 3 * Stepper(model, params, strategy).block_steps() + 1
+        run_model(model, params, strategy, n)
+        schur = [-w for w in widths if w < 0]
+        assert widths.count(1) == n
+        assert sum(schur) == 3 * n
+        assert max(schur) <= 9
 
 
 # --------------------------------------------------------------------------

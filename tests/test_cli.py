@@ -149,6 +149,10 @@ class TestMalformedScenario:
         # Sizes whose dense matrices would not fit in memory.
         ({"bridge": {"elements_per_span": 100000}}, "bridge.elements_per_span"),
         ({"plan": {"ctrl_per_span": 1000}}, "plan.ctrl_per_span"),
+        # Negative damping, which feeds energy in, and a bridge with no
+        # supports, which used to run the default supports.
+        ({"bridge": {"rayleigh": [-1, 0]}}, "bridge.rayleigh"),
+        ({"bridge": {"supports": []}}, "bridge.supports"),
     ])
     def test_rejected_with_key_named(self, data, key, tmp_path, capsys):
         p = tmp_path / "bad.json"
