@@ -310,8 +310,8 @@ class FieldRows(NamedTuple):
         idx = np.atleast_1d(i)
         blocks, first = self.block(idx), self.first[idx]
         out = np.empty(blocks.shape[:-1] + Z.shape[1:])
-        cut = np.flatnonzero(np.diff(first)) + 1
-        for a, b in zip(np.r_[0, cut], np.r_[cut, len(first)]):
+        cuts = [0, *(np.flatnonzero(np.diff(first)) + 1).tolist(), len(idx)]
+        for a, b in zip(cuts, cuts[1:]):
             np.matmul(blocks[a:b], Z[first[a] + self.window], out=out[a:b])
         return out if np.ndim(i) else out[0]
 
@@ -508,9 +508,13 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
     else:
         raise ValueError("unknown bridge kind %r" % kind)
 
+    # A support up to the path's exact end is on the path: a NURBS fit of
+    # a tight arc ends short of it (1.5e-7 m at R 50), and the support's
+    # rows are taken at the fit's end.
+    end = max(length, joints[-1]) + 1e-9
     rows = []
     for s, fields in supports:
-        if not (0.0 <= s <= length + 1e-9):
+        if not (0.0 <= s <= end):
             raise ValueError("support at s=%g is not on the path" % s)
         if not all(0 <= f < N_FIELDS for f in fields):
             raise ValueError("support field indices %s outside 0..5"

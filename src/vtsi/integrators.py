@@ -37,6 +37,18 @@ OpenBLAS's trsm then rounds differently (above 9 columns with 1 thread,
 above 21 with 2). Up to 9, every operator has the bits of a block of one
 step, so a run's output does not depend on its blocks.
 
+A run also records a block of steps at once. Each step writes its new ut,
+vt, at and lam straight into the time history's rows, and its new ub, vb
+and ab into a buffer of the block's steps (counted in the block's bytes).
+After the block, one stacked product per probe and level forms the probe
+columns, ``constraint_residuals`` forms every step's three residuals from
+the block's constraints in stacked products, and one ``isfinite`` over the
+block's rows names the first step whose state is not finite. A stacked
+matmul (k, 3, n) @ (k, n, 1) calls, item by item, the gemv that one
+state's ``L @ x`` calls, so every record has the bits of a state-by-state
+record. The steps after a non-finite one in its block still run; their
+states are never recorded, since the run stops at the check.
+
 The same machinery also integrates unconstrained systems (no vehicle or no
 constraint) and the rigid-profile run, whose constraint has no bridge
 columns and a prescribed gap instead.
@@ -340,8 +352,10 @@ class Stepper:
         am, af = params.alpha_m, params.alpha_f
         self._am, self._af = am, af
         self._keep_m, self._keep_f = 1.0 - am, 1.0 - af
+        self._nt, self._nb = model.n_t, model.n_b
         self._gesv, = get_lapack_funcs(("gesv",), dtype=np.float64)
         self._bridge_lu = None
+        self._damped = False
         if model.bridge is not None:
             br = model.bridge
             self._damped = bool(br.C.any())
@@ -362,13 +376,6 @@ class Stepper:
         kernel that numpy's ``A @ x`` calls for a C-contiguous A, so the
         bits are the same; see the module docstring for why."""
         return self._gemv(1.0, A.T, x, trans=1)
-
-    def _at_f(self, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-        """(1 - a_f) new + a_f old, the value at t_f; when a_f is 0,
-        ``new`` itself, which has the same bits."""
-        if self._af:
-            return self._keep_f * new + self._af * old
-        return new
 
     def _solve(self, A: np.ndarray, b: np.ndarray, t1: float) -> np.ndarray:
         """A^-1 b for a small system, by LAPACK gesv as ``np.linalg.solve``
@@ -395,15 +402,15 @@ class Stepper:
         return StepCoefficients(con1, conf, veh)
 
     def block_steps(self) -> int:
-        """Steps per block of ``tabulate``: a multiple of the three steps
-        of one Schur solve, whose operators take at most STEP_TABLE_BYTES
-        (or one solve's steps, if those take more)."""
-        m = self.model
+        """Steps per block of ``tabulate`` and of ``run_model``'s record: a
+        multiple of the three steps of one Schur solve, whose operators and
+        bridge states take at most STEP_TABLE_BYTES (or one solve's steps,
+        if those take more)."""
         instants = 1 if self._af == 0.0 else 2
         # Per bridge DOF: the three orders' reduced rows of each distinct
-        # instant (9), C_b and Y (6); then the reduced matrix, and about
-        # 2 KB of views.
-        per_step = (8 * (m.n_b * (9 * instants + 6) + (m.n_t + 3) ** 2)
+        # instant (9), C_b and Y (6), and the new ub, vb and ab (3); then
+        # the reduced matrix, and about 2 KB of views.
+        per_step = (8 * (self._nb * (9 * instants + 9) + (self._nt + 3) ** 2)
                     + 2048)
         per_solve = SCHUR_COLUMNS // 3
         return per_solve * max(1, STEP_TABLE_BYTES // (per_step * per_solve))
@@ -461,53 +468,68 @@ class Stepper:
                 for ops in zip(cons, vehs, A, P_b, C_b, Y)]
 
     def step(self, state: CoupledState,
-             coeffs: StepOperators | StepCoefficients | None = None
-             ) -> CoupledState:
+             coeffs: StepOperators | StepCoefficients | None = None,
+             out: tuple | None = None) -> CoupledState:
         """Advance ``state`` by one step, with the step's tabulated
         operators; given the step's coefficients, or none (they are then
-        evaluated here), it tabulates them as a block of one step."""
+        evaluated here), it tabulates them as a block of one step.
+
+        The new state's ut, vt, at, ub, vb, ab and lam are written into the
+        seven arrays of ``out`` (``run_model`` passes rows of its history
+        and of its block buffers), or into new ones. A block the model
+        lacks carries the old state's values."""
         if not isinstance(coeffs, StepOperators):
             if coeffs is None:
                 coeffs = self._coefficients(state.t)
             coeffs = self.tabulate(_one_step(coeffs), 1)[0]
+        if out is None:
+            out = [np.empty_like(a) for a in (state.ut, state.vt, state.at,
+                                               state.ub, state.vb, state.ab,
+                                               state.lam)]
+        ut, vt, at, ub, vb, ab, lam = out
         con1, veh, A, P_b, C_b, Y = coeffs
-        m = self.model
-        dt, am = self.params.dt, self._am
+        dt, am, af = self.params.dt, self._am, self._af
         bdt2, gdt = self._bdt2, self._gdt
-        nt = m.n_t
+        nt, nb = self._nt, self._nb
         t1 = state.t + dt
 
-        # Newmark predictors.
+        # Newmark predictors, and their values at t_f: under Newmark (a_f
+        # is 0) the predictors themselves, which have the same bits.
         ut_pred = state.ut + dt * state.vt + self._disp_pred * state.at
         vt_pred = state.vt + self._vel_pred * state.at
         ub_pred = state.ub + dt * state.vb + self._disp_pred * state.ab
         vb_pred = state.vb + self._vel_pred * state.ab
+        ut_f, vt_f, ub_f, vb_f = ut_pred, vt_pred, ub_pred, vb_pred
+        if af:
+            kf = self._keep_f
+            ut_f = kf * ut_pred + af * state.ut
+            vt_f = kf * vt_pred + af * state.vt
+            ub_f = kf * ub_pred + af * state.ub
+            if self._damped:
+                vb_f = kf * vb_pred + af * state.vb
 
         # A term with a zero scheme weight is left out: x - (+-0) is x.
         if nt:
             M_t, C_t, K_t, r_t = veh
             if am:
                 r_t = r_t - M_t @ (am * state.at)
-            r_t = (r_t - C_t @ self._at_f(vt_pred, state.vt)
-                   - K_t @ self._at_f(ut_pred, state.ut))
-        if m.n_b:
-            br = m.bridge
+            r_t = r_t - C_t @ vt_f - K_t @ ut_f
+        if nb:
+            br = self.model.bridge
             r_b = P_b
             mv = self._bridge_product
             if am:
                 r_b = r_b - mv(br.M, am * state.ab)
             if self._damped:
-                r_b = r_b - mv(br.C, self._at_f(vb_pred, state.vb))
-            r_b = r_b - mv(br.K, self._at_f(ub_pred, state.ub))
+                r_b = r_b - mv(br.C, vb_f)
+            r_b = r_b - mv(br.K, ub_f)
 
-        at1 = np.zeros(0)
-        ab1 = np.zeros(0)
-        lam1 = np.zeros(3)
         if con1 is None:
             if nt:
-                at1 = self._solve(A, r_t, t1)
-            if m.n_b:
-                ab1 = self._bridge_solve(r_b)
+                at[...] = self._solve(A, r_t, t1)
+            if nb:
+                ab[...] = self._bridge_solve(r_b)
+            lam[...] = state.lam
         else:
             L1, Ld1, Ldd1, r1 = con1
             if self.strategy == "B":
@@ -515,34 +537,26 @@ class Stepper:
             else:
                 r_c = -(L_TR.T @ ut_pred + L1 @ ub_pred) - r1[0]
             # The bridge is eliminated: A holds the reduced system in
-            # (a_t, lam), and b gets the bridge solve's share.
-            b = np.zeros(nt + 3)
-            if nt:
-                b[:nt] = r_t
-            b[nt:] = r_c
-            if m.n_b:
+            # (a_t, lam), and r_c gets the bridge solve's share.
+            if nb:
                 y0 = self._bridge_solve(r_b)
-                b[nt:] -= C_b @ y0
+                r_c = r_c - C_b @ y0
+            b = np.concatenate((r_t, r_c)) if nt else r_c
             x = self._solve(A, b, t1)
-            at1 = x[:nt]
-            lam1 = x[nt:]
-            if m.n_b:
-                ab1 = y0 - Y @ lam1
+            if nt:
+                at[...] = x[:nt]
+            lam[...] = x[nt:]
+            if nb:
+                np.subtract(y0, Y @ x[nt:], out=ab)
 
-        # A block the model lacks keeps the old state's arrays, which no
-        # step writes.
-        new = CoupledState(t1, state.ut, state.vt, state.at, state.ub,
-                           state.vb, state.ab, state.lam, con1)
         if nt:
-            new.ut = ut_pred + bdt2 * at1
-            new.vt = vt_pred + gdt * at1
-            new.at = at1
-        if m.n_b:
-            new.ub = ub_pred + bdt2 * ab1
-            new.vb = vb_pred + gdt * ab1
-            new.ab = ab1
-        if m.n_lam:
-            new.lam = lam1
+            np.add(ut_pred, bdt2 * at, out=ut)
+            np.add(vt_pred, gdt * at, out=vt)
+        else:
+            ut[...], vt[...], at[...] = state.ut, state.vt, state.at
+        np.add(ub_pred, bdt2 * ab, out=ub)
+        np.add(vb_pred, gdt * ab, out=vb)
+        new = CoupledState(t1, ut, vt, at, ub, vb, ab, lam, con1)
         if self.strategy == "C":
             project_constraints(new, "velocity")
             project_constraints(new, "acceleration")
@@ -582,17 +596,29 @@ def project_constraints(state: CoupledState, level: str) -> CoupledState:
     return state
 
 
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a matrix or a stack of matrices and a vector or a stack of
+    vectors: one matmul, whose items are the gemv call that ``A @ x`` makes
+    for one matrix and vector, so each has its bits."""
+    return (A @ x[..., None])[..., 0]
+
+
 def constraint_residuals(state: CoupledState):
     """Max-abs residual of the displacement/velocity/acceleration levels of
-    ``state.con``; zeros when the state is unconstrained."""
+    ``state.con``; zeros when the state is unconstrained.
+
+    The state's arrays and constraint may carry a leading block axis (a
+    block of steps, as ``run_model`` records them): each level's residual
+    is then an array over the block, with the bits of each state's own."""
     if state.con is None:
         return 0.0, 0.0, 0.0
     L, Ld, Ldd, r = state.con
-    c0 = L_TR.T @ state.ut + L @ state.ub + r[0]
-    c1 = L_TR.T @ state.vt + Ld @ state.ub + L @ state.vb + r[1]
-    c2 = (L_TR.T @ state.at + Ldd @ state.ub + 2.0 * Ld @ state.vb
-          + L @ state.ab + r[2])
-    return tuple(np.abs(np.array((c0, c1, c2))).max(axis=1).tolist())
+    c0 = _mv(L_TR.T, state.ut) + _mv(L, state.ub) + r[..., 0, :]
+    c1 = (_mv(L_TR.T, state.vt) + _mv(Ld, state.ub) + _mv(L, state.vb)
+          + r[..., 1, :])
+    c2 = (_mv(L_TR.T, state.at) + _mv(Ldd, state.ub)
+          + _mv(2.0 * Ld, state.vb) + _mv(L, state.ab) + r[..., 2, :])
+    return tuple(np.abs(np.stack((c0, c1, c2), axis=-2)).max(axis=-1).T)
 
 
 def initial_state(model: CoupledModel, t0_correction: bool = True,
@@ -631,8 +657,12 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
     Every time-varying coefficient is tabulated before the first step, in
     one call of each model callable on all the run's distinct instants.
     The steps' operators are tabulated from them a block of steps at a
-    time (``Stepper.tabulate``). Raises RuntimeError, naming the step and
-    t, at the first step whose state is not finite."""
+    time (``Stepper.tabulate``), and the steps are recorded a block at a
+    time: each step writes its state into the history and a buffer of the
+    block's bridge rows, and the block's probes, residuals and finiteness
+    follow in stacked operations, with the bits of one state's. Raises
+    RuntimeError, naming the step and t, at the first step whose state is
+    not finite."""
     # t_n accumulates dt exactly as the steps do; instants of step i
     # (1-based) are t[i] and tf[i - 1].
     t = np.cumsum(np.concatenate([[0.0], np.full(n_steps, params.dt)]))
@@ -665,46 +695,76 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
 
     N = n_steps + 1
     out = TimeHistory(
-        t=np.zeros(N), ut=np.zeros((N, 4)), vt=np.zeros((N, 4)),
+        t=t, ut=np.zeros((N, 4)), vt=np.zeros((N, 4)),
         at=np.zeros((N, 4)), lam=np.zeros((N, 3)),
         probes={name: np.zeros((N, 4)) for name in probe_rows},
         res_disp=np.zeros(N), res_vel=np.zeros(N), res_acc=np.zeros(N),
         dt=params.dt,
     )
+    block = stepper.block_steps()
+    # The new ub, vb and ab of a block's steps, each step's in one row; the
+    # steps write their other arrays straight into the history's rows.
+    bridge_rows = np.empty((block, 3, model.n_b))
 
-    def record(i, st):
-        out.t[i] = st.t
-        out.ut[i] = st.ut
-        out.vt[i] = st.vt
-        out.at[i] = st.at
-        out.lam[i] = st.lam
-        for name, rows in probe_rows.items():
-            out.probes[name][i, 0:2] = rows @ st.ub
-            out.probes[name][i, 2:4] = rows @ st.ab
-        out.res_disp[i], out.res_vel[i], out.res_acc[i] = \
+    def record(rows, st):
+        """Probes and residuals of a state, or of a block of states, at
+        ``rows`` of the history, in stacked products."""
+        for name, P in probe_rows.items():
+            out.probes[name][rows, 0:2] = _mv(P, st.ub)
+            out.probes[name][rows, 2:4] = _mv(P, st.ab)
+        out.res_disp[rows], out.res_vel[rows], out.res_acc[rows] = \
             constraint_residuals(st)
 
+    def check(first, stop):
+        """RuntimeError, naming the step and t, at the first of the block's
+        steps first..stop - 1 whose state is not finite."""
+        rows, k = slice(first, stop), stop - first
+        finite = np.isfinite(np.concatenate(
+            (out.ut[rows], out.vt[rows], out.at[rows], out.lam[rows],
+             bridge_rows[:k].reshape(k, 3 * model.n_b)), axis=1))
+        bad = np.flatnonzero(~finite.all(axis=1))
+        if len(bad):
+            i = first + int(bad[0])
+            raise RuntimeError("state is not finite after step %d (t=%.6g)"
+                               % (i, t[i]))
+
+    def advance(state, first, stop):
+        """Steps first..stop - 1 from ``state``, recorded; the last state.
+        The block's finiteness check, probes and residuals follow its
+        steps."""
+        rows, k = slice(first, stop), stop - first
+        coeffs = coefficients(np.arange(first, stop))
+        new = bridge_rows[:k]
+        dests = zip(out.ut[rows], out.vt[rows], out.at[rows], new[:, 0],
+                    new[:, 1], new[:, 2], out.lam[rows])
+        i = first
+        try:
+            for i, ops, dest in zip(range(first, stop),
+                                    stepper.tabulate(coeffs, k), dests):
+                state = stepper.step(state, ops, dest)
+                if displacement_repair_every and \
+                        i % displacement_repair_every == 0:
+                    project_constraints(state, "displacement")
+        except RuntimeError:
+            # A state that is not finite before the failing step is named
+            # first, as a check after every step would have named it.
+            check(first, i)
+            raise
+        check(first, stop)
+        record(rows, CoupledState(t[rows], out.ut[rows], out.vt[rows],
+                                  out.at[rows], new[:, 0], new[:, 1],
+                                  new[:, 2], out.lam[rows], coeffs.con1))
+        return state
+
+    out.ut[0], out.vt[0], out.at[0], out.lam[0] = (state.ut, state.vt,
+                                                   state.at, state.lam)
     record(0, state)
-    block = stepper.block_steps()
     for first in range(1, N, block):
         if state.con is not None:
             # A copy, so that the last block's rows, which it views, are
             # freed before the next block's are built.
             state.con = Constraint(*map(np.array, state.con))
-        steps = np.arange(first, min(first + block, N))
-        # Popped, so that no step's operators outlive their block.
-        ops = stepper.tabulate(coefficients(steps), len(steps))[::-1]
-        for i in steps.tolist():
-            state = stepper.step(state, ops.pop())
-            if displacement_repair_every and \
-                    i % displacement_repair_every == 0:
-                project_constraints(state, "displacement")
-            if not np.isfinite(np.concatenate((
-                    state.ut, state.vt, state.at, state.ub, state.vb,
-                    state.ab, state.lam))).all():
-                raise RuntimeError("state is not finite after step %d "
-                                   "(t=%.6g)" % (i, state.t))
-            record(i, state)
+        state = advance(state, first, min(first + block, N))
     return out
 
 
@@ -779,8 +839,9 @@ class _Blocks:
 
     def __getitem__(self, i):
         b, j = np.divmod(i, TABLE_BLOCK)
-        if np.min(b) == np.max(b):
-            return self.blocks[np.min(b)][j]
+        ends = np.ravel(b)[[0, -1]]
+        if ends[0] == ends[1]:
+            return self.blocks[ends[0]][j]
         cut = np.flatnonzero(np.diff(b)) + 1
         return _joined([self.blocks[bb[0]][jj]
                         for bb, jj in zip(np.split(b, cut), np.split(j, cut))])

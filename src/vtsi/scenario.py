@@ -179,10 +179,15 @@ class Scenario:
             raise ScenarioError(
                 "run.horizon %g s exceeds path length / speed = %g s"
                 % (self.run.horizon, L / self.vehicle.v))
+        names = {}
         for i, p in enumerate(self.probes):
             if not (0.0 <= p.s <= L):
                 raise ScenarioError("probes[%d] %r at s=%g is off the path"
                                     % (i, p.name, p.s))
+            if p.name in names:
+                raise ScenarioError("probes[%d].name %r is the name of "
+                                    "probes[%d]" % (i, p.name, names[p.name]))
+            names[p.name] = i
         for i, (s, _) in enumerate(self.bridge.supports or ()):
             if not (0.0 <= s <= L):
                 raise ScenarioError("bridge.supports[%d] at s=%g is off the "

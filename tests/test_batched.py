@@ -29,8 +29,8 @@ from vtsi.integrators import (TABLE_BLOCK, CoupledState, Stepper,
                               coupled_model, initial_state,
                               project_constraints, run_model, scheme_params)
 from vtsi.pathgeom import (ARCLENGTH_SUBDIV, GAUSS_ARCLENGTH, GAUSS_PLAN,
-                           STRAIGHT_CURVATURE_TOL, UP, PlanSpec, Span,
-                           build_plan_path, frame_kinematics)
+                           STRAIGHT_CURVATURE_TOL, UP, CosineProfile,
+                           PlanSpec, Span, build_plan_path, frame_kinematics)
 from vtsi.scenario import default_plan_spec
 from vtsi.simulate import (build_scenario_bridge, build_scenario_model,
                            run_simulation, scenario_scheme)
@@ -679,6 +679,8 @@ TABLE_CASES = {
     "C": {"run": {"strategy": "C"}},
     "A-rayleigh": {"run": {"strategy": "A"},
                    "bridge": {"rayleigh": [0.5, 1e-4]}},
+    # Repairs every 4 steps fall inside the blocks.
+    "B-repair": {"run": {"strategy": "B", "displacement_repair_every": 4}},
 }
 
 
@@ -690,6 +692,44 @@ class TestStepTables:
                                      bridges(scenario))
         return model, scenario_scheme(scenario), scenario.run.strategy
 
+    @staticmethod
+    def _counting_blocks(monkeypatch) -> list:
+        """The block lengths ``Stepper.tabulate`` is called with, from now
+        on."""
+        blocks = []
+        tabulate = Stepper.tabulate
+
+        def counting(self, coeffs, n):
+            blocks.append(n)
+            return tabulate(self, coeffs, n)
+
+        monkeypatch.setattr(Stepper, "tabulate", counting)
+        return blocks
+
+    @staticmethod
+    def _assert_direct_steps_equal(hist, model, params, strategy,
+                                   probe_rows=None, repair=0, **init):
+        """Every recorded row of ``hist`` against one-step blocks: the
+        state's t, ut, vt, at and lam, the probe's u and a (``rows @ ub``,
+        ``rows @ ab``) and the three residuals of the state alone."""
+        stepper = Stepper(model, params, strategy)
+        state = initial_state(model, **init)
+        for i in range(1, hist.n_steps + 1):
+            state = stepper.step(state)
+            if repair and i % repair == 0:
+                project_constraints(state, "displacement")
+            assert state.t == hist.t[i]
+            for name in ("ut", "vt", "at", "lam"):
+                assert np.array_equal(getattr(state, name),
+                                      getattr(hist, name)[i]), (i, name)
+            if probe_rows is not None:
+                assert np.array_equal(probe_rows @ state.ub,
+                                      hist.probes["mid"][i, :2])
+                assert np.array_equal(probe_rows @ state.ab,
+                                      hist.probes["mid"][i, 2:])
+            assert integrators.constraint_residuals(state) == (
+                hist.res_disp[i], hist.res_vel[i], hist.res_acc[i]), i
+
     # At 16 elements per span (n_red 474) a Schur solve wider than
     # SCHUR_COLUMNS changes bits with one BLAS thread, and above 21
     # columns with two.
@@ -699,32 +739,44 @@ class TestStepTables:
                                           bridges, monkeypatch):
         model, params, strategy = self._model(case, elements, default_path,
                                               bridges)
-        stepper = Stepper(model, params, strategy)
-        block = stepper.block_steps()
+        block = Stepper(model, params, strategy).block_steps()
         assert block % (integrators.SCHUR_COLUMNS // 3) == 0
         n = 2 * block + 2
-        blocks = []
-        tabulate = Stepper.tabulate
-
-        def counting(self, coeffs, n):
-            blocks.append(n)
-            return tabulate(self, coeffs, n)
-
-        monkeypatch.setattr(Stepper, "tabulate", counting)
-        hist = run_model(model, params, strategy, n, probes={"mid": 75.0})
+        repair = case["run"].get("displacement_repair_every", 0)
+        blocks = self._counting_blocks(monkeypatch)
+        hist = run_model(model, params, strategy, n, probes={"mid": 75.0},
+                         displacement_repair_every=repair)
         assert blocks == [block, block, 2]
-        rows = model.bridge.probe_rows(75.0)
-        state = initial_state(model)
-        for i in range(1, n + 1):
-            state = stepper.step(state)
-            assert state.t == hist.t[i]
-            for name in ("ut", "vt", "at", "lam"):
-                assert np.array_equal(getattr(state, name),
-                                      getattr(hist, name)[i]), (i, name)
-            assert np.array_equal(rows @ state.ub, hist.probes["mid"][i, :2])
-            assert np.array_equal(rows @ state.ab, hist.probes["mid"][i, 2:])
-            assert integrators.constraint_residuals(state) == (
-                hist.res_disp[i], hist.res_vel[i], hist.res_acc[i])
+        self._assert_direct_steps_equal(
+            hist, model, params, strategy,
+            probe_rows=model.bridge.probe_rows(75.0), repair=repair)
+
+    def test_rigid_profile_blocks_equal_one_step_blocks(self, monkeypatch):
+        # No bridge: the blocks' bridge rows have no columns.
+        runs = []
+
+        def recording(model, params, strategy, n_steps, **kwargs):
+            runs.append((model, params, strategy, kwargs))
+            return run_model(model, params, strategy, n_steps, **kwargs)
+
+        monkeypatch.setattr(integrators, "run_model", recording)
+        params = scheme_params(rho_inf=0.9, dt=1e-3)
+        block = Stepper(integrators.CoupledModel(
+            vehicle_at=lambda t: None, reduced_at=lambda t: None), params,
+            "A").block_steps()
+        n = 2 * block + 2
+        blocks = self._counting_blocks(monkeypatch)
+        hist = integrators.run_rigid_profile(
+            VehicleParams(v=100.0), CosineProfile(0.01, 30.0, 200.0), params,
+            n * params.dt)
+        assert blocks == [block, block, 2]
+        (model, _, strategy, kwargs), = runs
+        assert model.n_b == 0 and hist.n_steps == n
+        assert np.max(hist.res_acc[1:]) > 0.0
+        self._assert_direct_steps_equal(
+            hist, model, params, strategy,
+            t0_correction=kwargs["t0_correction"],
+            bridge_static_init=kwargs["bridge_static_init"])
 
     @pytest.mark.parametrize("case", ["A", "C"])
     def test_solves_per_step(self, case, default_path, bridges,

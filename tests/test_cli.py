@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import vtsi.integrators as integ
+from vtsi import parse_scenario
 from vtsi.cli import cli
 from vtsi.metrics import oscillation_index
+from vtsi.simulate import build_scenario_model, scenario_scheme
 
 
 CHEAP_SCENARIO = {
@@ -41,8 +43,18 @@ class TestRun:
                     "-o", str(tmp_path / "out")]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_divergence_exits_two(self, scenario_file, tmp_path, capsys,
-                                  monkeypatch):
+    # A run steps a block of steps, then checks their states at once: the
+    # first state that is not finite is still the one named, wherever it
+    # falls in its block.
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_divergence_exits_two(self, where, scenario_file, tmp_path,
+                                  capsys, monkeypatch):
+        scenario = parse_scenario(CHEAP_SCENARIO)
+        block = integ.Stepper(build_scenario_model(scenario),
+                              scenario_scheme(scenario),
+                              scenario.run.strategy).block_steps()
+        step = {"first": block + 1, "middle": 50, "last": 2 * block}[where]
+        assert where != "middle" or 1 < step % block
         healthy = integ.vehicle_matrices
         tabulated = [0]
 
@@ -51,7 +63,7 @@ class TestRun:
             # before the first step, so entry n - 1 is step n.
             veh = healthy(*args, **kwargs)
             P = veh.P.copy()
-            P[max(49 - tabulated[0], 0):] = np.nan
+            P[max(step - 1 - tabulated[0], 0):] = np.nan
             tabulated[0] += len(P)
             return dataclasses.replace(veh, P=P)
 
@@ -59,8 +71,42 @@ class TestRun:
         out = tmp_path / "out"
         assert cli(["run", str(scenario_file), "-o", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "step 50 " in err and "t=0.05" in err
+        assert "step %d " % step in err and "t=%g" % (step * 1e-3) in err
         assert not (out / "timehistory.csv").exists()
+
+    def test_divergence_named_before_a_later_singular_solve(
+            self, scenario_file, tmp_path, capsys, monkeypatch):
+        # Step 50's state is not finite and step 55's reduced matrix is
+        # singular, in the same block: the run still names step 50.
+        healthy = integ.vehicle_matrices
+        tabulated = [0]
+
+        def poisoned(*args, **kwargs):
+            veh = healthy(*args, **kwargs)
+            P, M, C, K = (a.copy() for a in (veh.P, veh.M, veh.C, veh.K))
+            P[max(49 - tabulated[0], 0):] = np.nan
+            for a in (M, C, K):
+                a[max(54 - tabulated[0], 0):] = 0.0
+            tabulated[0] += len(P)
+            return dataclasses.replace(veh, P=P, M=M, C=C, K=K)
+
+        monkeypatch.setattr(integ, "vehicle_matrices", poisoned)
+        assert cli(["run", str(scenario_file), "-o",
+                    str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "step 50 " in err and "singular" not in err
+
+    def test_default_supports_on_a_tight_arc(self, tmp_path):
+        # The bridge's fit of the arc ends 1.8e-9 m short of 30 m, where
+        # the default end support is.
+        p = tmp_path / "arc.json"
+        p.write_text(json.dumps({
+            "plan": {"spans": [{"kind": "arc", "length": 30.0,
+                                "radius_start": 150, "radius_end": 150}]},
+            "run": {"horizon": 0.2}}))
+        out = tmp_path / "out"
+        assert cli(["run", str(p), "-o", str(out)]) == 0
+        assert (out / "timehistory.csv").is_file()
 
     def test_nonfinite_coupling_rows_exit_two(self, tmp_path, capsys,
                                               monkeypatch):
@@ -153,6 +199,12 @@ class TestMalformedScenario:
         # supports, which used to run the default supports.
         ({"bridge": {"rayleigh": [-1, 0]}}, "bridge.rayleigh"),
         ({"bridge": {"supports": []}}, "bridge.supports"),
+        # Two probes of one name, which used to share one column group;
+        # an unnamed probe at index i is named probe<i>.
+        ({"probes": [{"name": "a", "s": 10}, {"name": "a", "s": 20}]},
+         "probes[1].name"),
+        ({"probes": [{"name": "probe1", "s": 10}, {"s": 20}]},
+         "probes[1].name"),
     ])
     def test_rejected_with_key_named(self, data, key, tmp_path, capsys):
         p = tmp_path / "bad.json"
