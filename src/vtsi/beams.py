@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import null_space
 
+from ._lapack import null_space
 from .pathgeom import (ArclengthMap, PlanPath, build_plan_path, ipow,
                        _curvature_terms)
 from .splines import NurbsCurve, eval_nurbs_basis

@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_one(scenario, out_dir: Path) -> None:
     history = run_simulation(scenario)
     report = build_report(history, scenario)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_timehistory(history, out_dir / "timehistory.csv")
     write_report(report, out_dir / "report.json")
 
@@ -92,6 +91,9 @@ def cli(argv=None) -> int:
                 print("scenario OK: %s" % args.scenario)
                 return 0
             runs = [(scenario, Path(args.out))]
+        # An unusable output path fails here, before any step runs.
+        for _, out_dir in runs:
+            out_dir.mkdir(parents=True, exist_ok=True)
     except (ScenarioError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

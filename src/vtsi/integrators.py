@@ -61,16 +61,18 @@ its arithmetic needs about 2. So a run switches pools once. ``run_model``
 first does its n_red-sized numpy work: the static self-weight state, by
 ``np.linalg.solve`` (no scipy routine gives its bits at every bridge size),
 and the probe rows, reduced over their few nonzero columns. Then it builds
-the ``Stepper``, whose factor is scipy's getrf, and from there each step's
-multithreaded work goes through scipy alone: the bridge products of r_b by
-dgemv with the transposed kernel, which numpy's ``A @ x`` calls for a
-C-contiguous A, and the bridge solves by LAPACK getrs, which ``lu_solve``
-calls; the reduced (a_t, lam) system by gesv, which ``np.linalg.solve``
-calls, so no numpy solve runs in the loop. The tables' stacked numpy
-products are 3-row items, each below OpenBLAS's threading size. The bits are
-unchanged (for gesv, checked on the step's own systems in
-tests/test_batched.py: the two OpenBLAS builds round some other 7 x 7
-systems differently).
+the ``Stepper``, whose factor is scipy's dgetrf, and from there each
+step's multithreaded work goes through scipy alone: the bridge products of
+r_b by dgemv with the transposed kernel, which numpy's ``A @ x`` calls for
+a C-contiguous A, and the bridge solves by LAPACK dgetrs, which
+``lu_solve`` calls; the reduced (a_t, lam) system by dgesv, which
+``np.linalg.solve`` calls, so no numpy solve runs in the loop. These are
+the routines of scipy's compiled modules ``scipy.linalg._flapack`` and
+``_fblas``, which ``vtsi._lapack`` loads without the ``scipy.linalg``
+package. The tables' stacked numpy products are 3-row items, each below
+OpenBLAS's threading size. The bits are unchanged (for gesv, checked on
+the step's own systems in tests/test_batched.py: the two OpenBLAS builds
+round some other 7 x 7 systems differently).
 
 A step leaves out each term whose weight is exactly zero, which keeps the
 bits (x - (+-0) and 1.0 x + (+-0) are x for nonzero x): the C term of an
@@ -85,10 +87,8 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.blas import get_blas_funcs
-from scipy.linalg.lapack import get_lapack_funcs
 
+from ._lapack import dgemv, dgesv, dgetrs, lu_factor
 from .coupling import ConstraintSnapshot, constraint_rates
 from .pathgeom import CosineProfile
 from .vehicle import L_TR, VehicleParams, VehicleSystem, vehicle_matrices
@@ -353,35 +353,31 @@ class Stepper:
         self._am, self._af = am, af
         self._keep_m, self._keep_f = 1.0 - am, 1.0 - af
         self._nt, self._nb = model.n_t, model.n_b
-        self._gesv, = get_lapack_funcs(("gesv",), dtype=np.float64)
         self._bridge_lu = None
         self._damped = False
         if model.bridge is not None:
             br = model.bridge
             self._damped = bool(br.C.any())
-            self._bridge_lu = lu_factor(_step_block(br, params, self._damped),
-                                        overwrite_a=True)
-            self._getrs, = get_lapack_funcs(("getrs",),
-                                              (self._bridge_lu[0],))
-            self._gemv, = get_blas_funcs(("gemv",), (br.M,))
+            self._bridge_lu = lu_factor(_step_block(br, params, self._damped))
 
     def _bridge_solve(self, b: np.ndarray) -> np.ndarray:
-        """A_b^-1 b from the factors, by LAPACK getrs as ``lu_solve`` calls
-        it but without its finiteness scan: ``run_model`` checks every
-        state instead."""
-        return self._getrs(*self._bridge_lu, b)[0]
+        """A_b^-1 b from the factors, by scipy's LAPACK dgetrs
+        (``_lapack.dgetrs``) as ``lu_solve`` calls it but without its
+        finiteness scan: ``run_model`` checks every state instead."""
+        return dgetrs(*self._bridge_lu, b)[0]
 
     def _bridge_product(self, A: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """A @ x for a bridge matrix by scipy's dgemv, the transposed
-        kernel that numpy's ``A @ x`` calls for a C-contiguous A, so the
-        bits are the same; see the module docstring for why."""
-        return self._gemv(1.0, A.T, x, trans=1)
+        """A @ x for a bridge matrix by scipy's BLAS dgemv
+        (``_lapack.dgemv``), the transposed kernel that numpy's ``A @ x``
+        calls for a C-contiguous A, so the bits are the same; see the
+        module docstring for why."""
+        return dgemv(1.0, A.T, x, trans=1)
 
     def _solve(self, A: np.ndarray, b: np.ndarray, t1: float) -> np.ndarray:
-        """A^-1 b for a small system, by LAPACK gesv as ``np.linalg.solve``
+        """A^-1 b for a small system, by LAPACK dgesv as ``np.linalg.solve``
         calls it, on a copy of A and overwriting b; a singular A raises
         RuntimeError naming t1."""
-        x, info = self._gesv(A, b, overwrite_b=True)[2:]
+        x, info = dgesv(A, b, overwrite_b=True)[2:]
         if info > 0:
             raise RuntimeError("singular saddle system at t=%.6g" % t1)
         return x

@@ -82,6 +82,10 @@ class BridgeConfig:
             raise ScenarioError("bridge.supports is empty: list at least one "
                                 "support, or leave the key out for the "
                                 "default supports")
+        for i, (_, fixed) in enumerate(self.supports or ()):
+            if not fixed:
+                raise ScenarioError("bridge.supports[%d] fixes no field: "
+                                    "list at least one of 0..5" % i)
         # Negative damping feeds energy into the bridge.
         if min(self.rayleigh) < 0.0:
             raise ScenarioError("bridge.rayleigh coefficients must be >= 0")

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+# np.unique (knot breakpoints, during set-up) imports numpy.ma on its first
+# call; importing it here keeps that cost at import, outside a run's set-up.
+import numpy.ma  # noqa: F401
 
 __all__ = [
     "KnotVector",

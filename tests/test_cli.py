@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import vtsi.cli
 import vtsi.integrators as integ
 from vtsi import parse_scenario
 from vtsi.cli import cli
@@ -134,6 +135,30 @@ class TestRun:
         assert not (out / "timehistory.csv").exists()
 
 
+class TestOutputPath:
+    # An output path that cannot be a directory (a file, or a path under a
+    # file) fails before any step runs; it used to fail after the run.
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--param", "run.rho_inf", "--values", "1.0,0.9"]],
+        ids=["run", "sweep"])
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "under-file"])
+    def test_unusable_path_exits_one(self, command, under, scenario_file,
+                                     tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(vtsi.cli, "run_simulation", never)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "out" if under else taken
+        assert cli([command[0], str(scenario_file), *command[1:],
+                    "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+        assert taken.read_text() == ""
+
+
 class TestCheck:
     def test_valid_scenario(self, scenario_file, capsys):
         assert cli(["check", str(scenario_file)]) == 0
@@ -199,6 +224,9 @@ class TestMalformedScenario:
         # supports, which used to run the default supports.
         ({"bridge": {"rayleigh": [-1, 0]}}, "bridge.rayleigh"),
         ({"bridge": {"supports": []}}, "bridge.supports"),
+        # A support that fixes no field, which used to pass `check` and end
+        # `run` in a traceback from the bridge assembly.
+        ({"bridge": {"supports": [[0, []]]}}, "bridge.supports[0]"),
         # Two probes of one name, which used to share one column group;
         # an unnamed probe at index i is named probe<i>.
         ({"probes": [{"name": "a", "s": 10}, {"name": "a", "s": 20}]},
