@@ -224,15 +224,15 @@ class TestMalformedScenario:
         # supports, which used to run the default supports.
         ({"bridge": {"rayleigh": [-1, 0]}}, "bridge.rayleigh"),
         ({"bridge": {"supports": []}}, "bridge.supports"),
-        # A support that fixes no field, which used to pass `check` and end
-        # `run` in a traceback from the bridge assembly.
-        ({"bridge": {"supports": [[0, []]]}}, "bridge.supports[0]"),
         # Two probes of one name, which used to share one column group;
         # an unnamed probe at index i is named probe<i>.
         ({"probes": [{"name": "a", "s": 10}, {"name": "a", "s": 20}]},
          "probes[1].name"),
         ({"probes": [{"name": "probe1", "s": 10}, {"s": 20}]},
          "probes[1].name"),
+        # A support that fixes no field, which used to pass `check` and end
+        # `run` in a traceback from the bridge assembly.
+        ({"bridge": {"supports": [[0, []]]}}, "bridge.supports[0]"),
     ])
     def test_rejected_with_key_named(self, data, key, tmp_path, capsys):
         p = tmp_path / "bad.json"
