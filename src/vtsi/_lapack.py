@@ -59,9 +59,16 @@ dgemv = _fblas.dgemv
 def lu_factor(a: np.ndarray):
     """(lu, piv) of a finite float64 matrix by dgetrf, as
     ``scipy.linalg.lu_factor(a, overwrite_a=True)`` returns them: a
-    Fortran-ordered ``a`` is factored in place. A zero pivot raises
-    RuntimeError, where scipy only warns."""
-    lu, piv, info = _flapack.dgetrf(np.asarray_chkfinite(a), overwrite_a=1)
+    Fortran-ordered ``a`` is factored in place, and an empty one gives
+    empty factors. A zero pivot raises RuntimeError, where scipy only
+    warns."""
+    a = np.asarray_chkfinite(a)
+    if a.size == 0:
+        return np.empty_like(a), np.arange(0, dtype=np.int32)
+    lu, piv, info = _flapack.dgetrf(a, overwrite_a=1)
+    if info < 0:
+        raise ValueError("illegal value in %dth argument of internal getrf "
+                         "(lu_factor)" % -info)
     if info > 0:
         raise RuntimeError("singular matrix: pivot %d of its LU factor is "
                            "exactly zero" % info)

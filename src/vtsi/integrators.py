@@ -14,11 +14,12 @@ rows enter the step system, and the model supplies those rows from one
 source: ``CoupledModel.reduced_at``. The model's callables take an array of
 instants and return one entry per instant. A run knows every instant before
 its first step (t_{n+1} = t_n + dt, accumulated, and the collocation
-instant t_f between t_n and t_{n+1}), so ``run_model`` calls each callable
-once on all of them; a direct ``Stepper.step`` evaluates its own one or two
-instants. The t_{n+1} constraint travels with the new state as
-``CoupledState.con``, so projection, displacement repair, and the residual
-record read it there.
+instant t_f between t_n and t_{n+1}), and evaluates them a chunk of whole
+blocks of steps at a time (``Stepper._coefficients``): one call of each
+callable on the chunk's instants, at most TABLE_BLOCK of them, so no table
+grows with the run. A direct ``Stepper.step`` is a chunk of one step. The
+t_{n+1} constraint travels with the new state as ``CoupledState.con``, so
+projection, displacement repair, and the residual record read it there.
 
 What a step uses that depends only on its index is tabulated ahead of it,
 a block of steps at a time (``Stepper.tabulate``): the coupling rows of
@@ -83,7 +84,7 @@ undamped bridge, whose C is a read-only zero view
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -146,9 +147,9 @@ def scheme_params(rho_inf: float | None = None, dt: float = 1e-3,
 
 # Prescribed gap of a wheel on a bridge: zero at every order.
 NO_GAP = np.zeros((3, 3))
-# Instants per batched evaluation of the standard model's coefficients:
-# large enough to amortise the per-call overhead, small enough that the
-# temporary arrays of a batch stay well below the tables kept.
+# Instants per call of a model's callables in ``run_model`` (a chunk of
+# whole blocks of steps): large enough to amortise a call's fixed cost,
+# small enough that a chunk's tables and temporaries stay small.
 TABLE_BLOCK = 512
 # Bytes of step operators tabulated at a time (``Stepper.block_steps``):
 # they add to a run's peak memory, 0.5 MiB to criterion 6's 67 MB.
@@ -198,11 +199,12 @@ class CoupledModel:
 
     Both callables take a 1-D array of instants and return a table with
     one entry per instant: ``vehicle_at(t)`` the vehicle matrices
-    (``VehicleSystem``), ``reduced_at(t)`` the wheel ``Constraint``. A
-    direct ``Stepper.step`` reads single entries, ``table[i]``;
-    ``run_model`` tabulates both once per run and reads a block of steps'
-    entries at once, ``table[idx]`` for an index array, as one entry of
-    stacked arrays. ``bridge`` needs M, C, K, P
+    (``VehicleSystem``), ``reduced_at(t)`` the wheel ``Constraint``.
+    ``run_model`` calls each once per chunk of blocks of steps, on the
+    chunk's instants, and reads a block's entries at once, ``table[idx]``
+    for an index array, as one entry of stacked arrays; a direct
+    ``Stepper.step`` does the same with a chunk of one step. ``bridge``
+    needs M, C, K, P
     (and Z for coupling). ``axle_load`` (3-vector), when set, adds
     L(t_f)^T axle_load to the bridge load. Any block may be absent: no
     vehicle (pure structural run), no bridge (rigid-profile run), or no
@@ -288,14 +290,6 @@ class TimeHistory:
         return len(self.t) - 1
 
 
-def _instants(params: SchemeParams, t):
-    """t_{n+1} and the collocation instant t_f of the step(s) starting at t
-    (a scalar or an array)."""
-    t1 = t + params.dt
-    af = params.alpha_f
-    return t1, (1.0 - af) * t1 + af * t
-
-
 def _step_block(bridge, p: SchemeParams, damped: bool) -> np.ndarray:
     """A_b = (1 - a_m) M + (1 - a_f) (gamma dt C + beta dt^2 K), each
     product and sum grouped as written, in two Fortran-ordered buffers, so
@@ -352,6 +346,9 @@ class Stepper:
         am, af = params.alpha_m, params.alpha_f
         self._am, self._af = am, af
         self._keep_m, self._keep_f = 1.0 - am, 1.0 - af
+        # Instants of the constraint per step: t_{n+1}, and t_f unless
+        # alpha_f is 0.
+        self._instants = 1 if af == 0.0 else 2
         self._nt, self._nb = model.n_t, model.n_b
         self._bridge_lu = None
         self._damped = False
@@ -382,27 +379,38 @@ class Stepper:
             raise RuntimeError("singular saddle system at t=%.6g" % t1)
         return x
 
-    def _coefficients(self, t: float) -> StepCoefficients:
-        """Coefficients of the step starting at t, evaluated as one batch of
-        its distinct instants (one under Newmark, else two)."""
-        m = self.model
-        t1, tf = _instants(self.params, t)
-        con1 = conf = veh = None
+    def _coefficients(self, t: np.ndarray):
+        """Coefficients of the consecutive steps starting at the instants
+        t, from one call of each model callable: the constraint at the
+        steps' t_{n+1}, and at their t_f unless alpha_f is 0 (under Newmark
+        t_f is t_{n+1}), and the vehicle at their t_f. Returns the lookup
+        from an index array of those steps to their ``StepCoefficients``,
+        stacked."""
+        m, k, af = self.model, len(t), self._af
+        t1 = t + self.params.dt
+        tf = (1.0 - af) * t1 + af * t
+        cons = vehs = None
         if m.n_lam:
-            one_instant = tf == t1
-            cons = m.reduced_at(np.array([t1] if one_instant else [t1, tf]))
-            con1 = cons[0]
-            conf = con1 if one_instant else cons[1]
+            cons = m.reduced_at(t1 if self._instants == 1
+                                else np.concatenate((t1, tf)))
         if m.n_t:
-            veh = m.vehicle_at(np.array([tf]))[0]
-        return StepCoefficients(con1, conf, veh)
+            vehs = m.vehicle_at(tf)
+
+        def lookup(i: np.ndarray) -> StepCoefficients:
+            con1 = conf = None
+            if cons is not None:
+                con1 = cons[i]
+                conf = con1 if self._instants == 1 else cons[k + i]
+            return StepCoefficients(con1, conf,
+                                    None if vehs is None else vehs[i])
+        return lookup
 
     def block_steps(self) -> int:
         """Steps per block of ``tabulate`` and of ``run_model``'s record: a
         multiple of the three steps of one Schur solve, whose operators and
         bridge states take at most STEP_TABLE_BYTES (or one solve's steps,
         if those take more)."""
-        instants = 1 if self._af == 0.0 else 2
+        instants = self._instants
         # Per bridge DOF: the three orders' reduced rows of each distinct
         # instant (9), C_b and Y (6), and the new ub, vb and ab (3); then
         # the reduced matrix, and about 2 KB of views.
@@ -463,27 +471,25 @@ class Stepper:
         return [StepOperators(*ops)
                 for ops in zip(cons, vehs, A, P_b, C_b, Y)]
 
-    def step(self, state: CoupledState,
-             coeffs: StepOperators | StepCoefficients | None = None,
+    def step(self, state: CoupledState, ops: StepOperators | None = None,
              out: tuple | None = None) -> CoupledState:
         """Advance ``state`` by one step, with the step's tabulated
-        operators; given the step's coefficients, or none (they are then
-        evaluated here), it tabulates them as a block of one step.
+        operators; without them, it evaluates the step's coefficients as a
+        chunk of one step and tabulates them as a block of one.
 
         The new state's ut, vt, at, ub, vb, ab and lam are written into the
         seven arrays of ``out`` (``run_model`` passes rows of its history
         and of its block buffers), or into new ones. A block the model
         lacks carries the old state's values."""
-        if not isinstance(coeffs, StepOperators):
-            if coeffs is None:
-                coeffs = self._coefficients(state.t)
-            coeffs = self.tabulate(_one_step(coeffs), 1)[0]
+        if ops is None:
+            one = self._coefficients(np.array([state.t]))
+            ops = self.tabulate(one(np.arange(1)), 1)[0]
         if out is None:
             out = [np.empty_like(a) for a in (state.ut, state.vt, state.at,
                                                state.ub, state.vb, state.ab,
                                                state.lam)]
         ut, vt, at, ub, vb, ab, lam = out
-        con1, veh, A, P_b, C_b, Y = coeffs
+        con1, veh, A, P_b, C_b, Y = ops
         dt, am, af = self.params.dt, self._am, self._af
         bdt2, gdt = self._bdt2, self._gdt
         nt, nb = self._nt, self._nb
@@ -559,21 +565,6 @@ class Stepper:
         return new
 
 
-def _one_step(coeffs: StepCoefficients) -> StepCoefficients:
-    """One step's coefficients as a block of one step."""
-    con1, conf, veh = coeffs
-
-    def stacked(con):
-        return None if con is None else Constraint(*(a[None] for a in con))
-
-    if veh is not None:
-        veh = VehicleSystem(*(np.asarray(a)[None] for a in (
-            veh.M, veh.C, veh.K, veh.P)), L_TR[None])
-    con1_block = stacked(con1)
-    return StepCoefficients(
-        con1_block, con1_block if conf is con1 else stacked(conf), veh)
-
-
 def project_constraints(state: CoupledState, level: str) -> CoupledState:
     """Overwrite the wheel rows so one level of ``state.con`` holds exactly.
 
@@ -618,19 +609,29 @@ def constraint_residuals(state: CoupledState):
 
 
 def initial_state(model: CoupledModel, t0_correction: bool = True,
-                  bridge_static_init: bool = True,
-                  con: Constraint | None = None) -> CoupledState:
+                  bridge_static_init: bool = True) -> CoupledState:
     """Vehicle at rest at the path start; bridge optionally in static
     equilibrium under self-weight. The optional t = 0 projection corrects
     wheel velocity and acceleration to the differentiated constraints.
-    ``con`` is the constraint at t = 0 when the caller has tabulated it;
-    otherwise it is evaluated here."""
+
+    A static state that does not solve K u = P to 1e-6 of P, as when the
+    supports leave the bridge free to move, raises RuntimeError naming
+    ``bridge.supports``."""
     nb = model.n_b
     ub = np.zeros(nb)
     if nb and bridge_static_init:
-        ub = np.linalg.solve(model.bridge.K, model.bridge.P)
-    if model.n_lam and con is None:
-        con = model.reduced_at(np.zeros(1))[0]
+        K, P = model.bridge.K, model.bridge.P
+        try:
+            ub = np.linalg.solve(K, P)
+            # K u by scipy's dgemv (``Stepper._bridge_product``).
+            res = np.linalg.norm(dgemv(1.0, K.T, ub, trans=1) - P)
+        except np.linalg.LinAlgError:
+            res = np.inf
+        if not res <= 1e-6 * np.linalg.norm(P):
+            raise RuntimeError(
+                "bridge.supports leave the bridge free to move: its static "
+                "self-weight state does not solve K u = P")
+    con = model.reduced_at(np.zeros(1))[0] if model.n_lam else None
     state = CoupledState(
         t=0.0,
         ut=np.zeros(4), vt=np.zeros(4), at=np.zeros(4),
@@ -650,37 +651,20 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
               displacement_repair_every: int = 0) -> TimeHistory:
     """Integrate ``n_steps`` uniform steps and record the standard probes.
 
-    Every time-varying coefficient is tabulated before the first step, in
-    one call of each model callable on all the run's distinct instants.
-    The steps' operators are tabulated from them a block of steps at a
-    time (``Stepper.tabulate``), and the steps are recorded a block at a
-    time: each step writes its state into the history and a buffer of the
-    block's bridge rows, and the block's probes, residuals and finiteness
-    follow in stacked operations, with the bits of one state's. Raises
-    RuntimeError, naming the step and t, at the first step whose state is
-    not finite."""
-    # t_n accumulates dt exactly as the steps do; instants of step i
-    # (1-based) are t[i] and tf[i - 1].
+    The time-varying coefficients are evaluated a chunk of whole blocks
+    of steps at a time, in one call of each model callable on the chunk's
+    instants (``Stepper._coefficients``), at most TABLE_BLOCK of them
+    unless one block has more. The steps' operators are tabulated from
+    them a block of steps at a time (``Stepper.tabulate``), and the steps
+    are recorded a block at a time: each step writes its state into the
+    history and a buffer of the block's bridge rows, and the block's
+    probes, residuals and finiteness follow in stacked operations, with
+    the bits of one state's. Raises RuntimeError, naming the step and t,
+    at the first step whose state is not finite."""
+    # t_n accumulates dt exactly as the steps do: step i (1-based) starts
+    # at t[i - 1].
     t = np.cumsum(np.concatenate([[0.0], np.full(n_steps, params.dt)]))
-    t1, tf = _instants(params, t[:-1])
-    con_t, con_at = np.unique(np.concatenate([t[:1], t1, tf]),
-                              return_inverse=True)
-    cons = model.reduced_at(con_t) if model.n_lam else None
-    vehs = model.vehicle_at(tf) if model.n_t else None
-
-    def coefficients(i):
-        """Coefficients of the steps of index array i, stacked."""
-        j, jf = con_at[i], con_at[n_steps + i]
-        con1 = conf = None
-        if cons is not None:
-            # Under Newmark t_f is t_{n+1}: one entry, looked up once.
-            con1 = cons[j]
-            conf = con1 if np.array_equal(jf, j) else cons[jf]
-        return StepCoefficients(con1, conf,
-                                None if vehs is None else vehs[i - 1])
-
-    state = initial_state(model, t0_correction, bridge_static_init,
-                          con=None if cons is None else cons[con_at[0]])
+    state = initial_state(model, t0_correction, bridge_static_init)
     probe_rows = {}
     if model.bridge is not None and probes:
         for name, s in probes.items():
@@ -724,12 +708,11 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
             raise RuntimeError("state is not finite after step %d (t=%.6g)"
                                % (i, t[i]))
 
-    def advance(state, first, stop):
-        """Steps first..stop - 1 from ``state``, recorded; the last state.
-        The block's finiteness check, probes and residuals follow its
-        steps."""
+    def advance(state, coeffs, first, stop):
+        """Steps first..stop - 1 from ``state``, with their coefficients
+        ``coeffs``, recorded; the last state. The block's finiteness check,
+        probes and residuals follow its steps."""
         rows, k = slice(first, stop), stop - first
-        coeffs = coefficients(np.arange(first, stop))
         new = bridge_rows[:k]
         dests = zip(out.ut[rows], out.vt[rows], out.at[rows], new[:, 0],
                     new[:, 1], new[:, 2], out.lam[rows])
@@ -755,12 +738,19 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
     out.ut[0], out.vt[0], out.at[0], out.lam[0] = (state.ut, state.vt,
                                                    state.at, state.lam)
     record(0, state)
-    for first in range(1, N, block):
-        if state.con is not None:
-            # A copy, so that the last block's rows, which it views, are
-            # freed before the next block's are built.
-            state.con = Constraint(*map(np.array, state.con))
-        state = advance(state, first, min(first + block, N))
+    chunk = block * max(1, TABLE_BLOCK // (block * stepper._instants))
+    for start in range(1, N, chunk):
+        end = min(start + chunk, N)
+        coefficients = stepper._coefficients(t[start - 1:end - 1])
+        for first in range(start, end, block):
+            if state.con is not None:
+                # A copy, so that the last block's rows, which it views,
+                # are freed before the next block's are built.
+                state.con = Constraint(*map(np.array, state.con))
+            stop = min(first + block, end)
+            state = advance(state, coefficients(np.arange(first - start,
+                                                          stop - start)),
+                            first, stop)
     return out
 
 
@@ -821,42 +811,5 @@ def coupled_model(path, bridge, vehicle_params: VehicleParams) -> CoupledModel:
         return ConstraintTable(np.broadcast_to(NO_GAP, t.shape + NO_GAP.shape),
                                snap, bridge.Z)
 
-    return CoupledModel(vehicle_at=_blockwise(vehicle_block), bridge=bridge,
-                        reduced_at=_blockwise(reduced_block))
-
-
-class _Blocks:
-    """One table made of consecutive blocks of TABLE_BLOCK entries. An
-    increasing index array reads each block's entries stacked, and joins
-    the stacks."""
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-
-    def __getitem__(self, i):
-        b, j = np.divmod(i, TABLE_BLOCK)
-        ends = np.ravel(b)[[0, -1]]
-        if ends[0] == ends[1]:
-            return self.blocks[ends[0]][j]
-        cut = np.flatnonzero(np.diff(b)) + 1
-        return _joined([self.blocks[bb[0]][jj]
-                        for bb, jj in zip(np.split(b, cut), np.split(j, cut))])
-
-
-def _joined(parts):
-    """Consecutive stacked entries (``Constraint``, ``VehicleSystem``) as
-    one, each field's arrays concatenated."""
-    first = parts[0]
-    names = (first._fields if isinstance(first, tuple)
-             else [f.name for f in fields(first)])
-    return type(first)(*(np.concatenate([getattr(p, k) for p in parts])
-                         for k in names))
-
-
-def _blockwise(table):
-    """``table`` evaluated on TABLE_BLOCK instants at a time, so that its
-    temporary arrays stay small however many instants a run has."""
-    def blocks(t):
-        return _Blocks([table(t[i:i + TABLE_BLOCK])
-                        for i in range(0, len(t), TABLE_BLOCK)])
-    return blocks
+    return CoupledModel(vehicle_at=vehicle_block, bridge=bridge,
+                        reduced_at=reduced_block)

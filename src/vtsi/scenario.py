@@ -22,8 +22,9 @@ __all__ = ["Scenario", "RunConfig", "BridgeConfig", "Probe",
            "default_plan_spec"]
 
 
-# Largest step count of a run: its coefficient tables and time history are
-# allocated in full before the first step.
+# Largest step count of a run: its time history is allocated in full before
+# the first step. Its coefficients are evaluated a chunk of steps at a time,
+# so no coefficient table grows with the step count.
 MAX_STEPS = 1_000_000
 # Smallest step count of a run: the report's oscillation indices need eight
 # samples, the initial state and seven steps.

@@ -25,8 +25,8 @@ from vtsi import parse_scenario
 from vtsi.beams import (F_UB, F_UN, BeamSection, FieldRows,
                         element_matrices_iga)
 from vtsi.coupling import COUPLED_FIELDS, constraint_rates
-from vtsi.integrators import (TABLE_BLOCK, CoupledState, Stepper,
-                              coupled_model, initial_state,
+from vtsi.integrators import (TABLE_BLOCK, Constraint, CoupledState,
+                              Stepper, coupled_model, initial_state,
                               project_constraints, run_model, scheme_params)
 from vtsi.pathgeom import (ARCLENGTH_SUBDIV, GAUSS_ARCLENGTH, GAUSS_PLAN,
                            STRAIGHT_CURVATURE_TOL, UP, CosineProfile,
@@ -462,35 +462,52 @@ class TestTabulatedRun:
     def test_tabulated_instants_are_the_t_column(
             self, default_scenario, default_path, default_bridge, rho_inf,
             newmark):
+        # Longer than one chunk of steps, so the instants span calls.
         model = coupled_model(default_path, default_bridge,
                               default_scenario.vehicle)
-        seen = {}
+        seen = {"vehicle": [], "constraint": []}
 
         def recording(name, fn):
             def wrapped(t):
-                seen[name] = t
+                seen[name].append(t)
                 return fn(t)
             return wrapped
 
         model.vehicle_at = recording("vehicle", model.vehicle_at)
         model.reduced_at = recording("constraint", model.reduced_at)
         p = scheme_params(rho_inf=rho_inf, dt=1e-3, newmark=newmark)
-        hist = run_model(model, p, "A", 40)
-        t = hist.t
-        tf = (1.0 - p.alpha_f) * t[1:] + p.alpha_f * t[:-1]
-        assert np.array_equal(seen["vehicle"], tf)
-        assert np.array_equal(seen["constraint"],
-                              np.unique(np.concatenate([t, tf])))
-        assert len(seen["constraint"]) == (41 if newmark else 81)
-
-    def test_tabulated_run_equals_direct_steps(self, default_scenario,
-                                               default_path, default_bridge):
-        # Longer than one block of the tables, so lookups cross blocks.
-        model = coupled_model(default_path, default_bridge,
-                              default_scenario.vehicle)
-        p = scheme_params(rho_inf=0.9, dt=1e-3)
         n = TABLE_BLOCK + 3
         hist = run_model(model, p, "A", n)
+        t = hist.t
+        tf = (1.0 - p.alpha_f) * t[1:] + p.alpha_f * t[:-1]
+        assert len(seen["vehicle"]) >= 2
+        assert np.array_equal(np.concatenate(seen["vehicle"]), tf)
+        # Every instant once, across all calls: t_0, each t_{n+1} and each
+        # t_f (which is t_{n+1} under Newmark).
+        instants = np.sort(np.concatenate(seen["constraint"]))
+        assert np.array_equal(instants, np.unique(np.concatenate([t, tf])))
+        assert len(instants) == (n + 1 if newmark else 2 * n + 1)
+
+    @pytest.mark.parametrize("rho_inf,newmark", [(0.9, False), (None, True)])
+    def test_tabulated_run_equals_direct_steps(self, default_scenario,
+                                               default_path, default_bridge,
+                                               rho_inf, newmark):
+        # Longer than one chunk of steps, so the run evaluates its
+        # coefficients in more than one call.
+        model = coupled_model(default_path, default_bridge,
+                              default_scenario.vehicle)
+        calls = []
+        reduced_at = model.reduced_at
+
+        def counting(t):
+            calls.append(len(t))
+            return reduced_at(t)
+
+        model.reduced_at = counting
+        p = scheme_params(rho_inf=rho_inf, dt=1e-3, newmark=newmark)
+        n = TABLE_BLOCK + 3
+        hist = run_model(model, p, "A", n)
+        assert len(calls) >= 3  # t = 0, then at least two chunks
         stepper = Stepper(model, p, "A")
         state = initial_state(model)
         for i in range(1, n + 1):
@@ -578,6 +595,16 @@ class RefStepper:
 STATE_FIELDS = ("t", "ut", "vt", "at", "ub", "vb", "ab", "lam")
 
 
+def unstacked(coeffs):
+    """One step's coefficients from those of a block of one step."""
+    con1, conf, veh = coeffs
+
+    def first(con):
+        return Constraint(*(a[0] for a in con))
+
+    return first(con1), first(conf), veh[0]
+
+
 @pytest.fixture(scope="module")
 def bridges(default_path):
     """Bridges on the default path, built once per bridge config."""
@@ -613,9 +640,9 @@ class TestStepOracle:
         ref = RefStepper(model, params, scenario.run.strategy)
         state = want = initial_state(model)
         for _ in range(20):
-            coeffs = stepper._coefficients(state.t)
-            state = stepper.step(state, coeffs)
-            want = ref.step(want, coeffs)
+            coeffs = stepper._coefficients(np.array([state.t]))(np.arange(1))
+            state = stepper.step(state, stepper.tabulate(coeffs, 1)[0])
+            want = ref.step(want, unstacked(coeffs))
             for name in STATE_FIELDS:
                 assert np.array_equal(getattr(state, name),
                                       getattr(want, name)), name

@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import vtsi.cli
 import vtsi.integrators as integ
@@ -112,16 +117,16 @@ class TestRun:
     def test_nonfinite_coupling_rows_exit_two(self, tmp_path, capsys,
                                               monkeypatch):
         healthy = integ.constraint_rates
-        tabulated = [0]
+        tabulated = []
 
         def poisoned(*args, **kwargs):
-            # The run tabulates the constraint at its sorted distinct
-            # instants 0, t_f of step 1, t_1, t_f of step 2, ... before the
-            # first step, so entry 99 is t_f of step 50.
+            # The run evaluates the constraint at t = 0, then, in one chunk
+            # of its 200 steps, at t_{n+1} of steps 1..200 and at t_f of
+            # steps 1..200, so entry 1 + 200 + 49 is t_f of step 50.
             snap = healthy(*args, **kwargs)
             vals = snap.rows.vals
-            vals[max(99 - tabulated[0], 0):] = np.nan
-            tabulated[0] += len(vals)
+            vals[max(250 - sum(tabulated), 0):] = np.nan
+            tabulated.append(len(vals))
             return snap
 
         monkeypatch.setattr(integ, "constraint_rates", poisoned)
@@ -130,9 +135,130 @@ class TestRun:
                                         "run": {"horizon": 0.2}}))
         out = tmp_path / "out"
         assert cli(["run", str(scenario), "-o", str(out)]) == 2
+        assert tabulated == [1, 400]
         err = capsys.readouterr().err
         assert "step 50 " in err and "t=0.05" in err
         assert not (out / "timehistory.csv").exists()
+
+
+FIXED = [0, 1, 2, 3, 4, 5]
+
+
+class TestSupports:
+    def _run(self, tmp_path, data):
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        return cli(["run", str(p), "-o", str(out)]), out
+
+    def test_fully_fixed_bridge_runs_quietly(self, tmp_path, capfd):
+        # Every DOF fixed: the bridge has no reduced DOF, and LAPACK is
+        # never handed the empty matrix (it used to print an error).
+        code, out = self._run(tmp_path, {
+            "plan": {"spans": [{"kind": "straight", "length": 20}]},
+            "bridge": {"kind": "fem", "elements_per_span": 1,
+                       "supports": [[0, FIXED], [20, FIXED]]},
+            "run": {"horizon": 0.02}})
+        assert code == 0
+        assert capfd.readouterr() == ("", "")
+        assert (out / "timehistory.csv").is_file()
+
+    # One support fixing only u_n leaves the bridge free to move: its
+    # static self-weight state has no solution.
+    @pytest.mark.parametrize("kind", ["nurbs", "fem"])
+    def test_under_supported_bridge_exits_two(self, kind, tmp_path, capsys):
+        code, out = self._run(tmp_path, {
+            "bridge": {"kind": kind, "supports": [[10, [1]]]},
+            "run": {"horizon": 0.02}})
+        assert code == 2
+        assert "bridge.supports" in capsys.readouterr().err
+        assert not (out / "timehistory.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["nurbs", "fem"])
+    def test_bridge_fixed_at_one_end_runs(self, kind, tmp_path):
+        code, out = self._run(tmp_path, {
+            "bridge": {"kind": kind, "supports": [[0, FIXED]]},
+            "run": {"horizon": 0.02}})
+        assert code == 0
+        assert (out / "timehistory.csv").is_file()
+
+
+radii = st.floats(150.0, 6000.0)
+
+
+@st.composite
+def whole_runs(draw):
+    """A scenario a coarse bridge runs in a few dozen steps: 1-3 spans whose
+    curvature is continuous at the joints (a first span may start curved),
+    random supports (fully fixed ends among them), probes, speed, strategy
+    and static initial state."""
+    spans, radius = [], draw(st.none() | radii)
+    for _ in range(draw(st.integers(1, 3))):
+        end = draw(st.none() | st.just(radius) | radii)
+        kind = ("transition" if end != radius
+                else "straight" if end is None else "arc")
+        spans.append({"kind": kind, "length": draw(st.floats(10.0, 40.0)),
+                      "radius_start": radius, "radius_end": end})
+        radius = end
+    length = sum(span["length"] for span in spans)
+    where = st.floats(0.0, length)
+    fields = st.lists(st.integers(0, 5), min_size=1, max_size=6,
+                      unique=True).map(sorted)
+    supports = draw(st.none()
+                    | st.just([[0.0, [0, 1, 2, 3, 4, 5]],
+                               [length, [0, 1, 2, 3, 4, 5]]])
+                    | st.lists(st.tuples(where, fields).map(list),
+                               min_size=1, max_size=4))
+    dt = draw(st.sampled_from([5e-4, 1e-3, 5e-3]))
+    data = {
+        "plan": {"spans": spans},
+        "bridge": {"kind": draw(st.sampled_from(["nurbs", "fem"])),
+                   "degree": draw(st.integers(1, 4)),
+                   "elements_per_span": draw(st.integers(1, 4))},
+        "vehicle": {"v": draw(st.floats(0.0, 100.0))},
+        "run": {"strategy": draw(st.sampled_from("ABC")), "dt": dt,
+                "horizon": draw(st.integers(7, 40)) * dt,
+                "bridge_static_init": draw(st.booleans())},
+        "probes": [{"s": s} for s in draw(st.lists(where, max_size=2))],
+    }
+    if supports is not None:
+        data["bridge"]["supports"] = supports
+    return data
+
+
+def finite_json(value) -> bool:
+    """No NaN or infinity anywhere in a parsed JSON value."""
+    if isinstance(value, dict):
+        return all(map(finite_json, value.values()))
+    if isinstance(value, list):
+        return all(map(finite_json, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestWholeRuns:
+    # Every run `check` accepts ends in exit 0, 1 or 2, never in an
+    # exception, and prints nothing on stdout (LAPACK's error messages go
+    # there); a run that exits 0 writes finite outputs and nothing on
+    # stderr.
+    @settings(derandomize=True, deadline=None, max_examples=50,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(data=whole_runs())
+    def test_exits_cleanly_with_finite_outputs(self, data, capfd):
+        capfd.readouterr()
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+            scenario.write_text(json.dumps(data))
+            code = cli(["run", str(scenario), "-o", str(out)])
+            printed = capfd.readouterr()
+            assert code in (0, 1, 2) and printed.out == ""
+            if code == 0:
+                assert printed.err == ""
+                table = np.loadtxt(out / "timehistory.csv", delimiter=",",
+                                   skiprows=1, ndmin=2)
+                assert np.all(np.isfinite(table))
+                assert finite_json(json.loads(
+                    (out / "report.json").read_text()))
 
 
 class TestOutputPath:

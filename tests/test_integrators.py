@@ -3,13 +3,13 @@ import copy
 import numpy as np
 import pytest
 
-from vtsi.integrators import (Constraint, CoupledModel, Stepper,
+from vtsi.integrators import (ConstraintTable, CoupledModel, Stepper,
                               constraint_residuals, coupled_model,
                               initial_state,
                               project_constraints, run_model,
                               run_rigid_profile, scheme_params)
 from vtsi.pathgeom import CosineProfile
-from vtsi.vehicle import VehicleParams
+from vtsi.vehicle import L_TR, VehicleParams, VehicleSystem
 
 
 class Sys:
@@ -173,13 +173,15 @@ class TestRigidProfile:
 
 class TestSaddleSystem:
     def test_singular_system_raises(self):
-        veh = Sys(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)),
-                  np.zeros(4))
+        # A zero vehicle, and a wheel constraint with no bridge columns and
+        # no gap, stacked over the instants.
+        def vehicles(t):
+            return VehicleSystem(*(np.zeros(t.shape + shape) for shape in (
+                (4, 4), (4, 4), (4, 4), (4,), L_TR.shape)))
 
-        no_rows = np.zeros((3, 0))
-        con = Constraint(no_rows, no_rows, no_rows, np.zeros((3, 3)))
-        model = CoupledModel(vehicle_at=lambda t: [veh] * len(t),
-                             reduced_at=lambda t: [con] * len(t))
+        model = CoupledModel(
+            vehicle_at=vehicles,
+            reduced_at=lambda t: ConstraintTable(np.zeros(t.shape + (3, 3))))
         stepper = Stepper(model, scheme_params(newmark=True), "A")
         with pytest.raises(RuntimeError, match="singular"):
             stepper.step(initial_state(model, t0_correction=False,
@@ -231,12 +233,14 @@ class TestStrategyBehaviour:
 
 
 class TestCoefficientEvaluations:
-    """A run tabulates its time-varying coefficients before the first step,
-    in one call of each model callable on all its distinct instants: the
-    constraint at t_0, at every t_{n+1} and at every t_f (which equals
-    t_{n+1} under Newmark), the vehicle frame at every t_f and once at the
-    path start for the gravity reference. Projection, repair, and the
-    residual record reuse the constraint the state carries."""
+    """A run evaluates its time-varying coefficients a chunk of blocks of
+    steps at a time, in one call of each model callable per chunk on the
+    chunk's instants, and the initial state evaluates the constraint at
+    t_0: every instant once, the constraint at t_0, at every t_{n+1} and at
+    every t_f (which equals t_{n+1} under Newmark), the vehicle frame at
+    every t_f and once at the path start for the gravity reference.
+    Projection, repair, and the residual record reuse the constraint the
+    state carries."""
 
     N_STEPS = 7
 
@@ -277,7 +281,9 @@ class TestCoefficientEvaluations:
             model.vehicle_at = counting("vehicle_at", model.vehicle_at, 0)
             model.reduced_at = counting("reduced_at", model.reduced_at, 0)
             hist = run_simulation(scenario, model)
-            assert calls["vehicle_at"] == calls["reduced_at"] == 1
+            # One chunk holds the run's steps; reduced_at also runs at t_0.
+            assert calls == {"vehicle_at": 1, "reduced_at": 2,
+                             "constraint_rates": 2, "frame_kinematics": 2}
             assert instants == {"reduced_at": rows_per_step * n + 1,
                                 "constraint_rates": rows_per_step * n + 1,
                                 "vehicle_at": n,

@@ -83,3 +83,12 @@ def test_factors_equal_scipy(kind, elements, default_path, monkeypatch):
 def test_singular_factor_raises():
     with pytest.raises(RuntimeError, match="singular"):
         _lapack.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_empty_factor_equals_scipy():
+    # A bridge whose supports fix every DOF has no reduced DOF to factor.
+    a = np.empty((0, 0), order="F")
+    lu, piv = _lapack.lu_factor(a)
+    want_lu, want_piv = scipy.linalg.lu_factor(a)
+    assert lu.shape == want_lu.shape and lu.dtype == want_lu.dtype
+    assert np.array_equal(piv, want_piv) and piv.dtype == want_piv.dtype
