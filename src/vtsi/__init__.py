@@ -18,9 +18,9 @@ from .vehicle import (L_TR, VehicleParams, VehicleSystem, vehicle_energy,
 from .beams import (BeamSection, BridgeSystem, assemble_bridge,
                     element_matrices_fem, element_matrices_iga,
                     strain_operator)
-from .coupling import ConstraintSnapshot, constraint_rates
-from .integrators import (Constraint, CoupledModel, CoupledState, SchemeParams,
-                          Stepper, TimeHistory, coupled_model, initial_state,
+from .coupling import Constraint, ConstraintTable, constraint_rates
+from .integrators import (CoupledModel, CoupledState, SchemeParams, Stepper,
+                          TimeHistory, coupled_model, initial_state,
                           project_constraints, run_model, run_rigid_profile,
                           scheme_params)
 from .scenario import (BridgeConfig, Probe, RunConfig, Scenario,

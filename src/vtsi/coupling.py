@@ -8,28 +8,57 @@ and second time derivatives follow from the chain rule at constant speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .beams import F_TT, F_UB, F_UN, BridgeSystem, FieldRows
 
-__all__ = ["ConstraintSnapshot", "constraint_rates"]
+__all__ = ["Constraint", "ConstraintTable", "constraint_rates"]
 
 COUPLED_FIELDS = (F_UN, F_UB, F_TT)
 
 
-@dataclass(frozen=True)
-class ConstraintSnapshot:
-    """Coupling rows and their time rates at one wheel position, or at each
-    of an array of positions ``s``.
+class Constraint(NamedTuple):
+    """Wheel constraint L_TR^T u_t + L u_b + r = 0 at one instant, or at
+    each of a stack of instants (a leading axis on every field).
 
-    Orders 0, 1, 2 of ``rows`` are L, L_dot and L_ddot over the full bridge
-    DOFs, stored compactly; ``reduced`` maps one position's rows through the
-    boundary-condition reduction.
+    ``L``, ``L_dot``, ``L_ddot`` are 3 x n_red coupling rows and their time
+    rates; ``r`` stacks the prescribed gap and its two rates (3 x 3, one row
+    per order). On a bridge ``r`` is zero; on a rigid profile L has no
+    columns.
     """
 
-    s: float | np.ndarray
-    rows: FieldRows
+    L: np.ndarray
+    L_dot: np.ndarray
+    L_ddot: np.ndarray
+    r: np.ndarray
+
+
+@dataclass(frozen=True)
+class ConstraintTable:
+    """Wheel constraints at one position ``s`` or at each of an array of
+    them: the prescribed gap ``r`` of each, (m, 3, 3), and on a bridge the
+    coupling rows and their time rates, orders 0, 1, 2 of ``rows``, over
+    the full DOFs, stored compactly. With no rows (a rigid profile) the
+    constraint has no bridge columns.
+
+    ``table[i]`` is the ``Constraint`` at entry i, its rows reduced through
+    Z, or those of an index array i stacked; ``L``, ``L_dot`` and ``L_ddot``
+    are the full dense rows.
+    """
+
+    r: np.ndarray
+    rows: FieldRows | None = None
+    Z: np.ndarray | None = None
+    s: float | np.ndarray | None = None
+
+    def __getitem__(self, i) -> Constraint:
+        r = self.r[i]
+        if self.rows is None:
+            L = np.zeros(r.shape[:-1] + (0,))
+            return Constraint(L, L, L, r)
+        return Constraint(*np.moveaxis(self.rows.reduced(i, self.Z), -3, 0), r)
 
     def _full(self, order: int) -> np.ndarray:
         full = self.rows.dense()[:, order]
@@ -47,15 +76,10 @@ class ConstraintSnapshot:
     def L_ddot(self) -> np.ndarray:
         return self._full(2)
 
-    def reduced(self, Z: np.ndarray, i=0):
-        """L Z, L_dot Z and L_ddot Z at position ``i``, or stacked at each
-        position of an index array ``i``."""
-        return tuple(np.moveaxis(self.rows.reduced(i, Z), -3, 0))
 
-
-def constraint_rates(bridge: BridgeSystem, s, v: float) -> ConstraintSnapshot:
+def constraint_rates(bridge: BridgeSystem, s, v: float) -> ConstraintTable:
     """Coupling rows with first and second time derivatives at speed ``v``,
-    at one arclength ``s`` or at each of an array of them."""
+    at one arclength ``s`` or at each of an array of them; the gap is zero."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     off = ~((0.0 <= s_arr) & (s_arr <= bridge.length + 1e-9))
     if np.any(off):
@@ -63,5 +87,5 @@ def constraint_rates(bridge: BridgeSystem, s, v: float) -> ConstraintSnapshot:
     rows = bridge.shape.rows(s_arr, COUPLED_FIELDS, 2)
     rows.vals[:, 1] *= v
     rows.vals[:, 2] *= v * v
-    return ConstraintSnapshot(s, rows)
-
+    return ConstraintTable(np.broadcast_to(0.0, s_arr.shape + (3, 3)), rows,
+                           bridge.Z, s)

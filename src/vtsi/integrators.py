@@ -11,15 +11,17 @@ Three interchangeable strategies:
 
 The strategies differ only in the level at which the time-varying coupling
 rows enter the step system, and the model supplies those rows from one
-source: ``CoupledModel.reduced_at``. The model's callables take an array of
-instants and return one entry per instant. A run knows every instant before
-its first step (t_{n+1} = t_n + dt, accumulated, and the collocation
-instant t_f between t_n and t_{n+1}), and evaluates them a chunk of whole
-blocks of steps at a time (``Stepper._coefficients``): one call of each
-callable on the chunk's instants, at most TABLE_BLOCK of them, so no table
-grows with the run. A direct ``Stepper.step`` is a chunk of one step. The
-t_{n+1} constraint travels with the new state as ``CoupledState.con``, so
-projection, displacement repair, and the residual record read it there.
+source: ``CoupledModel.reduced_at``, a ``coupling.ConstraintTable``. The
+model's callables take an array of instants and return one entry per
+instant. A run knows every instant before its first step (t_{n+1} = t_n +
+dt, accumulated, and the collocation instant t_f between t_n and t_{n+1}),
+and one generator, ``Stepper.blocks``, schedules them: it calls each
+callable once per chunk of whole blocks of steps, on the chunk's instants,
+at most TABLE_BLOCK of them, so no table grows with the run, and yields
+each block's operators. A direct ``Stepper.step`` takes the first block of
+a run of one step. The t_{n+1} constraint travels with the new state as
+``CoupledState.con``, so projection, displacement repair, and the residual
+record read it there.
 
 What a step uses that depends only on its index is tabulated ahead of it,
 a block of steps at a time (``Stepper.tabulate``): the coupling rows of
@@ -30,7 +32,7 @@ bridge load. The step itself forms the predictors and the residuals, makes
 one one-column bridge solve, and solves a copy of the tabulated matrix. A
 direct ``Stepper.step`` tabulates a block of one step, so every step runs
 the same code. A block is sized by bytes, at most STEP_TABLE_BYTES (at
-n_red 234, 15 steps under Newmark and 9 under generalized-alpha; from 954
+n_red 234, 12 steps under Newmark and 9 under generalized-alpha; from 954
 on, 3), since a run's peak memory is reached while it steps. It holds a
 multiple of three steps: the Schur columns of three steps, 9 columns, are
 one getrs call. Wider calls cost less per column, but from n_red 474 on
@@ -90,14 +92,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._lapack import dgemv, dgesv, dgetrs, lu_factor
-from .coupling import ConstraintSnapshot, constraint_rates
+from .coupling import Constraint, ConstraintTable, constraint_rates
 from .pathgeom import CosineProfile
 from .vehicle import L_TR, VehicleParams, VehicleSystem, vehicle_matrices
 
 __all__ = [
     "SchemeParams",
     "scheme_params",
-    "Constraint",
     "CoupledState",
     "CoupledModel",
     "TimeHistory",
@@ -118,7 +119,6 @@ class SchemeParams:
     beta: float
     gamma: float
     dt: float
-    rho_inf: float | None = None
 
     def __post_init__(self):
         if self.beta <= 0.0 or not (0.0 < self.gamma <= 1.0):
@@ -135,19 +135,17 @@ def scheme_params(rho_inf: float | None = None, dt: float = 1e-3,
                   newmark: bool = False) -> SchemeParams:
     """Chung-Hulbert parameters for a spectral radius, or plain Newmark."""
     if newmark or rho_inf is None:
-        return SchemeParams(0.0, 0.0, 0.25, 0.5, dt, rho_inf=None)
+        return SchemeParams(0.0, 0.0, 0.25, 0.5, dt)
     if not (0.0 <= rho_inf <= 1.0):
         raise ValueError("spectral radius must lie in [0, 1]")
     am = (2.0 * rho_inf - 1.0) / (rho_inf + 1.0)
     af = rho_inf / (rho_inf + 1.0)
     gamma = 0.5 - am + af
     beta = 0.25 * (1.0 - am + af) ** 2
-    return SchemeParams(am, af, beta, gamma, dt, rho_inf=rho_inf)
+    return SchemeParams(am, af, beta, gamma, dt)
 
 
-# Prescribed gap of a wheel on a bridge: zero at every order.
-NO_GAP = np.zeros((3, 3))
-# Instants per call of a model's callables in ``run_model`` (a chunk of
+# Instants per call of a model's callables in ``Stepper.blocks`` (a chunk of
 # whole blocks of steps): large enough to amortise a call's fixed cost,
 # small enough that a chunk's tables and temporaries stay small.
 TABLE_BLOCK = 512
@@ -159,22 +157,6 @@ STEP_TABLE_BYTES = 1 << 19
 # every bridge size with 1 or 2 threads; wider, from n_red 474 on, it takes
 # another path (21 columns still match with 2 threads, not with 1).
 SCHUR_COLUMNS = 9
-
-
-class Constraint(NamedTuple):
-    """Wheel constraint L_TR^T u_t + L u_b + r = 0 at one instant, or at
-    each of a stack of instants (a leading axis on every field).
-
-    ``L``, ``L_dot``, ``L_ddot`` are 3 x n_red coupling rows and their time
-    rates; ``r`` stacks the prescribed gap and its two rates (3 x 3, one row
-    per order). On a bridge ``r`` is zero; on a rigid profile L has no
-    columns.
-    """
-
-    L: np.ndarray
-    L_dot: np.ndarray
-    L_ddot: np.ndarray
-    r: np.ndarray
 
 
 @dataclass
@@ -199,13 +181,12 @@ class CoupledModel:
 
     Both callables take a 1-D array of instants and return a table with
     one entry per instant: ``vehicle_at(t)`` the vehicle matrices
-    (``VehicleSystem``), ``reduced_at(t)`` the wheel ``Constraint``.
-    ``run_model`` calls each once per chunk of blocks of steps, on the
-    chunk's instants, and reads a block's entries at once, ``table[idx]``
-    for an index array, as one entry of stacked arrays; a direct
-    ``Stepper.step`` does the same with a chunk of one step. ``bridge``
-    needs M, C, K, P
-    (and Z for coupling). ``axle_load`` (3-vector), when set, adds
+    (``VehicleSystem``), ``reduced_at(t)`` the wheel constraints
+    (``coupling.ConstraintTable``). ``Stepper.blocks`` calls each once per
+    chunk of blocks of steps, on the chunk's instants, and reads a block's
+    entries at once, ``table[idx]`` for an index array, as one entry of
+    stacked arrays. ``bridge`` needs M, C, K, P (and Z for coupling).
+    ``axle_load`` (3-vector), when set, adds
     L(t_f)^T axle_load to the bridge load. Any block may be absent: no
     vehicle (pure structural run), no bridge (rigid-profile run), or no
     constraint (unconstrained ODE).
@@ -229,16 +210,6 @@ class CoupledModel:
         return 3 if self.reduced_at is not None else 0
 
 
-class StepCoefficients(NamedTuple):
-    """Time-varying coefficients of one step, or stacked of a block of
-    steps: the constraint at t_{n+1} and at t_f, and the vehicle matrices
-    at t_f; None where the model has no such block."""
-
-    con1: Constraint | None
-    conf: Constraint | None
-    veh: VehicleSystem | None
-
-
 class StepOperators(NamedTuple):
     """What one step uses that does not depend on the state, from
     ``Stepper.tabulate``; None where the model lacks the block."""
@@ -249,25 +220,6 @@ class StepOperators(NamedTuple):
     P_b: np.ndarray | None      # the bridge load, with L(t_f)^T axle_load
     C_b: np.ndarray | None      # the constraint rows' bridge columns
     Y: np.ndarray | None        # the Schur columns A_b^-1 L(t_f)^T
-
-
-@dataclass
-class ConstraintTable:
-    """Wheel constraints at an array of instants: the prescribed gap ``r``
-    of each, (m, 3, 3), and on a bridge the compact coupling rows, reduced
-    through Z when looked up (no rows: a rigid profile's constraint)."""
-
-    r: np.ndarray
-    snap: ConstraintSnapshot | None = None
-    Z: np.ndarray | None = None
-
-    def __getitem__(self, i) -> Constraint:
-        """Entry i, or the entries of an index array i stacked."""
-        r = self.r[i]
-        if self.snap is None:
-            L = np.zeros(r.shape[:-1] + (0,))
-            return Constraint(L, L, L, r)
-        return Constraint(*self.snap.reduced(self.Z, i), r)
 
 
 @dataclass
@@ -379,34 +331,48 @@ class Stepper:
             raise RuntimeError("singular saddle system at t=%.6g" % t1)
         return x
 
-    def _coefficients(self, t: np.ndarray):
-        """Coefficients of the consecutive steps starting at the instants
-        t, from one call of each model callable: the constraint at the
-        steps' t_{n+1}, and at their t_f unless alpha_f is 0 (under Newmark
-        t_f is t_{n+1}), and the vehicle at their t_f. Returns the lookup
-        from an index array of those steps to their ``StepCoefficients``,
-        stacked."""
-        m, k, af = self.model, len(t), self._af
-        t1 = t + self.params.dt
-        tf = (1.0 - af) * t1 + af * t
-        cons = vehs = None
-        if m.n_lam:
-            cons = m.reduced_at(t1 if self._instants == 1
-                                else np.concatenate((t1, tf)))
-        if m.n_t:
-            vehs = m.vehicle_at(tf)
+    def blocks(self, t: np.ndarray):
+        """The steps starting at the consecutive instants t, a block at a
+        time: yields the index in t of the block's first step, the block's
+        constraint at t_{n+1} stacked (None without one), and the block's
+        ``StepOperators``.
 
-        def lookup(i: np.ndarray) -> StepCoefficients:
-            con1 = conf = None
-            if cons is not None:
-                con1 = cons[i]
-                conf = con1 if self._instants == 1 else cons[k + i]
-            return StepCoefficients(con1, conf,
-                                    None if vehs is None else vehs[i])
-        return lookup
+        Each model callable is called once per chunk of whole blocks, on
+        the chunk's instants, at most TABLE_BLOCK of them unless one block
+        has more: the constraint at the steps' t_{n+1}, and at their t_f
+        unless alpha_f is 0 (under Newmark t_f is t_{n+1}), and the vehicle
+        at their t_f. The generator keeps no block it has yielded while it
+        builds the next, so a caller that lets go of each block first holds
+        one block's tables at a time."""
+        m, af, instants = self.model, self._af, self._instants
+        block = self.block_steps()
+        chunk = block * max(1, TABLE_BLOCK // (block * instants))
+        for start in range(0, len(t), chunk):
+            t0 = t[start:start + chunk]
+            k = len(t0)
+            t1 = t0 + self.params.dt
+            tf = (1.0 - af) * t1 + af * t0
+            cons = vehs = None
+            if m.n_lam:
+                cons = m.reduced_at(t1 if instants == 1
+                                    else np.concatenate((t1, tf)))
+            if m.n_t:
+                vehs = m.vehicle_at(tf)
+            for first in range(0, k, block):
+                i = np.arange(first, min(first + block, k))
+                con1 = conf = veh = None
+                if cons is not None:
+                    con1 = cons[i]
+                    conf = con1 if instants == 1 else cons[k + i]
+                if vehs is not None:
+                    veh = vehs[i]
+                yield start + first, con1, self.tabulate(con1, conf, veh,
+                                                         len(i))
+                # Not kept while the next block is built.
+                del con1, conf, veh
 
     def block_steps(self) -> int:
-        """Steps per block of ``tabulate`` and of ``run_model``'s record: a
+        """Steps per block of ``blocks`` and of ``run_model``'s record: a
         multiple of the three steps of one Schur solve, whose operators and
         bridge states take at most STEP_TABLE_BYTES (or one solve's steps,
         if those take more)."""
@@ -430,9 +396,12 @@ class Stepper:
             Yt[j:j + per_solve] = self._bridge_solve(rhs).T.reshape(-1, 3, nb)
         return Yt.transpose(0, 2, 1)
 
-    def tabulate(self, coeffs: StepCoefficients, n: int) -> list:
+    def tabulate(self, con1: Constraint | None, conf: Constraint | None,
+                 veh: VehicleSystem | None, n: int) -> list:
         """The ``StepOperators`` of a block of n steps, from the block's
-        coefficients stacked along a leading axis.
+        constraint at t_{n+1} and at t_f and its vehicle matrices at t_f,
+        each stacked along a leading axis (None where the model has no such
+        block).
 
         Each operator is formed by the operations a step would apply to its
         own coefficients, in the same order, and the stacked products call
@@ -441,7 +410,6 @@ class Stepper:
         m = self.model
         nt = m.n_t
         bdt2, gdt = self._bdt2, self._gdt
-        con1, conf, veh = coeffs
         cons = vehs = A = P_b = C_b = Y = [None] * n
         if m.n_b:
             P_b = [m.bridge.P] * n
@@ -474,16 +442,15 @@ class Stepper:
     def step(self, state: CoupledState, ops: StepOperators | None = None,
              out: tuple | None = None) -> CoupledState:
         """Advance ``state`` by one step, with the step's tabulated
-        operators; without them, it evaluates the step's coefficients as a
-        chunk of one step and tabulates them as a block of one.
+        operators; without them, it takes the first block of a run of one
+        step (``blocks``).
 
         The new state's ut, vt, at, ub, vb, ab and lam are written into the
         seven arrays of ``out`` (``run_model`` passes rows of its history
         and of its block buffers), or into new ones. A block the model
         lacks carries the old state's values."""
         if ops is None:
-            one = self._coefficients(np.array([state.t]))
-            ops = self.tabulate(one(np.arange(1)), 1)[0]
+            ops = next(self.blocks(np.array([state.t])))[2][0]
         if out is None:
             out = [np.empty_like(a) for a in (state.ut, state.vt, state.at,
                                                state.ub, state.vb, state.ab,
@@ -610,27 +577,31 @@ def constraint_residuals(state: CoupledState):
 
 def initial_state(model: CoupledModel, t0_correction: bool = True,
                   bridge_static_init: bool = True) -> CoupledState:
-    """Vehicle at rest at the path start; bridge optionally in static
-    equilibrium under self-weight. The optional t = 0 projection corrects
-    wheel velocity and acceleration to the differentiated constraints.
+    """Vehicle at rest at the path start; bridge in static equilibrium
+    under self-weight, or at rest undeformed. A constrained wheel starts in
+    contact: its displacement is projected onto the constraint at t = 0,
+    and the optional t = 0 correction projects its velocity and
+    acceleration onto the differentiated constraints.
 
-    A static state that does not solve K u = P to 1e-6 of P, as when the
-    supports leave the bridge free to move, raises RuntimeError naming
-    ``bridge.supports``."""
+    A bridge whose static state does not solve K u = P to 1e-6 of P, as
+    when the supports leave it free to move, raises RuntimeError naming
+    ``bridge.supports``, whether or not the run starts from that state."""
     nb = model.n_b
     ub = np.zeros(nb)
-    if nb and bridge_static_init:
+    if nb:
         K, P = model.bridge.K, model.bridge.P
         try:
-            ub = np.linalg.solve(K, P)
+            static = np.linalg.solve(K, P)
             # K u by scipy's dgemv (``Stepper._bridge_product``).
-            res = np.linalg.norm(dgemv(1.0, K.T, ub, trans=1) - P)
+            res = np.linalg.norm(dgemv(1.0, K.T, static, trans=1) - P)
         except np.linalg.LinAlgError:
             res = np.inf
         if not res <= 1e-6 * np.linalg.norm(P):
             raise RuntimeError(
                 "bridge.supports leave the bridge free to move: its static "
                 "self-weight state does not solve K u = P")
+        if bridge_static_init:
+            ub = static
     con = model.reduced_at(np.zeros(1))[0] if model.n_lam else None
     state = CoupledState(
         t=0.0,
@@ -639,9 +610,11 @@ def initial_state(model: CoupledModel, t0_correction: bool = True,
         lam=np.zeros(3),
         con=con,
     )
-    if t0_correction and model.n_lam:
-        project_constraints(state, "velocity")
-        project_constraints(state, "acceleration")
+    if model.n_lam:
+        project_constraints(state, "displacement")
+        if t0_correction:
+            project_constraints(state, "velocity")
+            project_constraints(state, "acceleration")
     return state
 
 
@@ -651,16 +624,14 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
               displacement_repair_every: int = 0) -> TimeHistory:
     """Integrate ``n_steps`` uniform steps and record the standard probes.
 
-    The time-varying coefficients are evaluated a chunk of whole blocks
-    of steps at a time, in one call of each model callable on the chunk's
-    instants (``Stepper._coefficients``), at most TABLE_BLOCK of them
-    unless one block has more. The steps' operators are tabulated from
-    them a block of steps at a time (``Stepper.tabulate``), and the steps
-    are recorded a block at a time: each step writes its state into the
-    history and a buffer of the block's bridge rows, and the block's
-    probes, residuals and finiteness follow in stacked operations, with
-    the bits of one state's. Raises RuntimeError, naming the step and t,
-    at the first step whose state is not finite."""
+    The steps come a block at a time from ``Stepper.blocks``, which
+    evaluates the time-varying coefficients a chunk of whole blocks at a
+    time and tabulates each block's operators. The steps are recorded a
+    block at a time: each step writes its state into the history and a
+    buffer of the block's bridge rows, and the block's probes, residuals
+    and finiteness follow in stacked operations, with the bits of one
+    state's. Raises RuntimeError, naming the step and t, at the first step
+    whose state is not finite."""
     # t_n accumulates dt exactly as the steps do: step i (1-based) starts
     # at t[i - 1].
     t = np.cumsum(np.concatenate([[0.0], np.full(n_steps, params.dt)]))
@@ -681,10 +652,9 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
         res_disp=np.zeros(N), res_vel=np.zeros(N), res_acc=np.zeros(N),
         dt=params.dt,
     )
-    block = stepper.block_steps()
     # The new ub, vb and ab of a block's steps, each step's in one row; the
     # steps write their other arrays straight into the history's rows.
-    bridge_rows = np.empty((block, 3, model.n_b))
+    bridge_rows = np.empty((stepper.block_steps(), 3, model.n_b))
 
     def record(rows, st):
         """Probes and residuals of a state, or of a block of states, at
@@ -708,19 +678,19 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
             raise RuntimeError("state is not finite after step %d (t=%.6g)"
                                % (i, t[i]))
 
-    def advance(state, coeffs, first, stop):
-        """Steps first..stop - 1 from ``state``, with their coefficients
-        ``coeffs``, recorded; the last state. The block's finiteness check,
-        probes and residuals follow its steps."""
-        rows, k = slice(first, stop), stop - first
-        new = bridge_rows[:k]
+    out.ut[0], out.vt[0], out.at[0], out.lam[0] = (state.ut, state.vt,
+                                                   state.at, state.lam)
+    record(0, state)
+    for first, con1, ops in stepper.blocks(t[:-1]):
+        # Steps first..stop - 1, 1-based, and their rows of the history.
+        first, stop = first + 1, first + 1 + len(ops)
+        rows, new = slice(first, stop), bridge_rows[:len(ops)]
         dests = zip(out.ut[rows], out.vt[rows], out.at[rows], new[:, 0],
                     new[:, 1], new[:, 2], out.lam[rows])
         i = first
         try:
-            for i, ops, dest in zip(range(first, stop),
-                                    stepper.tabulate(coeffs, k), dests):
-                state = stepper.step(state, ops, dest)
+            for i, op, dest in zip(range(first, stop), ops, dests):
+                state = stepper.step(state, op, dest)
                 if displacement_repair_every and \
                         i % displacement_repair_every == 0:
                     project_constraints(state, "displacement")
@@ -732,25 +702,12 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
         check(first, stop)
         record(rows, CoupledState(t[rows], out.ut[rows], out.vt[rows],
                                   out.at[rows], new[:, 0], new[:, 1],
-                                  new[:, 2], out.lam[rows], coeffs.con1))
-        return state
-
-    out.ut[0], out.vt[0], out.at[0], out.lam[0] = (state.ut, state.vt,
-                                                   state.at, state.lam)
-    record(0, state)
-    chunk = block * max(1, TABLE_BLOCK // (block * stepper._instants))
-    for start in range(1, N, chunk):
-        end = min(start + chunk, N)
-        coefficients = stepper._coefficients(t[start - 1:end - 1])
-        for first in range(start, end, block):
-            if state.con is not None:
-                # A copy, so that the last block's rows, which it views,
-                # are freed before the next block's are built.
-                state.con = Constraint(*map(np.array, state.con))
-            stop = min(first + block, end)
-            state = advance(state, coefficients(np.arange(first - start,
-                                                          stop - start)),
-                            first, stop)
+                                  new[:, 2], out.lam[rows], con1))
+        # Let go of the block, and copy the rows of it that the last state
+        # views, so that it is freed before the next block is built.
+        del con1, ops, op
+        if state.con is not None:
+            state.con = Constraint(*map(np.array, state.con))
     return out
 
 
@@ -807,9 +764,7 @@ def coupled_model(path, bridge, vehicle_params: VehicleParams) -> CoupledModel:
         return vehicle_matrices(vehicle_params, fk, rotation_ref=R0)
 
     def reduced_block(t):
-        snap = constraint_rates(bridge, np.minimum(v * t, bridge.length), v)
-        return ConstraintTable(np.broadcast_to(NO_GAP, t.shape + NO_GAP.shape),
-                               snap, bridge.Z)
+        return constraint_rates(bridge, np.minimum(v * t, bridge.length), v)
 
     return CoupledModel(vehicle_at=vehicle_block, bridge=bridge,
                         reduced_at=reduced_block)

@@ -143,19 +143,17 @@ def vehicle_matrices(params: VehicleParams, fk: FrameKinematics,
                          np.broadcast_to(L_TR, stack + (4, 3)))
 
 
-def wheel_position(params: VehicleParams, fk: FrameKinematics, u: np.ndarray,
-                   origin: np.ndarray | None = None) -> np.ndarray:
-    """Global wheel position x^w = x^F + R^F T^w u."""
-    x0 = np.zeros(3) if origin is None else np.asarray(origin, dtype=float)
-    return x0 + fk.rotation @ (T_WHEEL @ np.asarray(u, dtype=float))
+def wheel_position(params: VehicleParams, fk: FrameKinematics,
+                   u: np.ndarray) -> np.ndarray:
+    """Wheel position relative to the frame origin, R^F T^w u."""
+    return fk.rotation @ (T_WHEEL @ np.asarray(u, dtype=float))
 
 
-def car_position(params: VehicleParams, fk: FrameKinematics, u: np.ndarray,
-                 origin: np.ndarray | None = None) -> np.ndarray:
-    """Global car position x^c = x^F + R^F (T^c u + (0, 0, l0))."""
-    x0 = np.zeros(3) if origin is None else np.asarray(origin, dtype=float)
+def car_position(params: VehicleParams, fk: FrameKinematics,
+                 u: np.ndarray) -> np.ndarray:
+    """Car position relative to the frame origin, R^F (T^c u + (0, 0, l0))."""
     lever = np.array([0.0, 0.0, params.l_0])
-    return x0 + fk.rotation @ (t_car(params.l_0) @ np.asarray(u, dtype=float) + lever)
+    return fk.rotation @ (t_car(params.l_0) @ np.asarray(u, dtype=float) + lever)
 
 
 def _velocities(params: VehicleParams, fk: FrameKinematics, u, udot):
@@ -169,12 +167,11 @@ def _velocities(params: VehicleParams, fk: FrameKinematics, u, udot):
     return xw_dot, xc_dot
 
 
-def vehicle_energy(params: VehicleParams, fk: FrameKinematics, u, udot,
-                   ref_heights: tuple[float, float] | None = None):
+def vehicle_energy(params: VehicleParams, fk: FrameKinematics, u, udot):
     """Kinetic and potential energy (T, V) of the vehicle.
 
-    Heights in the gravity terms are measured from ``ref_heights`` (wheel,
-    car); by default from the positions at u = 0 in the current frame.
+    Heights in the gravity terms are measured from the positions at u = 0
+    in the current frame.
     """
     u = np.asarray(u, dtype=float)
     udot = np.asarray(udot, dtype=float)
@@ -183,13 +180,9 @@ def vehicle_energy(params: VehicleParams, fk: FrameKinematics, u, udot,
          + 0.5 * params.m_c * xc_dot @ xc_dot
          + 0.5 * (params.I_w + params.I_c) * udot[2] ** 2)
 
-    zw = wheel_position(params, fk, u)[2]
-    zc = car_position(params, fk, u)[2]
-    if ref_heights is None:
-        zero = np.zeros(4)
-        ref_heights = (wheel_position(params, fk, zero)[2],
-                       car_position(params, fk, zero)[2])
+    zero = np.zeros(4)
+    zw = wheel_position(params, fk, u)[2] - wheel_position(params, fk, zero)[2]
+    zc = car_position(params, fk, u)[2] - car_position(params, fk, zero)[2]
     V = (0.5 * params.k_s * (u[3] - u[1]) ** 2
-         + params.m_w * params.g * (zw - ref_heights[0])
-         + params.m_c * params.g * (zc - ref_heights[1]))
+         + params.m_w * params.g * zw + params.m_c * params.g * zc)
     return T, V

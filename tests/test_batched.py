@@ -25,8 +25,8 @@ from vtsi import parse_scenario
 from vtsi.beams import (F_UB, F_UN, BeamSection, FieldRows,
                         element_matrices_iga)
 from vtsi.coupling import COUPLED_FIELDS, constraint_rates
-from vtsi.integrators import (TABLE_BLOCK, Constraint, CoupledState,
-                              Stepper, coupled_model, initial_state,
+from vtsi.integrators import (TABLE_BLOCK, CoupledState, Stepper,
+                              coupled_model, initial_state,
                               project_constraints, run_model, scheme_params)
 from vtsi.pathgeom import (ARCLENGTH_SUBDIV, GAUSS_ARCLENGTH, GAUSS_PLAN,
                            STRAIGHT_CURVATURE_TOL, UP, CosineProfile,
@@ -431,7 +431,7 @@ class TestBatchedRows:
                 ref = constraint_rates(bridge, float(x), 100.0)
                 dense = (ref.L @ bridge.Z, ref.L_dot @ bridge.Z,
                          ref.L_ddot @ bridge.Z)
-                for got, want in zip(snap.reduced(bridge.Z, i), dense):
+                for got, want in zip(snap[i], dense):
                     assert np.array_equal(got, want)
 
     @SETTINGS
@@ -534,11 +534,18 @@ class RefStepper:
             + (1.0 - p.alpha_f) * (p.gamma * p.dt * br.C
                                    + p.beta * p.dt ** 2 * br.K))
 
-    def step(self, state, coeffs):
+    def step(self, state):
+        """One step from ``state``, with the constraint at t_{n+1} = t + dt
+        and at t_f, and the vehicle at t_f, each from one call of the
+        model's callable on that instant."""
         m, p = self.model, self.params
         dt, beta, gamma = p.dt, p.beta, p.gamma
         am, af = p.alpha_m, p.alpha_f
-        con1, conf, veh = coeffs
+        t1 = state.t + dt
+        tf = np.array([(1.0 - af) * t1 + af * state.t])
+        con1 = m.reduced_at(np.array([t1]))[0]
+        conf = m.reduced_at(tf)[0]
+        veh = m.vehicle_at(tf)[0]
 
         def weighted(alpha, new, old):
             return (1.0 - alpha) * new + alpha * old
@@ -595,16 +602,6 @@ class RefStepper:
 STATE_FIELDS = ("t", "ut", "vt", "at", "ub", "vb", "ab", "lam")
 
 
-def unstacked(coeffs):
-    """One step's coefficients from those of a block of one step."""
-    con1, conf, veh = coeffs
-
-    def first(con):
-        return Constraint(*(a[0] for a in con))
-
-    return first(con1), first(conf), veh[0]
-
-
 @pytest.fixture(scope="module")
 def bridges(default_path):
     """Bridges on the default path, built once per bridge config."""
@@ -640,9 +637,8 @@ class TestStepOracle:
         ref = RefStepper(model, params, scenario.run.strategy)
         state = want = initial_state(model)
         for _ in range(20):
-            coeffs = stepper._coefficients(np.array([state.t]))(np.arange(1))
-            state = stepper.step(state, stepper.tabulate(coeffs, 1)[0])
-            want = ref.step(want, unstacked(coeffs))
+            state = stepper.step(state)
+            want = ref.step(want)
             for name in STATE_FIELDS:
                 assert np.array_equal(getattr(state, name),
                                       getattr(want, name)), name
@@ -726,9 +722,9 @@ class TestStepTables:
         blocks = []
         tabulate = Stepper.tabulate
 
-        def counting(self, coeffs, n):
+        def counting(self, con1, conf, veh, n):
             blocks.append(n)
-            return tabulate(self, coeffs, n)
+            return tabulate(self, con1, conf, veh, n)
 
         monkeypatch.setattr(Stepper, "tabulate", counting)
         return blocks

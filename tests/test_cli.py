@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import vtsi.cli
@@ -164,12 +164,16 @@ class TestSupports:
         assert (out / "timehistory.csv").is_file()
 
     # One support fixing only u_n leaves the bridge free to move: its
-    # static self-weight state has no solution.
-    @pytest.mark.parametrize("kind", ["nurbs", "fem"])
-    def test_under_supported_bridge_exits_two(self, kind, tmp_path, capsys):
+    # static self-weight state has no solution. A run that would start from
+    # the undeformed bridge is refused too.
+    @pytest.mark.parametrize("kind,static_init", [
+        ("nurbs", True), ("fem", True), ("nurbs", False), ("fem", False)],
+        ids=["nurbs", "fem", "nurbs-no-static-init", "fem-no-static-init"])
+    def test_under_supported_bridge_exits_two(self, kind, static_init,
+                                              tmp_path, capsys):
         code, out = self._run(tmp_path, {
             "bridge": {"kind": kind, "supports": [[10, [1]]]},
-            "run": {"horizon": 0.02}})
+            "run": {"horizon": 0.02, "bridge_static_init": static_init}})
         assert code == 2
         assert "bridge.supports" in capsys.readouterr().err
         assert not (out / "timehistory.csv").exists()
@@ -239,11 +243,20 @@ class TestWholeRuns:
     # Every run `check` accepts ends in exit 0, 1 or 2, never in an
     # exception, and prints nothing on stdout (LAPACK's error messages go
     # there); a run that exits 0 writes finite outputs and nothing on
-    # stderr.
+    # stderr, and under strategy C holds all three constraint levels from
+    # its first row on.
     @settings(derandomize=True, deadline=None, max_examples=50,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
     @given(data=whole_runs())
+    # The bridge is deflected at s = 0, where the wheel starts at rest: the
+    # wheel starts in contact there, not 5.8e-5 m away.
+    @example(data={
+        "plan": {"spans": [{"kind": "straight", "length": 10.0}]},
+        "bridge": {"kind": "nurbs", "degree": 4, "elements_per_span": 4,
+                   "supports": [[4.285, FIXED], [9.696, FIXED]]},
+        "vehicle": {"v": 0.0},
+        "run": {"strategy": "C", "dt": 0.005, "horizon": 0.075}})
     def test_exits_cleanly_with_finite_outputs(self, data, capfd):
         capfd.readouterr()
         with tempfile.TemporaryDirectory() as tmp:
@@ -257,8 +270,11 @@ class TestWholeRuns:
                 table = np.loadtxt(out / "timehistory.csv", delimiter=",",
                                    skiprows=1, ndmin=2)
                 assert np.all(np.isfinite(table))
-                assert finite_json(json.loads(
-                    (out / "report.json").read_text()))
+                report = json.loads((out / "report.json").read_text())
+                assert finite_json(report)
+                if data["run"]["strategy"] == "C":
+                    for level in ("disp", "vel", "acc"):
+                        assert report["max_residual_" + level] <= 1e-9
 
 
 class TestOutputPath:

@@ -98,10 +98,11 @@ class TestConstraintRates:
 
     def test_reduction_through_null_space(self, default_bridge):
         snap = constraint_rates(default_bridge, 64.2, 100.0)
-        L, Ld, Ldd = snap.reduced(default_bridge.Z)
+        L, Ld, Ldd, r = snap[0]
         assert L.shape == (3, default_bridge.n_red)
         assert np.allclose(L, snap.L @ default_bridge.Z)
         assert np.allclose(Ldd, snap.L_ddot @ default_bridge.Z)
+        assert np.array_equal(r, np.zeros((3, 3)))
 
 
 class TestCoupledSystem:

@@ -3,9 +3,9 @@ import copy
 import numpy as np
 import pytest
 
-from vtsi.integrators import (ConstraintTable, CoupledModel, Stepper,
-                              constraint_residuals, coupled_model,
-                              initial_state,
+from vtsi.coupling import ConstraintTable
+from vtsi.integrators import (CoupledModel, Stepper, constraint_residuals,
+                              coupled_model, initial_state,
                               project_constraints, run_model,
                               run_rigid_profile, scheme_params)
 from vtsi.pathgeom import CosineProfile
