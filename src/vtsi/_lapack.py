@@ -15,17 +15,31 @@ that ``scipy.linalg.lu_factor`` and ``scipy.linalg.null_space`` pass, so
 their results are scipy's bit for bit. ``dgetrs``, ``dgesv`` and ``dgemv``
 are the objects that ``get_lapack_funcs`` and ``get_blas_funcs`` return
 for float64 arrays.
+
+numpy and scipy each bundle their own OpenBLAS, each with its own thread
+pool, sized by ``OPENBLAS_NUM_THREADS`` (at most the core count) when it
+loads. ``blas_threads`` resizes both pools for the span of a ``with`` block
+and then restores them, through the setters each library exports:
+``scipy_openblas_set_num_threads`` in scipy's ``scipy.libs`` and
+``scipy_openblas_set_num_threads64_`` in numpy's ``numpy.libs``. It opens
+the libraries with ``RTLD_NOLOAD``: both are already loaded, and a library
+that is not is left alone. Where either library or setter is missing, as
+under another build of numpy or scipy, it does nothing.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import importlib.machinery
 import importlib.util
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["dgemv", "dgesv", "dgetrs", "lu_factor", "null_space"]
+__all__ = ["blas_threads", "dgemv", "dgesv", "dgetrs", "lu_factor",
+           "null_space"]
 
 
 def _load(name: str):
@@ -90,3 +104,56 @@ def null_space(A: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError("SVD did not converge")
     tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(m, n))
     return vh[np.sum(s > tol, dtype=int):, :].T
+
+
+# Each bundled OpenBLAS: its package, its library's directory beside the
+# package and file name, and its symbols' suffix.
+_OPENBLAS = (("scipy", "scipy.libs", "libscipy_openblas-*.so", ""),
+             ("numpy", "numpy.libs", "libscipy_openblas64_-*.so", "64_"))
+
+
+def _openblas_library(package: str, libs: str, pattern: str):
+    """The path of a package's bundled OpenBLAS, or None."""
+    spec = importlib.util.find_spec(package)
+    for root in spec.submodule_search_locations if spec else ():
+        found = glob.glob(os.path.join(os.path.dirname(root), libs, pattern))
+        if len(found) == 1:
+            return found[0]
+    return None
+
+
+def _pools() -> list:
+    """(get, set) of the thread count of scipy's and of numpy's OpenBLAS
+    pool; none if either library is missing or not loaded, or lacks them."""
+    pools = []
+    for package, libs, pattern, suffix in _OPENBLAS:
+        path = _openblas_library(package, libs, pattern)
+        if path is None:
+            return []
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        except (AttributeError, OSError):
+            return []
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        pools.append((get, put))
+    return pools
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the ``with`` block with both OpenBLAS pools at n threads, and
+    restore each pool's count after it, also on an exception. Does nothing
+    where the pools cannot be reached (``_pools``). The counts are the
+    process's: they apply to every thread's BLAS calls meanwhile."""
+    pools = _pools()
+    counts = [get() for get, _ in pools]
+    try:
+        for _, put in pools:
+            put(n)
+        yield
+    finally:
+        for (_, put), count in zip(pools, counts):
+            put(count)

@@ -77,6 +77,15 @@ OpenBLAS's threading size. The bits are unchanged (for gesv, checked on
 the step's own systems in tests/test_batched.py: the two OpenBLAS builds
 round some other 7 x 7 systems differently).
 
+Both pools have ``OPENBLAS_NUM_THREADS`` threads (at most the core count),
+but a bridge with fewer than SERIAL_BRIDGE_DOFS reduced DOFs steps with
+both on one thread (``_lapack.blas_threads``): there a second thread adds
+CPU and no speed, and the step's kernels give the bits of the pinned count
+(measured; tests/test_lapack.py). Set-up keeps the pinned count, since on
+one thread the static solve rounds differently from n_red 114 on, the
+factor from 174, and the assembly at some sizes (354). The count is
+restored when the steps end, also on an exception.
+
 A step leaves out each term whose weight is exactly zero, which keeps the
 bits (x - (+-0) and 1.0 x + (+-0) are x for nonzero x): the C term of an
 undamped bridge, whose C is a read-only zero view
@@ -86,12 +95,13 @@ undamped bridge, whose C is a read-only zero view
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import dgemv, dgesv, dgetrs, lu_factor
+from ._lapack import blas_threads, dgemv, dgesv, dgetrs, lu_factor
 from .coupling import Constraint, ConstraintTable, constraint_rates
 from .pathgeom import CosineProfile
 from .vehicle import L_TR, VehicleParams, VehicleSystem, vehicle_matrices
@@ -157,6 +167,15 @@ STEP_TABLE_BYTES = 1 << 19
 # every bridge size with 1 or 2 threads; wider, from n_red 474 on, it takes
 # another path (21 columns still match with 2 threads, not with 1).
 SCHUR_COLUMNS = 9
+# Bridges with fewer reduced DOFs step on one BLAS thread (``run_model``).
+# Measured on OpenBLAS 0.3.30 and 0.3.31, against 2 threads: the step's
+# kernels keep their bits on one thread below n_red 684, where the
+# transposed dgemv starts to round differently (dgetrs of 1 to 9 columns
+# matches up to 1,914). For 300 steps on a 2-core machine, one thread
+# takes the same wall time at n_red 474 and 594 (0.30 and 0.35 s) with a
+# quarter less CPU, and more wall time at 714 (0.49 against 0.40 s) and
+# 954 (0.63 against 0.53 s).
+SERIAL_BRIDGE_DOFS = 600
 
 
 @dataclass
@@ -681,33 +700,35 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
     out.ut[0], out.vt[0], out.at[0], out.lam[0] = (state.ut, state.vt,
                                                    state.at, state.lam)
     record(0, state)
-    for first, con1, ops in stepper.blocks(t[:-1]):
-        # Steps first..stop - 1, 1-based, and their rows of the history.
-        first, stop = first + 1, first + 1 + len(ops)
-        rows, new = slice(first, stop), bridge_rows[:len(ops)]
-        dests = zip(out.ut[rows], out.vt[rows], out.at[rows], new[:, 0],
-                    new[:, 1], new[:, 2], out.lam[rows])
-        i = first
-        try:
-            for i, op, dest in zip(range(first, stop), ops, dests):
-                state = stepper.step(state, op, dest)
-                if displacement_repair_every and \
-                        i % displacement_repair_every == 0:
-                    project_constraints(state, "displacement")
-        except RuntimeError:
-            # A state that is not finite before the failing step is named
-            # first, as a check after every step would have named it.
-            check(first, i)
-            raise
-        check(first, stop)
-        record(rows, CoupledState(t[rows], out.ut[rows], out.vt[rows],
-                                  out.at[rows], new[:, 0], new[:, 1],
-                                  new[:, 2], out.lam[rows], con1))
-        # Let go of the block, and copy the rows of it that the last state
-        # views, so that it is freed before the next block is built.
-        del con1, ops, op
-        if state.con is not None:
-            state.con = Constraint(*map(np.array, state.con))
+    # A small bridge steps on one BLAS thread (see the module docstring).
+    with blas_threads(1) if model.n_b < SERIAL_BRIDGE_DOFS else nullcontext():
+        for first, con1, ops in stepper.blocks(t[:-1]):
+            # Steps first..stop - 1, 1-based, and their rows of the history.
+            first, stop = first + 1, first + 1 + len(ops)
+            rows, new = slice(first, stop), bridge_rows[:len(ops)]
+            dests = zip(out.ut[rows], out.vt[rows], out.at[rows], new[:, 0],
+                        new[:, 1], new[:, 2], out.lam[rows])
+            i = first
+            try:
+                for i, op, dest in zip(range(first, stop), ops, dests):
+                    state = stepper.step(state, op, dest)
+                    if displacement_repair_every and \
+                            i % displacement_repair_every == 0:
+                        project_constraints(state, "displacement")
+            except RuntimeError:
+                # A state that is not finite before the failing step is named
+                # first, as a check after every step would have named it.
+                check(first, i)
+                raise
+            check(first, stop)
+            record(rows, CoupledState(t[rows], out.ut[rows], out.vt[rows],
+                                      out.at[rows], new[:, 0], new[:, 1],
+                                      new[:, 2], out.lam[rows], con1))
+            # Let go of the block, and copy the rows of it that the last state
+            # views, so that it is freed before the next block is built.
+            del con1, ops, op
+            if state.con is not None:
+                state.con = Constraint(*map(np.array, state.con))
     return out
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 import vtsi.integrators as integrators
-from vtsi import parse_scenario
+from vtsi import _lapack, parse_scenario
 from vtsi.beams import (F_UB, F_UN, BeamSection, FieldRows,
                         element_matrices_iga)
 from vtsi.coupling import COUPLED_FIELDS, constraint_rates
@@ -887,3 +887,43 @@ class TestRunSchedule:
         assert ("solve", n_red) in events[:at]
         # The steps' small systems go through scipy's gesv too.
         assert events[at + 1:] == []
+
+    @pytest.mark.parametrize("elements,serial", [(8, True), (32, False)])
+    def test_small_bridges_step_on_one_thread(self, elements, serial,
+                                              default_path, monkeypatch):
+        # Set-up (the static solve and its residual, and the factor) runs
+        # at the pinned thread count, whose bits it needs; the steps run on
+        # one thread below SERIAL_BRIDGE_DOFS.
+        pools = _lapack._pools()
+        pinned = [get() for get, _ in pools]
+        if not pinned or max(pinned) == 1:
+            pytest.skip("the BLAS pools are pinned to one thread or cannot "
+                        "be reached")
+        scenario = parse_scenario({
+            "bridge": {"elements_per_span": elements},
+            "run": {"horizon": 0.01}})
+        model = build_scenario_model(scenario, default_path)
+        assert (model.n_b < integrators.SERIAL_BRIDGE_DOFS) == serial
+        events = []
+
+        def recording(name, f):
+            def call(*args, **kwargs):
+                events.append((name, [get() for get, _ in pools]))
+                return f(*args, **kwargs)
+            return call
+
+        for name in ("dgemv", "dgetrs", "dgesv", "lu_factor"):
+            monkeypatch.setattr(integrators, name,
+                                recording(name, getattr(integrators, name)))
+        monkeypatch.setattr(np.linalg, "solve",
+                            recording("solve", np.linalg.solve))
+        run_simulation(scenario, model)
+        names = [name for name, _ in events]
+        at = names.index("lu_factor")
+        assert names[:at] == ["solve", "dgemv"]
+        assert all(counts == pinned for _, counts in events[:at + 1])
+        steps = events[at + 1:]
+        assert {"dgemv", "dgetrs", "dgesv"} == {name for name, _ in steps}
+        want = [1] * len(pinned) if serial else pinned
+        assert all(counts == want for _, counts in steps)
+        assert [get() for get, _ in pools] == pinned

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import vtsi.cli
 import vtsi.integrators as integ
-from vtsi import parse_scenario
+from vtsi import _lapack, parse_scenario
 from vtsi.cli import cli
 from vtsi.metrics import oscillation_index
 from vtsi.simulate import build_scenario_model, scenario_scheme
@@ -74,11 +74,15 @@ class TestRun:
             return dataclasses.replace(veh, P=P)
 
         monkeypatch.setattr(integ, "vehicle_matrices", poisoned)
+        pinned = [get() for get, _ in _lapack._pools()]
         out = tmp_path / "out"
         assert cli(["run", str(scenario_file), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert "step %d " % step in err and "t=%g" % (step * 1e-3) in err
         assert not (out / "timehistory.csv").exists()
+        # The run left its one-thread steps with an exception, and the BLAS
+        # pools are back at their pinned count.
+        assert [get() for get, _ in _lapack._pools()] == pinned
 
     def test_divergence_named_before_a_later_singular_solve(
             self, scenario_file, tmp_path, capsys, monkeypatch):

@@ -4,6 +4,11 @@
 ``scipy.linalg`` package. Its ``null_space`` and ``lu_factor`` must give
 scipy's bits on the matrices a run factors, since a last-bit change moves
 the time history far beyond round-off.
+
+``blas_threads`` runs a small bridge's steps on one BLAS thread. Below
+``SERIAL_BRIDGE_DOFS`` the step's kernels must give the bits of the pinned
+thread count, a measured property of the bundled OpenBLAS builds; the
+tests of ``TestSerialSteps`` check it at whatever count the pools have.
 """
 import json
 import os
@@ -17,9 +22,11 @@ import scipy.linalg
 
 import vtsi
 import vtsi.beams
+import vtsi.integrators as integrators
 from vtsi import _lapack, parse_scenario
-from vtsi.integrators import _step_block
-from vtsi.simulate import build_scenario_bridge, scenario_scheme
+from vtsi.integrators import SERIAL_BRIDGE_DOFS, _step_block
+from vtsi.simulate import (build_scenario_bridge, build_scenario_model,
+                           run_simulation, scenario_scheme)
 
 FRESH_RUN = """
 import sys
@@ -92,3 +99,83 @@ def test_empty_factor_equals_scipy():
     want_lu, want_piv = scipy.linalg.lu_factor(a)
     assert lu.shape == want_lu.shape and lu.dtype == want_lu.dtype
     assert np.array_equal(piv, want_piv) and piv.dtype == want_piv.dtype
+
+
+def _thread_counts() -> list:
+    """The thread count of scipy's and of numpy's OpenBLAS pool."""
+    return [get() for get, _ in _lapack._pools()]
+
+
+def _histories_equal(a, b) -> bool:
+    columns = ("t", "ut", "vt", "at", "lam", "res_disp", "res_vel",
+               "res_acc")
+    return (all(np.array_equal(getattr(a, c), getattr(b, c))
+                for c in columns)
+            and a.probes.keys() == b.probes.keys()
+            and all(np.array_equal(a.probes[k], b.probes[k])
+                    for k in a.probes))
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    counts = _thread_counts()
+    if not counts:
+        pytest.skip("the OpenBLAS pools cannot be reached")
+    if max(counts) == 1:
+        pytest.skip("the BLAS pools are pinned to one thread")
+    return counts
+
+
+class TestSerialSteps:
+    """The kernels and runs below SERIAL_BRIDGE_DOFS keep their bits on
+    one BLAS thread."""
+
+    @pytest.mark.parametrize("n", [*range(96, SERIAL_BRIDGE_DOFS, 30),
+                                   SERIAL_BRIDGE_DOFS - 1])
+    def test_step_kernels_keep_their_bits(self, n, pinned):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        x = rng.standard_normal(n)
+        lu, piv = _lapack.lu_factor(np.asfortranarray(A + n * np.eye(n)))
+        rhs = [np.asfortranarray(rng.standard_normal((n, k)))
+               for k in (1, 3, 9)]
+
+        def kernels():
+            # A @ x as the step forms it, and its bridge solves.
+            return ([_lapack.dgemv(1.0, A.T, x, trans=1)]
+                    + [_lapack.dgetrs(lu, piv, b)[0] for b in rhs])
+
+        want = kernels()
+        with _lapack.blas_threads(1):
+            assert _thread_counts() == [1, 1]
+            got = kernels()
+        assert _thread_counts() == pinned
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("elements", [16, 20])
+    def test_serial_run_equals_pinned_run(self, elements, default_path,
+                                          pinned, monkeypatch):
+        scenario = parse_scenario({
+            "bridge": {"elements_per_span": elements},
+            "run": {"horizon": 0.03}})
+        model = build_scenario_model(scenario, default_path)
+        assert model.n_b < SERIAL_BRIDGE_DOFS
+        serial = run_simulation(scenario, model)
+        monkeypatch.setattr(integrators, "SERIAL_BRIDGE_DOFS", 0)
+        assert _histories_equal(serial, run_simulation(scenario, model))
+
+
+def test_blas_threads_without_the_libraries(default_path, monkeypatch):
+    # Under another numpy or scipy build the pools stay as they are, which
+    # keeps the bits of every run.
+    scenario = parse_scenario({"run": {"horizon": 0.03}})
+    model = build_scenario_model(scenario, default_path)
+    want = run_simulation(scenario, model)
+    pools = _lapack._pools()
+    counts = [get() for get, _ in pools]
+    monkeypatch.setattr(_lapack, "_openblas_library", lambda *args: None)
+    assert _lapack._pools() == []
+    with _lapack.blas_threads(1):
+        assert [get() for get, _ in pools] == counts
+    assert _histories_equal(run_simulation(scenario, model), want)
