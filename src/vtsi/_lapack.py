@@ -25,6 +25,20 @@ and then restores them, through the setters each library exports:
 the libraries with ``RTLD_NOLOAD``: both are already loaded, and a library
 that is not is left alone. Where either library or setter is missing, as
 under another build of numpy or scipy, it does nothing.
+
+A pool's idle workers spin for about 0.1 s of CPU each before they sleep:
+after every threaded call, when the library loads, and when the setter
+raises the count, which starts new workers. One pool's spinning workers
+slowed the other's threaded calls on the same cores: on 2 cores a set-up
+``null_space`` took 0.16-0.18 s where it needs 4 ms, and a step block's
+factor 0.11 s where it needs 0.04 s. ``park`` stops both pools' workers
+through ``blas_thread_shutdown_``, which each library exports and runs
+before a fork; a pool restarts at its thread count on its next threaded
+call, so no result changes. This module parks the pools at the end of its
+import, around ``null_space``'s dgesdd, before ``lu_factor``'s dgetrf,
+and after each count change of ``blas_threads``: the points where a run
+hands its threaded work from one pool to the other. Where the routine is
+missing, ``park`` does nothing.
 """
 from __future__ import annotations
 
@@ -39,7 +53,7 @@ from contextlib import contextmanager
 import numpy as np
 
 __all__ = ["blas_threads", "dgemv", "dgesv", "dgetrs", "lu_factor",
-           "null_space"]
+           "null_space", "park"]
 
 
 def _load(name: str):
@@ -79,6 +93,7 @@ def lu_factor(a: np.ndarray):
     a = np.asarray_chkfinite(a)
     if a.size == 0:
         return np.empty_like(a), np.arange(0, dtype=np.int32)
+    park()
     lu, piv, info = _flapack.dgetrf(a, overwrite_a=1)
     if info < 0:
         raise ValueError("illegal value in %dth argument of internal getrf "
@@ -98,8 +113,10 @@ def null_space(A: np.ndarray) -> np.ndarray:
     work, info = _flapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=1)
     if info:
         raise ValueError("dgesdd work size query failed: %d" % info)
+    park()
     _, s, vh, info = _flapack.dgesdd(a, compute_uv=1, lwork=int(work),
                                      full_matrices=1)
+    park()
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(m, n))
@@ -122,24 +139,58 @@ def _openblas_library(package: str, libs: str, pattern: str):
     return None
 
 
-def _pools() -> list:
-    """(get, set) of the thread count of scipy's and of numpy's OpenBLAS
-    pool; none if either library is missing or not loaded, or lacks them."""
-    pools = []
+def _routines(*names: str) -> list:
+    """The named routines of scipy's and of numpy's OpenBLAS, each name
+    with its library's suffix, a list per library; none if either library
+    is missing or not loaded, or lacks one of them."""
+    routines = []
     for package, libs, pattern, suffix in _OPENBLAS:
         path = _openblas_library(package, libs, pattern)
         if path is None:
             return []
         try:
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            routines.append([getattr(lib, name.format(suffix))
+                             for name in names])
         except (AttributeError, OSError):
             return []
+    return routines
+
+
+def _pools() -> list:
+    """(get, set) of the thread count of scipy's and of numpy's OpenBLAS
+    pool; none if either library is missing or not loaded, or lacks them."""
+    pools = []
+    for get, put in _routines("scipy_openblas_get_num_threads{}",
+                              "scipy_openblas_set_num_threads{}"):
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
         pools.append((get, put))
     return pools
+
+
+def _shutdowns() -> list:
+    """blas_thread_shutdown_ of scipy's and of numpy's OpenBLAS, the routine
+    each runs before a fork: it stops the pool's workers, and the pool
+    restarts at its thread count on its next threaded call; none if either
+    library or routine is missing."""
+    shutdowns = []
+    for shutdown, in _routines("blas_thread_shutdown_"):
+        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+        shutdowns.append(shutdown)
+    return shutdowns
+
+
+_SHUTDOWNS = _shutdowns()
+
+
+def park() -> None:
+    """Stop the idle workers of both OpenBLAS pools, which would spin on the
+    cores for about 0.1 s before they sleep. Does nothing where the routine
+    cannot be reached (``_shutdowns``). Call it only while no other thread
+    is in a BLAS call: the pools are the process's."""
+    for shutdown in _SHUTDOWNS:
+        shutdown()
 
 
 @contextmanager
@@ -147,13 +198,20 @@ def blas_threads(n: int):
     """Run the ``with`` block with both OpenBLAS pools at n threads, and
     restore each pool's count after it, also on an exception. Does nothing
     where the pools cannot be reached (``_pools``). The counts are the
-    process's: they apply to every thread's BLAS calls meanwhile."""
+    process's: they apply to every thread's BLAS calls meanwhile. The setter
+    starts workers, so each count change is followed by ``park``."""
     pools = _pools()
     counts = [get() for get, _ in pools]
     try:
         for _, put in pools:
             put(n)
+        park()
         yield
     finally:
         for (_, put), count in zip(pools, counts):
             put(count)
+        park()
+
+
+# The workers that each library started when it loaded.
+park()

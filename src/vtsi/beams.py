@@ -19,7 +19,7 @@ from numpy.polynomial.legendre import leggauss
 from ._lapack import null_space
 from .pathgeom import (ArclengthMap, PlanPath, build_plan_path, ipow,
                        _curvature_terms)
-from .splines import NurbsCurve, eval_nurbs_basis
+from .splines import NurbsCurve, distinct, eval_nurbs_basis
 
 __all__ = [
     "BeamSection",
@@ -324,7 +324,7 @@ def _zero_padded(vals: np.ndarray) -> np.ndarray:
 def _layout(offsets, value_index):
     """Window and placement of FieldRows from each field's DOF offsets
     (relative to ``first``) and the entries of ``vals`` they hold."""
-    window = np.unique(np.concatenate(offsets))
+    window = distinct(np.concatenate(offsets))
     place = np.full((len(offsets), len(window)), -1)
     for j, (off, idx) in enumerate(zip(offsets, value_index)):
         place[j, np.searchsorted(window, off)] = idx

@@ -60,7 +60,10 @@ Two OpenBLAS runtimes are loaded: numpy's and scipy's, each with its own
 thread pool, whose idle workers spin for a while before they sleep. A step
 that alternated numpy's n_red x n_red products with scipy's solves kept
 both pools awake on the same cores; at n_red 954 a step cost 7.7 ms where
-its arithmetic needs about 2. So a run switches pools once. ``run_model``
+its arithmetic needs about 2. So a run switches pools once, and parks the
+pool it leaves: the factor stops numpy's idle workers before its threaded
+dgetrf starts scipy's (``_lapack.park``, as also around the set-up's
+null space and at each thread-count change). ``run_model``
 first does its n_red-sized numpy work: the static self-weight state, by
 ``np.linalg.solve`` (no scipy routine gives its bits at every bridge size),
 and the probe rows, reduced over their few nonzero columns. Then it builds
@@ -84,7 +87,10 @@ CPU and no speed, and the step's kernels give the bits of the pinned count
 (measured; tests/test_lapack.py). Set-up keeps the pinned count, since on
 one thread the static solve rounds differently from n_red 114 on, the
 factor from 174, and the assembly at some sizes (354). The count is
-restored when the steps end, also on an exception.
+restored when the steps end, also on an exception. Both count changes
+leave the pools parked, so no worker spins beside the one-thread steps or
+after them. A parked pool restarts at its count, so parking changes no
+bits.
 
 A step leaves out each term whose weight is exactly zero, which keeps the
 bits (x - (+-0) and 1.0 x + (+-0) are x for nonzero x): the C term of an

@@ -9,11 +9,16 @@ the time history far beyond round-off.
 ``SERIAL_BRIDGE_DOFS`` the step's kernels must give the bits of the pinned
 thread count, a measured property of the bundled OpenBLAS builds; the
 tests of ``TestSerialSteps`` check it at whatever count the pools have.
+
+``park`` stops the idle workers of both pools, which restart at the same
+count on the next threaded call; ``TestPark`` counts them as the threads
+of this process that Python did not start.
 """
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +29,7 @@ import vtsi
 import vtsi.beams
 import vtsi.integrators as integrators
 from vtsi import _lapack, parse_scenario
+from vtsi.cli import cli
 from vtsi.integrators import SERIAL_BRIDGE_DOFS, _step_block
 from vtsi.simulate import (build_scenario_bridge, build_scenario_model,
                            run_simulation, scenario_scheme)
@@ -39,6 +45,7 @@ assert cli(["run", sys.argv[1], "-o", sys.argv[2]]) == 0
 new = sorted(m for m in set(sys.modules) - before
              if m.partition(".")[0] == "numpy")
 assert not new, new
+assert "numpy.ma" not in sys.modules
 
 import scipy.linalg
 from vtsi import _lapack
@@ -47,17 +54,22 @@ assert scipy.linalg.blas._fblas is _lapack._fblas
 """
 
 
-def test_fresh_run_imports_no_scipy_linalg(tmp_path):
-    # A fresh interpreter: the test session has imported scipy.linalg.
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"run": {"horizon": 0.02}}))
+def _fresh(code: str, *args) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports this vtsi."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(vtsi.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, str(scenario),
-                           str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_fresh_run_imports_no_scipy_linalg(tmp_path):
+    # A fresh interpreter: the test session has imported scipy.linalg.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"run": {"horizon": 0.02}}))
+    proc = _fresh(FRESH_RUN, scenario, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "timehistory.csv").is_file()
 
@@ -179,3 +191,97 @@ def test_blas_threads_without_the_libraries(default_path, monkeypatch):
     with _lapack.blas_threads(1):
         assert [get() for get, _ in pools] == counts
     assert _histories_equal(run_simulation(scenario, model), want)
+
+
+def _workers() -> int:
+    """Threads of this process that Python did not start: the OpenBLAS
+    pools' workers."""
+    return len(os.listdir("/proc/self/task")) - threading.active_count()
+
+
+@pytest.fixture
+def parkable(pinned):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("threads are counted through Linux's /proc")
+    if not _lapack._SHUTDOWNS:
+        pytest.skip("the OpenBLAS pools cannot be parked")
+    return pinned
+
+
+def _wake_both_pools() -> None:
+    """A threaded call in numpy's pool and then one in scipy's."""
+    a = np.random.default_rng(0).standard_normal((300, 300))
+    np.matmul(a, a)
+    scipy.linalg.lu_factor(a)
+
+
+class TestPark:
+    """``park`` leaves no OpenBLAS worker behind, and no run's bits move."""
+
+    def test_import_leaves_no_workers(self, parkable):
+        proc = _fresh("import os, threading, vtsi\n"
+                      "print(len(os.listdir('/proc/self/task'))"
+                      " - threading.active_count())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
+
+    def test_threaded_calls_restart_parked_pools(self, parkable):
+        scipy_count, numpy_count = parkable
+        _lapack.park()
+        assert _workers() == 0
+        _wake_both_pools()
+        assert _workers() == scipy_count - 1 + numpy_count - 1
+        _lapack.park()
+        assert _workers() == 0
+        # The factor parks numpy's pool before its threaded dgetrf.
+        _wake_both_pools()
+        _lapack.lu_factor(np.asfortranarray(np.eye(300) + 1.0))
+        assert _workers() == scipy_count - 1
+        _lapack.park()
+        assert _workers() == 0
+
+    def test_blas_threads_leaves_no_workers(self, parkable):
+        _wake_both_pools()
+        with _lapack.blas_threads(1):
+            assert _workers() == 0
+        assert _workers() == 0
+        assert _thread_counts() == parkable
+
+    @pytest.mark.parametrize("elements", [8, 32])
+    def test_run_equals_unparked_run(self, elements, parkable, tmp_path,
+                                     monkeypatch):
+        # At 32 elements per span the steps run on scipy's pool restarted
+        # after the factor's park, and a one-thread pool would round
+        # differently there.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "bridge": {"elements_per_span": elements},
+            "run": {"horizon": 0.03}}))
+
+        def history(out: str) -> bytes:
+            assert cli(["run", str(scenario), "-o",
+                        str(tmp_path / out)]) == 0
+            return (tmp_path / out / "timehistory.csv").read_bytes()
+
+        with monkeypatch.context() as patched:
+            patched.setattr(_lapack, "park", lambda: None)
+            unparked = history("unparked")
+        assert history("parked") == unparked
+        assert _thread_counts() == parkable
+
+    def test_park_without_the_routine(self, parkable, default_path,
+                                      monkeypatch):
+        # Under an OpenBLAS that lacks blas_thread_shutdown_ the lookup
+        # finds nothing, the workers stay, and a run keeps its bits.
+        assert _lapack._routines("blas_thread_shutdown_",
+                                 "no_such_routine_") == []
+        scenario = parse_scenario({"run": {"horizon": 0.03}})
+        model = build_scenario_model(scenario, default_path)
+        want = run_simulation(scenario, model)
+        monkeypatch.setattr(_lapack, "_SHUTDOWNS", [])
+        _wake_both_pools()
+        workers = _workers()
+        assert workers > 0
+        _lapack.park()
+        assert _workers() == workers
+        assert _histories_equal(run_simulation(scenario, model), want)

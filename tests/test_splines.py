@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from vtsi.splines import (KnotVector, NurbsCurve, eval_bspline_basis,
-                          eval_nurbs, eval_nurbs_basis, fit_least_squares,
-                          make_open_uniform_knots)
+from vtsi.splines import (KnotVector, NurbsCurve, distinct,
+                          eval_bspline_basis, eval_nurbs, eval_nurbs_basis,
+                          fit_least_squares, make_open_uniform_knots)
 
 
 def unit_circle_quarter():
@@ -15,6 +17,16 @@ def unit_circle_quarter():
 
 
 class TestKnots:
+    @given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, 7.0])),
+           st.sampled_from([float, int]))
+    def test_distinct_equals_np_unique(self, values, dtype):
+        # distinct stands in for np.unique, which imports numpy.ma.
+        a = np.array(values).astype(dtype)
+        got, want = distinct(a), np.unique(a)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_open_uniform_structure(self):
         kv = make_open_uniform_knots(3, 5)
         assert kv.n == 8
