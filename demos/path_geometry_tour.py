@@ -17,7 +17,7 @@ path = build_plan_path(spec)
 
 print("plan: %s" % " -> ".join(sp.kind for sp in spec.spans))
 print("total arclength: %.3f m (target %.1f m)"
-      % (path.length, spec.total_length))
+      % (path.amap.length, spec.total_length))
 print()
 
 v = 100.0
@@ -26,7 +26,8 @@ print("%8s %12s %14s %14s %14s"
          "v^2*kappa"))
 for s in np.linspace(2.0, 148.0, 15):
     fk = frame_kinematics(path.curve, path.amap, s, v)
-    kappa = spec.curvature(s)
+    i = int(np.searchsorted(spec.joints, s)) - 1
+    kappa = spec.spans[i].curvature(s - spec.joints[i])
     print("%8.1f %12.3e %14.3e %14.3e %14.3e"
           % (s, kappa, fk.omega[2], np.linalg.norm(fk.origin_acc),
              v * v * kappa))

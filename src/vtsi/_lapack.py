@@ -18,13 +18,16 @@ for float64 arrays.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool, sized by ``OPENBLAS_NUM_THREADS`` (at most the core count) when it
-loads. ``blas_threads`` resizes both pools for the span of a ``with`` block
-and then restores them, through the setters each library exports:
-``scipy_openblas_set_num_threads`` in scipy's ``scipy.libs`` and
-``scipy_openblas_set_num_threads64_`` in numpy's ``numpy.libs``. It opens
-the libraries with ``RTLD_NOLOAD``: both are already loaded, and a library
-that is not is left alone. Where either library or setter is missing, as
-under another build of numpy or scipy, it does nothing.
+loads. This module owns both pools. At import it looks up, once, the
+routines of each library that act on its pool: the thread-count getter
+and setter (``scipy_openblas_get_num_threads`` and ``_set_``, with the
+suffix ``64_`` in numpy's ``numpy.libs`` library, none in scipy's
+``scipy.libs``) and ``blas_thread_shutdown_``, which each library runs
+before a fork. It opens the libraries with ``RTLD_NOLOAD``: both are
+already loaded, and a library that is not is left alone. Where either
+library or any of the routines is missing, as under another build of
+numpy or scipy, the table is empty and ``park`` and ``blas_threads`` do
+nothing.
 
 A pool's idle workers spin for about 0.1 s of CPU each before they sleep:
 after every threaded call, when the library loads, and when the setter
@@ -32,13 +35,15 @@ raises the count, which starts new workers. One pool's spinning workers
 slowed the other's threaded calls on the same cores: on 2 cores a set-up
 ``null_space`` took 0.16-0.18 s where it needs 4 ms, and a step block's
 factor 0.11 s where it needs 0.04 s. ``park`` stops both pools' workers
-through ``blas_thread_shutdown_``, which each library exports and runs
-before a fork; a pool restarts at its thread count on its next threaded
-call, so no result changes. This module parks the pools at the end of its
-import, around ``null_space``'s dgesdd, before ``lu_factor``'s dgetrf,
-and after each count change of ``blas_threads``: the points where a run
-hands its threaded work from one pool to the other. Where the routine is
-missing, ``park`` does nothing.
+through ``blas_thread_shutdown_``; a pool restarts at its thread count on
+its next threaded call, so no result changes. This module parks the pools
+at the end of its import, around ``null_space``'s dgesdd, before
+``lu_factor``'s dgetrf, after ``blas_threads`` sets the counts, and at
+the end of its block: the points where a run hands its threaded work from
+one pool to the other, and where its threaded work ends. A block at the
+pools' own counts sets nothing and parks only at its end: a setter call
+and the park after it cost about 4 ms, a park after a threaded call about
+0.1 ms.
 """
 from __future__ import annotations
 
@@ -49,6 +54,7 @@ import importlib.util
 import os
 import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,87 +135,75 @@ _OPENBLAS = (("scipy", "scipy.libs", "libscipy_openblas-*.so", ""),
              ("numpy", "numpy.libs", "libscipy_openblas64_-*.so", "64_"))
 
 
-def _openblas_library(package: str, libs: str, pattern: str):
-    """The path of a package's bundled OpenBLAS, or None."""
-    spec = importlib.util.find_spec(package)
-    for root in spec.submodule_search_locations if spec else ():
-        found = glob.glob(os.path.join(os.path.dirname(root), libs, pattern))
-        if len(found) == 1:
-            return found[0]
-    return None
+class _Pool(NamedTuple):
+    """The routines of one bundled OpenBLAS that act on its thread pool."""
+
+    get: object         # scipy_openblas_get_num_threads: the count
+    set: object         # scipy_openblas_set_num_threads
+    shutdown: object    # blas_thread_shutdown_: stop the workers
 
 
-def _routines(*names: str) -> list:
-    """The named routines of scipy's and of numpy's OpenBLAS, each name
-    with its library's suffix, a list per library; none if either library
-    is missing or not loaded, or lacks one of them."""
-    routines = []
-    for package, libs, pattern, suffix in _OPENBLAS:
-        path = _openblas_library(package, libs, pattern)
-        if path is None:
-            return []
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            routines.append([getattr(lib, name.format(suffix))
-                             for name in names])
-        except (AttributeError, OSError):
-            return []
-    return routines
-
-
-def _pools() -> list:
-    """(get, set) of the thread count of scipy's and of numpy's OpenBLAS
-    pool; none if either library is missing or not loaded, or lacks them."""
+def _lookup() -> tuple:
+    """The ``_Pool`` of scipy's and of numpy's OpenBLAS; none if either
+    library is missing or not loaded, or lacks one of the routines."""
     pools = []
-    for get, put in _routines("scipy_openblas_get_num_threads{}",
-                              "scipy_openblas_set_num_threads{}"):
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        pools.append((get, put))
-    return pools
+    for package, libs, pattern, suffix in _OPENBLAS:
+        spec = importlib.util.find_spec(package)
+        found = [path for root in (spec.submodule_search_locations
+                                   if spec else ())
+                 for path in glob.glob(os.path.join(os.path.dirname(root),
+                                                    libs, pattern))]
+        if len(found) != 1:
+            return ()
+        try:
+            lib = ctypes.CDLL(found[0], mode=os.RTLD_NOLOAD)
+            pool = _Pool(getattr(lib, "scipy_openblas_get_num_threads"
+                                 + suffix),
+                         getattr(lib, "scipy_openblas_set_num_threads"
+                                 + suffix),
+                         lib.blas_thread_shutdown_)
+        except (AttributeError, OSError):
+            return ()
+        pool.get.argtypes, pool.get.restype = [], ctypes.c_int
+        pool.set.argtypes, pool.set.restype = [ctypes.c_int], None
+        pool.shutdown.argtypes, pool.shutdown.restype = [], ctypes.c_int
+        pools.append(pool)
+    return tuple(pools)
 
 
-def _shutdowns() -> list:
-    """blas_thread_shutdown_ of scipy's and of numpy's OpenBLAS, the routine
-    each runs before a fork: it stops the pool's workers, and the pool
-    restarts at its thread count on its next threaded call; none if either
-    library or routine is missing."""
-    shutdowns = []
-    for shutdown, in _routines("blas_thread_shutdown_"):
-        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-        shutdowns.append(shutdown)
-    return shutdowns
-
-
-_SHUTDOWNS = _shutdowns()
+_POOLS = _lookup()
 
 
 def park() -> None:
     """Stop the idle workers of both OpenBLAS pools, which would spin on the
-    cores for about 0.1 s before they sleep. Does nothing where the routine
-    cannot be reached (``_shutdowns``). Call it only while no other thread
-    is in a BLAS call: the pools are the process's."""
-    for shutdown in _SHUTDOWNS:
-        shutdown()
+    cores for about 0.1 s before they sleep. Does nothing where the pools
+    cannot be reached (``_lookup``). Call it only while no other thread is
+    in a BLAS call: the pools are the process's."""
+    for pool in _POOLS:
+        pool.shutdown()
 
 
 @contextmanager
-def blas_threads(n: int):
-    """Run the ``with`` block with both OpenBLAS pools at n threads, and
-    restore each pool's count after it, also on an exception. Does nothing
-    where the pools cannot be reached (``_pools``). The counts are the
-    process's: they apply to every thread's BLAS calls meanwhile. The setter
-    starts workers, so each count change is followed by ``park``."""
-    pools = _pools()
-    counts = [get() for get, _ in pools]
+def blas_threads(n: int | None):
+    """Run the ``with`` block with both OpenBLAS pools at n threads, or at
+    their own counts if n is None, and park both pools when it ends, also
+    on an exception. A pool whose count is not n is set to n for the block
+    and set back after it; since the setter starts workers, both pools are
+    then parked before the block too. A pool already at n is not set.
+    Does nothing where the pools cannot be reached (``_lookup``). The
+    counts are the process's: they apply to every thread's BLAS calls
+    meanwhile."""
+    counts = [] if n is None else [(pool, pool.get()) for pool in _POOLS]
+    changed = [(pool, count) for pool, count in counts if count != n]
     try:
-        for _, put in pools:
-            put(n)
-        park()
+        for pool, _ in changed:
+            pool.set(n)
+        if changed:
+            park()
         yield
     finally:
-        for (_, put), count in zip(pools, counts):
-            put(count)
+        for pool, count in changed:
+            pool.set(count)
         park()
 
 

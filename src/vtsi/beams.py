@@ -444,8 +444,10 @@ class BridgeSystem:
     def probe_rows(self, s: float) -> np.ndarray:
         """2 x n_red rows for (u_n, u_b) at ``s`` in reduced coordinates,
         reduced over the rows' window, so that no n_full-long numpy product
-        runs (see ``integrators``)."""
-        return self.shape.rows(s, (F_UN, F_UB), 0).reduced(0, self.Z)[0]
+        runs (see ``integrators``). Like a support's, the rows of a probe
+        beyond the fit's end are taken there (``assemble_bridge``)."""
+        return self.shape.rows(min(s, self.length), (F_UN, F_UB),
+                               0).reduced(0, self.Z)[0]
 
 
 def _default_supports(joints: np.ndarray):

@@ -52,45 +52,32 @@ state's ``L @ x`` calls, so every record has the bits of a state-by-state
 record. The steps after a non-finite one in its block still run; their
 states are never recorded, since the run stops at the check.
 
-The same machinery also integrates unconstrained systems (no vehicle or no
-constraint) and the rigid-profile run, whose constraint has no bridge
-columns and a prescribed gap instead.
+The same machinery also integrates a bridge alone, and the rigid-profile
+run, whose constraint has no bridge columns and a prescribed gap instead.
 
-Two OpenBLAS runtimes are loaded: numpy's and scipy's, each with its own
-thread pool, whose idle workers spin for a while before they sleep. A step
-that alternated numpy's n_red x n_red products with scipy's solves kept
-both pools awake on the same cores; at n_red 954 a step cost 7.7 ms where
-its arithmetic needs about 2. So a run switches pools once, and parks the
-pool it leaves: the factor stops numpy's idle workers before its threaded
-dgetrf starts scipy's (``_lapack.park``, as also around the set-up's
-null space and at each thread-count change). ``run_model``
-first does its n_red-sized numpy work: the static self-weight state, by
-``np.linalg.solve`` (no scipy routine gives its bits at every bridge size),
-and the probe rows, reduced over their few nonzero columns. Then it builds
-the ``Stepper``, whose factor is scipy's dgetrf, and from there each
-step's multithreaded work goes through scipy alone: the bridge products of
-r_b by dgemv with the transposed kernel, which numpy's ``A @ x`` calls for
-a C-contiguous A, and the bridge solves by LAPACK dgetrs, which
-``lu_solve`` calls; the reduced (a_t, lam) system by dgesv, which
-``np.linalg.solve`` calls, so no numpy solve runs in the loop. These are
-the routines of scipy's compiled modules ``scipy.linalg._flapack`` and
-``_fblas``, which ``vtsi._lapack`` loads without the ``scipy.linalg``
-package. The tables' stacked numpy products are 3-row items, each below
-OpenBLAS's threading size. The bits are unchanged (for gesv, checked on
-the step's own systems in tests/test_batched.py: the two OpenBLAS builds
-round some other 7 x 7 systems differently).
+Two OpenBLAS runtimes are loaded, numpy's and scipy's, each with its own
+thread pool; ``vtsi._lapack`` owns both. A step that alternated numpy's
+n_red x n_red products with scipy's solves kept both pools awake on the
+same cores: at n_red 954 a step cost 7.7 ms where its arithmetic needs
+about 2. So ``run_model`` first does its n_red-sized numpy work: the
+static self-weight state, by ``np.linalg.solve`` (no scipy routine gives
+its bits at every bridge size), and the probe rows. From the factor of
+the ``Stepper`` on, a step's threaded work goes through scipy alone, by
+the kernels numpy calls, so the bits are unchanged: the bridge products by
+the transposed dgemv of numpy's ``A @ x`` on a C-contiguous A, the bridge
+solves by dgetrs, and the reduced (a_t, lam) system by dgesv, as
+``np.linalg.solve`` calls it (checked on the step's own systems in
+tests/test_batched.py: the two builds round some other 7 x 7 systems
+differently). The tables' stacked products are 3-row items, below
+OpenBLAS's threading size.
 
-Both pools have ``OPENBLAS_NUM_THREADS`` threads (at most the core count),
-but a bridge with fewer than SERIAL_BRIDGE_DOFS reduced DOFs steps with
-both on one thread (``_lapack.blas_threads``): there a second thread adds
-CPU and no speed, and the step's kernels give the bits of the pinned count
-(measured; tests/test_lapack.py). Set-up keeps the pinned count, since on
-one thread the static solve rounds differently from n_red 114 on, the
-factor from 174, and the assembly at some sizes (354). The count is
-restored when the steps end, also on an exception. Both count changes
-leave the pools parked, so no worker spins beside the one-thread steps or
-after them. A parked pool restarts at its count, so parking changes no
-bits.
+A run steps inside one ``_lapack.blas_threads`` block, which leaves both
+pools parked. A bridge with fewer than SERIAL_BRIDGE_DOFS reduced DOFs
+steps on one thread: there a second thread adds CPU and no speed, and the
+step's kernels give the bits of the pinned count (measured;
+tests/test_lapack.py). Set-up keeps the pinned count, since on one thread
+the static solve rounds differently from n_red 114 on, the factor from
+174, and the assembly at some sizes (354).
 
 A step leaves out each term whose weight is exactly zero, which keeps the
 bits (x - (+-0) and 1.0 x + (+-0) are x for nonzero x): the C term of an
@@ -101,7 +88,6 @@ undamped bridge, whose C is a read-only zero view
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -212,15 +198,22 @@ class CoupledModel:
     entries at once, ``table[idx]`` for an index array, as one entry of
     stacked arrays. ``bridge`` needs M, C, K, P (and Z for coupling).
     ``axle_load`` (3-vector), when set, adds
-    L(t_f)^T axle_load to the bridge load. Any block may be absent: no
-    vehicle (pure structural run), no bridge (rigid-profile run), or no
-    constraint (unconstrained ODE).
+    L(t_f)^T axle_load to the bridge load. A model is a bridge alone
+    (pure structural run), a vehicle on its constraint (rigid-profile run),
+    or both with a bridge; any other shape raises ValueError.
     """
 
     vehicle_at: object = None
     bridge: object = None
     reduced_at: object = None
     axle_load: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.vehicle_at is None) != (self.reduced_at is None):
+            raise ValueError("a model has a vehicle and its wheel constraint "
+                             "(vehicle_at and reduced_at), or neither")
+        if self.vehicle_at is None and self.bridge is None:
+            raise ValueError("a model needs a bridge, a vehicle, or both")
 
     @property
     def n_t(self) -> int:
@@ -241,7 +234,7 @@ class StepOperators(NamedTuple):
 
     con1: Constraint | None     # the constraint at t_{n+1}
     veh: tuple | None           # the vehicle's M, C, K and P at t_f
-    A: np.ndarray | None        # the reduced (a_t, lam) matrix, or A_t
+    A: np.ndarray | None        # the reduced (a_t, lam) matrix
     P_b: np.ndarray | None      # the bridge load, with L(t_f)^T axle_load
     C_b: np.ndarray | None      # the constraint rows' bridge columns
     Y: np.ndarray | None        # the Schur columns A_b^-1 L(t_f)^T
@@ -377,11 +370,10 @@ class Stepper:
             k = len(t0)
             t1 = t0 + self.params.dt
             tf = (1.0 - af) * t1 + af * t0
-            cons = vehs = None
+            cons = None
             if m.n_lam:
                 cons = m.reduced_at(t1 if instants == 1
                                     else np.concatenate((t1, tf)))
-            if m.n_t:
                 vehs = m.vehicle_at(tf)
             for first in range(0, k, block):
                 i = np.arange(first, min(first + block, k))
@@ -389,7 +381,6 @@ class Stepper:
                 if cons is not None:
                     con1 = cons[i]
                     conf = con1 if instants == 1 else cons[k + i]
-                if vehs is not None:
                     veh = vehs[i]
                 yield start + first, con1, self.tabulate(con1, conf, veh,
                                                          len(i))
@@ -440,11 +431,10 @@ class Stepper:
             P_b = [m.bridge.P] * n
             if conf is not None and m.axle_load is not None:
                 P_b = m.bridge.P + np.swapaxes(conf.L, 1, 2) @ m.axle_load
-        if nt:
-            vehs = list(zip(veh.M, veh.C, veh.K, veh.P))
-            A = A_t = (self._keep_m * veh.M
-                       + self._keep_f * (gdt * veh.C + bdt2 * veh.K))
         if con1 is not None:
+            vehs = list(zip(veh.M, veh.C, veh.K, veh.P))
+            A_t = (self._keep_m * veh.M
+                   + self._keep_f * (gdt * veh.C + bdt2 * veh.K))
             L1, Ld1, Ldd1, r1 = con1
             cons = [Constraint(*c) for c in zip(L1, Ld1, Ldd1, r1)]
             if self.strategy == "B":
@@ -454,9 +444,8 @@ class Stepper:
                 C_t = self._C_t
                 C_b = bdt2 * L1
             A = np.zeros((n, nt + 3, nt + 3))
-            if nt:
-                A[:, :nt, :nt] = A_t
-                A[:, :nt, nt:] = L_TR
+            A[:, :nt, :nt] = A_t
+            A[:, :nt, nt:] = L_TR
             A[:, nt:, :nt] = C_t
             if m.n_b:
                 Y = self._schur_columns(conf.L)
@@ -519,8 +508,6 @@ class Stepper:
             r_b = r_b - mv(br.K, ub_f)
 
         if con1 is None:
-            if nt:
-                at[...] = self._solve(A, r_t, t1)
             if nb:
                 ab[...] = self._bridge_solve(r_b)
             lam[...] = state.lam
@@ -535,10 +522,8 @@ class Stepper:
             if nb:
                 y0 = self._bridge_solve(r_b)
                 r_c = r_c - C_b @ y0
-            b = np.concatenate((r_t, r_c)) if nt else r_c
-            x = self._solve(A, b, t1)
-            if nt:
-                at[...] = x[:nt]
+            x = self._solve(A, np.concatenate((r_t, r_c)), t1)
+            at[...] = x[:nt]
             lam[...] = x[nt:]
             if nb:
                 np.subtract(y0, Y @ x[nt:], out=ab)
@@ -707,7 +692,7 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
                                                    state.at, state.lam)
     record(0, state)
     # A small bridge steps on one BLAS thread (see the module docstring).
-    with blas_threads(1) if model.n_b < SERIAL_BRIDGE_DOFS else nullcontext():
+    with blas_threads(1 if model.n_b < SERIAL_BRIDGE_DOFS else None):
         for first, con1, ops in stepper.blocks(t[:-1]):
             # Steps first..stop - 1, 1-based, and their rows of the history.
             first, stop = first + 1, first + 1 + len(ops)

@@ -129,12 +129,6 @@ class PlanSpec:
         """Cumulative arclengths of span boundaries, including both ends."""
         return self._joints
 
-    def curvature(self, s: float) -> float:
-        s = min(max(s, 0.0), self.total_length)
-        joints = self.joints
-        i = min(int(np.searchsorted(joints, s, side="right")) - 1, len(self.spans) - 1)
-        return self.spans[i].curvature(s - joints[i])
-
     def _span(self, s: np.ndarray):
         """Span i with J_i < s <= J_{i+1} of each s, clipped to the plan,
         and the joints J_i and J_{i+1}."""
@@ -292,10 +286,6 @@ class PlanPath:
     spec: PlanSpec
     curve: NurbsCurve
     amap: ArclengthMap
-
-    @property
-    def length(self) -> float:
-        return self.amap.length
 
 
 def build_plan_path(spec: PlanSpec, ctrl_per_span: int = 10,

@@ -894,8 +894,8 @@ class TestRunSchedule:
         # Set-up (the static solve and its residual, and the factor) runs
         # at the pinned thread count, whose bits it needs; the steps run on
         # one thread below SERIAL_BRIDGE_DOFS.
-        pools = _lapack._pools()
-        pinned = [get() for get, _ in pools]
+        pools = _lapack._POOLS
+        pinned = [pool.get() for pool in pools]
         if not pinned or max(pinned) == 1:
             pytest.skip("the BLAS pools are pinned to one thread or cannot "
                         "be reached")
@@ -908,7 +908,7 @@ class TestRunSchedule:
 
         def recording(name, f):
             def call(*args, **kwargs):
-                events.append((name, [get() for get, _ in pools]))
+                events.append((name, [pool.get() for pool in pools]))
                 return f(*args, **kwargs)
             return call
 
@@ -926,4 +926,4 @@ class TestRunSchedule:
         assert {"dgemv", "dgetrs", "dgesv"} == {name for name, _ in steps}
         want = [1] * len(pinned) if serial else pinned
         assert all(counts == want for _, counts in steps)
-        assert [get() for get, _ in pools] == pinned
+        assert [pool.get() for pool in pools] == pinned

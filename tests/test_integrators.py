@@ -171,6 +171,22 @@ class TestRigidProfile:
                               scheme_params(rho_inf=0.9), horizon=1.0)
 
 
+class TestModelShapes:
+    # A model is a bridge alone, a vehicle on its constraint, or both with
+    # a bridge; nothing else is built, and the stepper serves nothing else.
+    @pytest.mark.parametrize("blocks", [
+        {"vehicle_at": lambda t: None},
+        {"vehicle_at": lambda t: None, "bridge": Sys(1.0, 0.0, 1.0, 0.0)},
+        {"reduced_at": lambda t: None},
+        {"reduced_at": lambda t: None, "bridge": Sys(1.0, 0.0, 1.0, 0.0)},
+        {}],
+        ids=["vehicle", "vehicle-bridge", "constraint", "constraint-bridge",
+             "empty"])
+    def test_other_shapes_raise(self, blocks):
+        with pytest.raises(ValueError, match="model"):
+            CoupledModel(**blocks)
+
+
 class TestSaddleSystem:
     def test_singular_system_raises(self):
         # A zero vehicle, and a wheel constraint with no bridge columns and

@@ -12,7 +12,8 @@ tests of ``TestSerialSteps`` check it at whatever count the pools have.
 
 ``park`` stops the idle workers of both pools, which restart at the same
 count on the next threaded call; ``TestPark`` counts them as the threads
-of this process that Python did not start.
+of this process that Python did not start. Both act through one table of
+each pool's routines, ``_lapack._POOLS``, looked up at import.
 """
 import json
 import os
@@ -115,7 +116,7 @@ def test_empty_factor_equals_scipy():
 
 def _thread_counts() -> list:
     """The thread count of scipy's and of numpy's OpenBLAS pool."""
-    return [get() for get, _ in _lapack._pools()]
+    return [pool.get() for pool in _lapack._POOLS]
 
 
 def _histories_equal(a, b) -> bool:
@@ -179,18 +180,47 @@ class TestSerialSteps:
 
 
 def test_blas_threads_without_the_libraries(default_path, monkeypatch):
-    # Under another numpy or scipy build the pools stay as they are, which
-    # keeps the bits of every run.
+    # Under another numpy or scipy build the lookup finds nothing, and the
+    # pools stay as they are, which keeps the bits of every run.
     scenario = parse_scenario({"run": {"horizon": 0.03}})
     model = build_scenario_model(scenario, default_path)
     want = run_simulation(scenario, model)
-    pools = _lapack._pools()
-    counts = [get() for get, _ in pools]
-    monkeypatch.setattr(_lapack, "_openblas_library", lambda *args: None)
-    assert _lapack._pools() == []
+    pools = _lapack._POOLS
+    counts = [pool.get() for pool in pools]
+    with monkeypatch.context() as patched:
+        patched.setattr(_lapack, "_OPENBLAS", tuple(
+            (package, libs, "no-such-" + pattern, suffix)
+            for package, libs, pattern, suffix in _lapack._OPENBLAS))
+        assert _lapack._lookup() == ()
+    monkeypatch.setattr(_lapack, "_POOLS", ())
     with _lapack.blas_threads(1):
-        assert [get() for get, _ in pools] == counts
+        assert [pool.get() for pool in pools] == counts
     assert _histories_equal(run_simulation(scenario, model), want)
+
+
+def test_own_count_calls_no_setter(pinned, monkeypatch):
+    # A setter call starts workers, and the park after it costs about 4 ms:
+    # a block at the pools' own counts sets nothing.
+    calls = []
+
+    def recording(pool):
+        def put(n):
+            calls.append(n)
+            pool.set(n)
+        return pool._replace(set=put)
+
+    monkeypatch.setattr(_lapack, "_POOLS",
+                        tuple(map(recording, _lapack._POOLS)))
+    with _lapack.blas_threads(None):
+        assert _thread_counts() == pinned
+    scipy_count, numpy_count = pinned
+    if scipy_count == numpy_count:
+        with _lapack.blas_threads(scipy_count):
+            assert _thread_counts() == pinned
+    assert calls == []
+    with _lapack.blas_threads(1):
+        assert _thread_counts() == [1, 1]
+    assert calls == [1, 1, *pinned]
 
 
 def _workers() -> int:
@@ -203,8 +233,6 @@ def _workers() -> int:
 def parkable(pinned):
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("threads are counted through Linux's /proc")
-    if not _lapack._SHUTDOWNS:
-        pytest.skip("the OpenBLAS pools cannot be parked")
     return pinned
 
 
@@ -246,6 +274,26 @@ class TestPark:
             assert _workers() == 0
         assert _workers() == 0
         assert _thread_counts() == parkable
+        # At the pools' own counts the block parks when it ends.
+        with _lapack.blas_threads(None):
+            _wake_both_pools()
+            assert _workers() > 0
+        assert _workers() == 0
+        assert _thread_counts() == parkable
+
+    @pytest.mark.parametrize("elements", [8, 32])
+    def test_runs_leave_no_workers(self, elements, parkable, default_path):
+        # Below SERIAL_BRIDGE_DOFS the steps run on one thread, from there
+        # on at the pinned count; both end with the pools parked.
+        scenario = parse_scenario({
+            "bridge": {"elements_per_span": elements},
+            "run": {"horizon": 0.03}})
+        model = build_scenario_model(scenario, default_path)
+        assert (model.n_b < SERIAL_BRIDGE_DOFS) == (elements == 8)
+        _wake_both_pools()
+        run_simulation(scenario, model)
+        assert _workers() == 0
+        assert _thread_counts() == parkable
 
     @pytest.mark.parametrize("elements", [8, 32])
     def test_run_equals_unparked_run(self, elements, parkable, tmp_path,
@@ -271,14 +319,17 @@ class TestPark:
 
     def test_park_without_the_routine(self, parkable, default_path,
                                       monkeypatch):
-        # Under an OpenBLAS that lacks blas_thread_shutdown_ the lookup
-        # finds nothing, the workers stay, and a run keeps its bits.
-        assert _lapack._routines("blas_thread_shutdown_",
-                                 "no_such_routine_") == []
+        # Under an OpenBLAS that lacks one of the routines the lookup finds
+        # nothing, the workers stay, and a run keeps its bits.
+        with monkeypatch.context() as patched:
+            patched.setattr(_lapack, "_OPENBLAS", tuple(
+                (package, libs, pattern, "_no_such_routine")
+                for package, libs, pattern, _ in _lapack._OPENBLAS))
+            assert _lapack._lookup() == ()
         scenario = parse_scenario({"run": {"horizon": 0.03}})
         model = build_scenario_model(scenario, default_path)
         want = run_simulation(scenario, model)
-        monkeypatch.setattr(_lapack, "_SHUTDOWNS", [])
+        monkeypatch.setattr(_lapack, "_POOLS", ())
         _wake_both_pools()
         workers = _workers()
         assert workers > 0

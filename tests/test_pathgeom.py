@@ -28,12 +28,13 @@ class TestPlanSpec:
         assert five_span_spec().total_length == pytest.approx(150.0)
 
     def test_curvature_profile(self):
-        spec = five_span_spec()
-        assert spec.curvature(15.0) == 0.0
-        assert spec.curvature(45.0) == pytest.approx(0.5 / R_ARC)
-        assert spec.curvature(75.0) == pytest.approx(1.0 / R_ARC)
-        assert spec.curvature(105.0) == pytest.approx(0.5 / R_ARC)
-        assert spec.curvature(140.0) == 0.0
+        # Midway along each span: 15, 45, 75, 105 and 135 m.
+        spans = five_span_spec().spans
+        assert spans[0].curvature(15.0) == 0.0
+        assert spans[1].curvature(15.0) == pytest.approx(0.5 / R_ARC)
+        assert spans[2].curvature(15.0) == pytest.approx(1.0 / R_ARC)
+        assert spans[3].curvature(15.0) == pytest.approx(0.5 / R_ARC)
+        assert spans[4].curvature(15.0) == 0.0
 
     def test_rejects_curvature_jump(self):
         with pytest.raises(ValueError):
@@ -51,7 +52,7 @@ class TestPlanSpec:
 
 class TestBuildPlanPath:
     def test_total_arclength(self, five_span_path):
-        assert five_span_path.length == pytest.approx(150.0, abs=1e-3)
+        assert five_span_path.amap.length == pytest.approx(150.0, abs=1e-3)
 
     def test_arc_span_curvature(self, five_span_path):
         c, amap = five_span_path.curve, five_span_path.amap
