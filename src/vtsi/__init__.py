@@ -8,6 +8,8 @@ alpha on the displacement-level constraint, Newmark on the acceleration-
 level constraint, and Newmark with per-step constraint projection.
 """
 
+# First: it loads numpy's OpenBLAS and parks its pool before numpy's import.
+from . import _lapack  # noqa: F401
 from .splines import (KnotVector, NurbsCurve, eval_bspline_basis, eval_nurbs,
                       eval_nurbs_basis, fit_least_squares,
                       make_open_uniform_knots)

@@ -36,11 +36,14 @@ slowed the other's threaded calls on the same cores: on 2 cores a set-up
 ``null_space`` took 0.16-0.18 s where it needs 4 ms, and a step block's
 factor 0.11 s where it needs 0.04 s. ``park`` stops both pools' workers
 through ``blas_thread_shutdown_``; a pool restarts at its thread count on
-its next threaded call, so no result changes. This module parks the pools
-at the end of its import, around ``null_space``'s dgesdd, before
-``lu_factor``'s dgetrf, after ``blas_threads`` sets the counts, and at
-the end of its block: the points where a run hands its threaded work from
-one pool to the other, and where its threaded work ends. A block at the
+its next threaded call, so no result changes. Before it imports numpy,
+this module loads numpy's library itself and stops the workers that the
+load starts, which would spin through numpy's import; ``vtsi`` imports
+this module first. It parks the pools at the end of its import, around
+``null_space``'s dgesdd, before ``lu_factor``'s dgetrf, after
+``blas_threads`` sets the counts, and at the end of its block: the points
+where a run hands its threaded work from one pool to the other, and where
+its threaded work ends. A block at the
 pools' own counts sets nothing and parks only at its end: a setter call
 and the park after it cost about 4 ms, a park after a threaded call about
 0.1 ms.
@@ -56,10 +59,46 @@ import sys
 from contextlib import contextmanager
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = ["blas_threads", "dgemv", "dgesv", "dgetrs", "lu_factor",
            "null_space", "park"]
+
+# Each bundled OpenBLAS: its package, its library's directory beside the
+# package and file name, and its symbols' suffix.
+_OPENBLAS = (("scipy", "scipy.libs", "libscipy_openblas-*.so", ""),
+             ("numpy", "numpy.libs", "libscipy_openblas64_-*.so", "64_"))
+
+
+def _library(package: str, libs: str, pattern: str) -> str | None:
+    """The path of a package's bundled OpenBLAS, found without importing
+    the package; None unless there is exactly one."""
+    spec = importlib.util.find_spec(package)
+    found = [path for root in (spec.submodule_search_locations
+                               if spec else ())
+             for path in glob.glob(os.path.join(os.path.dirname(root), libs,
+                                                pattern))]
+    return found[0] if len(found) == 1 else None
+
+
+def _load_numpy_openblas() -> None:
+    """Load numpy's OpenBLAS before numpy does, and stop the workers that
+    it starts when it loads: they would spin through the rest of numpy's
+    import, about 0.1 s of CPU. numpy's import then finds the library
+    loaded. Does nothing where the library or the routine is missing."""
+    package, libs, pattern, _ = _OPENBLAS[1]
+    path = _library(package, libs, pattern)
+    if path is None:
+        return
+    try:
+        shutdown = ctypes.CDLL(path).blas_thread_shutdown_
+    except (AttributeError, OSError):
+        return
+    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    shutdown()
+
+
+_load_numpy_openblas()
+
+import numpy as np  # noqa: E402  (after its OpenBLAS is parked)
 
 
 def _load(name: str):
@@ -129,12 +168,6 @@ def null_space(A: np.ndarray) -> np.ndarray:
     return vh[np.sum(s > tol, dtype=int):, :].T
 
 
-# Each bundled OpenBLAS: its package, its library's directory beside the
-# package and file name, and its symbols' suffix.
-_OPENBLAS = (("scipy", "scipy.libs", "libscipy_openblas-*.so", ""),
-             ("numpy", "numpy.libs", "libscipy_openblas64_-*.so", "64_"))
-
-
 class _Pool(NamedTuple):
     """The routines of one bundled OpenBLAS that act on its thread pool."""
 
@@ -148,15 +181,11 @@ def _lookup() -> tuple:
     library is missing or not loaded, or lacks one of the routines."""
     pools = []
     for package, libs, pattern, suffix in _OPENBLAS:
-        spec = importlib.util.find_spec(package)
-        found = [path for root in (spec.submodule_search_locations
-                                   if spec else ())
-                 for path in glob.glob(os.path.join(os.path.dirname(root),
-                                                    libs, pattern))]
-        if len(found) != 1:
+        path = _library(package, libs, pattern)
+        if path is None:
             return ()
         try:
-            lib = ctypes.CDLL(found[0], mode=os.RTLD_NOLOAD)
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
             pool = _Pool(getattr(lib, "scipy_openblas_get_num_threads"
                                  + suffix),
                          getattr(lib, "scipy_openblas_set_num_threads"

@@ -32,6 +32,16 @@ __all__ = [
 
 N_FIELDS = 6
 F_UT, F_UN, F_UB, F_TT, F_TN, F_TB = range(6)
+# Bytes of each temporary of an elementwise formula over n_red^2 arrays
+# formed a panel at a time (``panels``).
+PANEL_BYTES = 1 << 18
+
+
+def panels(n: int, line_bytes: int) -> list:
+    """Slices of n lines, each panel of them at most PANEL_BYTES (or one
+    line, if a line takes more)."""
+    step = max(1, PANEL_BYTES // max(1, line_bytes))
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -297,16 +307,17 @@ class FieldRows(NamedTuple):
                           axis=-1)
         return out
 
-    def reduced(self, i, Z: np.ndarray) -> np.ndarray:
+    def reduced(self, i, Z) -> np.ndarray:
         """(k + 1, n_fields, n_red) rows of position i times Z, or for an
         index array i those of each position stacked: one product per
         order over the window's rows of Z, in one stacked matmul per run of
-        positions with the same first DOF. The window keeps the DOF order
-        of the full rows, and the full-row product L @ Z gives the same
-        bits (tests/test_batched.py) unless OpenBLAS splits its sum at a
-        block edge: on the default plan at 64 elements per span, the rows
-        at the joints 30 and 90 m differ by about 1e-38 of their largest
-        entry."""
+        positions with the same first DOF. Z is a dense array or a
+        ``BasisRows``; either gives its dense rows for an index array. The
+        window keeps the DOF order of the full rows, and the full-row
+        product L @ Z gives the same bits (tests/test_batched.py) unless
+        OpenBLAS splits its sum at a block edge: on the default plan at 64
+        elements per span, the rows at the joints 30 and 90 m differ by
+        about 1e-38 of their largest entry."""
         idx = np.atleast_1d(i)
         blocks, first = self.block(idx), self.first[idx]
         out = np.empty(blocks.shape[:-1] + Z.shape[1:])
@@ -314,6 +325,47 @@ class FieldRows(NamedTuple):
         for a, b in zip(cuts, cuts[1:]):
             np.matmul(blocks[a:b], Z[first[a] + self.window], out=out[a:b])
         return out if np.ndim(i) else out[0]
+
+
+class BasisRows:
+    """A dense matrix kept by the entries of its rows whose bits are not
+    all zero, so a -0.0 is kept and a +0.0 is not. ``basis[rows]``, for an
+    index array, returns those dense rows bit for bit.
+
+    A null-space basis from supports is 0.1% nonzero (1,146 entries in
+    978 x 954 at 32 elements per span), and most of its rows hold a single
+    +-1. So a lookup writes each row's one entry into zeros, in one
+    scatter, and then copies in the few rows with more than one entry,
+    which are kept dense: about the cost of indexing the dense matrix.
+    """
+
+    def __init__(self, dense: np.ndarray):
+        n = len(dense)
+        self.shape = dense.shape
+        rows, cols = np.nonzero(dense.view(np.int64))
+        # Each row's entry; a row without one writes a +0.0 in column 0.
+        self._col = np.zeros(n, dtype=np.intp)
+        self._col[rows] = cols
+        self._val = np.zeros(n)
+        self._val[rows] = dense[rows, cols]
+        multi = np.flatnonzero(np.bincount(rows, minlength=n) > 1)
+        self._multi = dense[multi]
+        self._slot = np.full(n, -1)
+        self._slot[multi] = np.arange(len(multi))
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        n_red = self.shape[1]
+        out = np.zeros((len(rows), n_red))
+        if not out.size:
+            return out
+        # Each row's entry, at its column of the row's start in flat out.
+        starts = np.arange(0, out.size, n_red)
+        out.ravel()[starts + self._col[rows]] = self._val[rows]
+        slot = self._slot[rows]
+        hit = np.flatnonzero(slot >= 0)
+        if len(hit):
+            out[hit] = self._multi[slot[hit]]
+        return out
 
 
 def _zero_padded(vals: np.ndarray) -> np.ndarray:
@@ -421,6 +473,8 @@ class BridgeSystem:
     """Assembled bridge: reduced matrices plus the full-DOF shape provider.
 
     An undamped bridge's C is a read-only zero view with strides (0, 0).
+    The null-space basis Z is kept by its rows (``BasisRows``); ``Z[rows]``
+    and ``Z.shape`` are all that is read of it, so a dense array serves too.
     """
 
     kind: str
@@ -431,7 +485,7 @@ class BridgeSystem:
     C: np.ndarray
     K: np.ndarray
     P: np.ndarray
-    Z: np.ndarray
+    Z: BasisRows
 
     @property
     def n_full(self) -> int:
@@ -460,19 +514,16 @@ def _default_supports(joints: np.ndarray):
     return sup
 
 
-def _full_matrices(n_full: int, elements):
-    """Full M, K and P summed from each element's (K_e, M_e, P_e, node
-    indices). Nothing of the elements outlives the call, so stacked element
-    arrays are freed before the dense null space."""
-    M = np.zeros((n_full, n_full))
-    K = np.zeros((n_full, n_full))
-    P = np.zeros(n_full)
-    for Ke, Me, Pe, idx in elements:
-        dofs = np.concatenate([N_FIELDS * i + np.arange(N_FIELDS) for i in idx])
-        M[np.ix_(dofs, dofs)] += Me
-        K[np.ix_(dofs, dofs)] += Ke
-        P[dofs] += Pe
-    return M, K, P
+def _reduced(Z: np.ndarray, elements: np.ndarray,
+             dofs: np.ndarray) -> np.ndarray:
+    """Z^T A Z, where the full matrix A sums the element matrices on their
+    DOFs, formed as (Z^T A) Z with A freed before the second product."""
+    A = np.zeros((len(Z), len(Z)))
+    for Ae, d in zip(elements, dofs):
+        A[np.ix_(d, d)] += Ae
+    T = Z.T @ A
+    del A
+    return T @ Z
 
 
 def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
@@ -485,30 +536,39 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
     vertical, and torsion fields. Constraints are removed by a null-space
     reduction of the point-evaluation rows, which for nodal bases degenerates
     to classical row/column elimination.
+
+    At most three n_full^2-sized arrays are alive at once: the dense basis
+    Z, a full matrix and Z^T times it while M is reduced, then Z, Z^T K and
+    the reduced K while reduced M is kept by its stored entries, and at the
+    end reduced M and K and Z, which is then kept by its rows
+    (``BasisRows``). A damped bridge's C is formed in panels, so it adds
+    only itself.
     """
     spec = path.spec
     joints = spec.joints
     if supports is None:
         supports = _default_supports(joints)
 
+    # Each element's stiffness, mass and load, and its nodes.
     if kind == "nurbs":
         geo = build_plan_path(spec, ctrl_per_span=elems_per_span, p=degree)
         shape = _NurbsShape(geo.curve, geo.amap)
         length = geo.amap.length
-        M, K, P = _full_matrices(shape.n_full, zip(*element_matrices_iga(
-            section, geo.curve, geo.amap,
-            np.arange(geo.curve.knots.n_elems))))
+        K_e, M_e, P_e, nodes = element_matrices_iga(
+            section, geo.curve, geo.amap, np.arange(geo.curve.knots.n_elems))
     elif kind == "fem":
         s_nodes = np.concatenate([
             np.linspace(joints[i], joints[i + 1], elems_per_span + 1)[(1 if i else 0):]
             for i in range(len(spec.spans))])
         shape = _FemShape(s_nodes)
         length = float(s_nodes[-1])
-        M, K, P = _full_matrices(shape.n_full, (
-            _fem_local(section, s_nodes[e + 1] - s_nodes[e]) + ((e, e + 1),)
-            for e in range(len(s_nodes) - 1)))
+        K_e, M_e, P_e = map(np.array, zip(*(
+            _fem_local(section, ell) for ell in np.diff(s_nodes))))
+        nodes = np.arange(len(K_e))[:, None] + np.arange(2)
     else:
         raise ValueError("unknown bridge kind %r" % kind)
+    dofs = (N_FIELDS * nodes[:, :, None]
+            + np.arange(N_FIELDS)).reshape(len(nodes), -1)
 
     # A support up to the path's exact end is on the path: a NURBS fit of
     # a tight arc ends short of it (1.5e-7 m at R 50), and the support's
@@ -524,17 +584,31 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
         rows.extend(shape.rows(min(s, length), fields, 0).dense()[0, 0])
     Z = null_space(np.array(rows)) if rows else np.eye(shape.n_full)
 
+    P = np.zeros(shape.n_full)
+    for Pe, d in zip(P_e, dofs):
+        P[d] += Pe
+
+    Mr = _reduced(Z, M_e, dofs)
+    # Reduced M is kept by its stored entries while K is reduced.
+    stored = np.flatnonzero(Mr.view(np.int64))
+    values = Mr.ravel()[stored]
+    del Mr, M_e
+    Kr = _reduced(Z, K_e, dofs)
+    del K_e
+    Mr = np.zeros_like(Kr)
+    Mr.ravel()[stored] = values
+    Pr = Z.T @ P
+    Z = BasisRows(Z)
+
     a0, a1 = rayleigh
-    Mr = Z.T @ M @ Z
-    del M
-    Kr = Z.T @ K @ Z
-    del K
     if a0 or a1:
-        Cr = a0 * Mr + a1 * Kr
+        # a0 M + a1 K, a panel of rows at a time.
+        Cr = np.multiply(a0, Mr)
+        for lines in panels(len(Cr), Cr.strides[0]):
+            Cr[lines] += a1 * Kr[lines]
     else:
         # Undamped: a read-only zero view, which holds no n_red^2 buffer.
         Cr = np.broadcast_to(0.0, Mr.shape)
-    Pr = Z.T @ P
     return BridgeSystem(
         kind=kind, section=section, shape=shape, length=length,
         M=Mr, C=Cr, K=Kr, P=Pr, Z=Z)

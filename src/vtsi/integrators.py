@@ -94,6 +94,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._lapack import blas_threads, dgemv, dgesv, dgetrs, lu_factor
+from .beams import panels
 from .coupling import Constraint, ConstraintTable, constraint_rates
 from .pathgeom import CosineProfile
 from .vehicle import L_TR, VehicleParams, VehicleSystem, vehicle_matrices
@@ -114,7 +115,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Averaging and Newmark parameters of the one-step scheme."""
+    """Averaging and Newmark parameters of the one-step scheme. gamma may
+    reach 1.5, the Chung-Hulbert value at rho_inf 0 (``scheme_params``)."""
 
     alpha_m: float
     alpha_f: float
@@ -123,7 +125,7 @@ class SchemeParams:
     dt: float
 
     def __post_init__(self):
-        if self.beta <= 0.0 or not (0.0 < self.gamma <= 1.0):
+        if self.beta <= 0.0 or not (0.0 < self.gamma <= 1.5):
             raise ValueError("invalid Newmark parameters")
         if self.dt <= 0.0:
             raise ValueError("time step must be positive")
@@ -262,16 +264,22 @@ class TimeHistory:
 
 def _step_block(bridge, p: SchemeParams, damped: bool) -> np.ndarray:
     """A_b = (1 - a_m) M + (1 - a_f) (gamma dt C + beta dt^2 K), each
-    product and sum grouped as written, in two Fortran-ordered buffers, so
-    that getrf factors the returned one in place. Undamped, the C term is
-    left out."""
-    A = np.empty(bridge.M.shape, order="F")
-    B = np.multiply(p.beta * p.dt ** 2, bridge.K, order="F")
-    if damped:
-        B += np.multiply(p.gamma * p.dt, bridge.C, out=A)
-    B *= 1.0 - p.alpha_f
-    np.multiply(1.0 - p.alpha_m, bridge.M, out=A)
-    A += B
+    product and sum grouped as written, in a Fortran-ordered array, so that
+    getrf factors it in place. It is formed a panel of columns at a time
+    (``beams.panels``), so its temporaries are small; each entry's
+    arithmetic is that of the whole arrays. Undamped, the C term is left
+    out."""
+    M, C, K = bridge.M, bridge.C, bridge.K
+    A = np.empty(M.shape, order="F")
+    bdt2, gdt = p.beta * p.dt ** 2, p.gamma * p.dt
+    for cols in panels(A.shape[1], A.strides[1]):
+        B = np.multiply(bdt2, K[:, cols], order="F")
+        if damped:
+            B += np.multiply(gdt, C[:, cols], order="F")
+        B *= 1.0 - p.alpha_f
+        Ap = A[:, cols]
+        np.multiply(1.0 - p.alpha_m, M[:, cols], out=Ap)
+        Ap += B
     return A
 
 

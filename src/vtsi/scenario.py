@@ -32,13 +32,14 @@ MIN_STEPS = 7
 # Largest bridge, in DOFs before supports: N_FIELDS (n_spans
 # elements_per_span + degree) for NURBS, N_FIELDS (n_spans elements_per_span
 # + 1) for FEM. The bridge is dense (n_red is close to n_full). At its peak
-# a run holds five n_full^2 float64 arrays: in assembly full M and K, Z,
-# Z^T M and reduced M; before stepping, reduced M and K, Z and the two
-# buffers of the step block. A damped bridge adds a sixth, its dense C. At
-# n_full 1,938 that is 217 MB undamped and 245 MB damped, of which about
-# 67 MB is the interpreter and libraries. Seven arrays leave room for
-# LAPACK's work space: a 2 GB budget, a quarter of an 8 GB machine, allows
-# 7 * 8 B * n_full^2 <= 2e9, so n_full <= 5,976.
+# a run holds three n_full^2 float64 arrays: in assembly the dense basis Z,
+# a full matrix and Z^T times it; then reduced M and K with Z, or with the
+# static solve's copy of K, or with the step block. A damped bridge adds a
+# fourth while it steps, its dense C. At n_full 1,938 the run peaks at
+# 144 MB undamped, of which about 45 MB is the interpreter and libraries.
+# The limit allows seven arrays, which leaves three (two damped) for
+# LAPACK's work space and headroom: a 2 GB budget, a quarter of an 8 GB
+# machine, allows 7 * 8 B * n_full^2 <= 2e9, so n_full <= 5,976.
 MAX_BRIDGE_DOFS = 5_976
 # Largest plan fit, in knot spans N = n_spans ctrl_per_span: its collocation
 # matrix is (20 N + 1) x (N + 3) float64, and a 1 GB budget for it allows

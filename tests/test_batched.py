@@ -8,8 +8,10 @@ rows. They live here only, as the oracle. Equality is exact
 the crossing time history by far more than round-off. The same holds for
 the time step, checked against a copy that forms every product with
 numpy's ``@``, including those whose scheme weight is zero, and solves with
-``lu_solve`` and ``np.linalg.solve``, and for a run's blocks of tabulated
-step operators, checked against blocks of one step.
+``lu_solve`` and ``np.linalg.solve``, for a run's blocks of tabulated
+step operators, checked against blocks of one step, and for the bridge's
+null-space basis kept by its rows and its step block and damping formed in
+panels, checked against the dense basis and whole arrays.
 """
 import dataclasses
 from math import comb, cos, sin
@@ -18,15 +20,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import lu_factor, lu_solve
 
+import vtsi.beams
 import vtsi.integrators as integrators
 from vtsi import _lapack, parse_scenario
-from vtsi.beams import (F_UB, F_UN, BeamSection, FieldRows,
+from vtsi.beams import (F_UB, F_UN, BasisRows, BeamSection, FieldRows,
                         element_matrices_iga)
 from vtsi.coupling import COUPLED_FIELDS, constraint_rates
 from vtsi.integrators import (TABLE_BLOCK, CoupledState, Stepper,
-                              coupled_model, initial_state,
+                              _step_block, coupled_model, initial_state,
                               project_constraints, run_model, scheme_params)
 from vtsi.pathgeom import (ARCLENGTH_SUBDIV, GAUSS_ARCLENGTH, GAUSS_PLAN,
                            STRAIGHT_CURVATURE_TOL, UP, CosineProfile,
@@ -429,8 +433,8 @@ class TestBatchedRows:
                         COUPLED_FIELDS, bridge.n_full))
                 # The compact reduction equals the dense full-row product.
                 ref = constraint_rates(bridge, float(x), 100.0)
-                dense = (ref.L @ bridge.Z, ref.L_dot @ bridge.Z,
-                         ref.L_ddot @ bridge.Z)
+                Z = bridge.Z[np.arange(bridge.n_full)]
+                dense = (ref.L @ Z, ref.L_dot @ Z, ref.L_ddot @ Z)
                 for got, want in zip(snap[i], dense):
                     assert np.array_equal(got, want)
 
@@ -825,6 +829,97 @@ class TestStepTables:
 
 
 # --------------------------------------------------------------------------
+# The bridge's arrays: the null-space basis kept by its rows, and the step
+# block and a damped C formed by panels.
+# --------------------------------------------------------------------------
+
+def whole_step_block(bridge, p, damped):
+    """A_b from whole arrays, in two Fortran-ordered buffers."""
+    A = np.empty(bridge.M.shape, order="F")
+    B = np.multiply(p.beta * p.dt ** 2, bridge.K, order="F")
+    if damped:
+        B += np.multiply(p.gamma * p.dt, bridge.C, out=A)
+    B *= 1.0 - p.alpha_f
+    np.multiply(1.0 - p.alpha_m, bridge.M, out=A)
+    A += B
+    return A
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The bits of a float64 array, so that -0.0 differs from +0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestBridgeArrays:
+    @SETTINGS
+    @given(data=st.data())
+    def test_basis_rows_equal_dense_rows(self, data):
+        # A sparse matrix with +-0.0 entries, as null_space returns a basis:
+        # the transpose of the trailing rows of a larger array.
+        n, n_red = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 8))
+        skip = data.draw(st.integers(0, 3))
+        base = data.draw(arrays(
+            np.float64, (n_red + skip, n),
+            elements=st.sampled_from([1.0, -1.0, -0.0]) | st.floats(),
+            fill=st.sampled_from([0.0, -0.0])))
+        dense = base[skip:].T
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                           max_size=2 * n)), dtype=np.intp)
+        got = BasisRows(dense)[rows]
+        assert got.shape == (len(rows), n_red)
+        assert np.array_equal(bits(got), bits(dense[rows]))
+
+    @pytest.mark.parametrize("elements", [1, 8, 32])
+    @pytest.mark.parametrize("kind", ["nurbs", "fem"])
+    def test_bridge_basis_rows(self, kind, elements, default_path,
+                               monkeypatch):
+        bases = []
+
+        def recording(rows):
+            bases.append(_lapack.null_space(rows))
+            return bases[-1]
+
+        monkeypatch.setattr(vtsi.beams, "null_space", recording)
+        br = build_scenario_bridge(parse_scenario({"bridge": {
+            "kind": kind, "elements_per_span": elements}}), default_path)
+        basis, = bases
+        n = br.n_full
+        assert br.Z.shape == basis.shape
+        assert np.array_equal(bits(br.Z[np.arange(n)]), bits(basis))
+        # The windows of FieldRows lookups: runs of consecutive DOFs.
+        for w in (12, 24, 36):
+            for first in range(0, n - w + 1):
+                rows = np.arange(first, first + w)
+                assert np.array_equal(bits(br.Z[rows]), bits(basis[rows]))
+
+    @pytest.mark.parametrize("panel_bytes", [None, 8, 20_000],
+                             ids=["default", "one-column", "uneven"])
+    @pytest.mark.parametrize("rayleigh", [(0.0, 0.0), (0.5, 1e-4)],
+                             ids=["undamped", "damped"])
+    @pytest.mark.parametrize("elements", [1, 8, 32])
+    def test_panels_equal_whole_arrays(self, elements, rayleigh, panel_bytes,
+                                       default_path, monkeypatch):
+        if panel_bytes is not None:
+            monkeypatch.setattr(vtsi.beams, "PANEL_BYTES", panel_bytes)
+        scenario = parse_scenario({"bridge": {
+            "elements_per_span": elements, "rayleigh": list(rayleigh)}})
+        br = build_scenario_bridge(scenario, default_path)
+        damped = bool(br.C.any())
+        assert damped == any(rayleigh)
+        if damped:
+            a0, a1 = rayleigh
+            assert np.array_equal(bits(br.C), bits(a0 * br.M + a1 * br.K))
+        newmark = parse_scenario({"run": {"strategy": "C"}})
+        alpha = parse_scenario({"run": {"rho_inf": 0.5}})
+        for sc in (scenario, newmark, alpha):
+            params = scenario_scheme(sc)
+            got = _step_block(br, params, damped)
+            assert got.flags.f_contiguous
+            assert np.array_equal(bits(got),
+                                  bits(whole_step_block(br, params, damped)))
+
+
+# --------------------------------------------------------------------------
 # Probe rows and the order of a run's numpy and scipy work.
 # --------------------------------------------------------------------------
 
@@ -848,7 +943,8 @@ class TestProbeRows:
             [[0.0, br.length], default_path.spec.joints, knots])]
         s = data.draw(st.one_of(st.sampled_from(special),
                                 st.floats(0.0, br.length)))
-        want = shape.rows(s, (F_UN, F_UB), 0).dense()[0, 0] @ br.Z
+        want = (shape.rows(s, (F_UN, F_UB), 0).dense()[0, 0]
+                @ br.Z[np.arange(br.n_full)])
 
         def dense(self):
             raise AssertionError("probe_rows formed the full rows")

@@ -231,6 +231,11 @@ def whole_runs(draw):
     }
     if supports is not None:
         data["bridge"]["supports"] = supports
+    # Strategy C runs plain Newmark only; A and B take any spectral radius.
+    if data["run"]["strategy"] != "C":
+        rho_inf = draw(st.none() | st.just("auto") | st.floats(0.0, 1.0))
+        if rho_inf != "auto":
+            data["run"]["rho_inf"] = rho_inf
     return data
 
 
@@ -268,6 +273,9 @@ class TestWholeRuns:
                             "radius_end": 50}]},
         "bridge": {"elements_per_span": 4}, "vehicle": {"v": 10},
         "run": {"horizon": 0.02}, "probes": [{"name": "end", "s": 30.0}]})
+    # Below rho_inf 1/3 generalized-alpha's gamma exceeds 1, which the
+    # scheme used to reject with a traceback.
+    @example(data={"run": {"horizon": 0.02, "rho_inf": 0.0}})
     def test_exits_cleanly_with_finite_outputs(self, data, capfd):
         capfd.readouterr()
         with tempfile.TemporaryDirectory() as tmp:

@@ -44,6 +44,18 @@ class TestSchemeParams:
         assert p.beta == pytest.approx(0.27700831024930755, abs=1e-15)
         assert p.gamma == pytest.approx(0.5526315789473684, abs=1e-15)
 
+    @pytest.mark.parametrize("rho_inf", [0.0, 0.2, 1.0 / 3.0])
+    def test_strong_dissipation_accepted(self, rho_inf):
+        # Below rho_inf 1/3 Chung-Hulbert's gamma exceeds 1; at 0 it is 1.5.
+        p = scheme_params(rho_inf=rho_inf)
+        am = (2.0 * rho_inf - 1.0) / (rho_inf + 1.0)
+        af = rho_inf / (rho_inf + 1.0)
+        assert (p.alpha_m, p.alpha_f) == (am, af)
+        assert p.gamma == 0.5 - am + af
+        assert p.gamma == pytest.approx(
+            0.5 + (1.0 - rho_inf) / (1.0 + rho_inf), abs=1e-15)
+        assert p.beta == 0.25 * (1.0 - am + af) ** 2
+
     def test_validation(self):
         with pytest.raises(ValueError):
             scheme_params(rho_inf=1.5)

@@ -78,19 +78,23 @@ def test_fresh_run_imports_no_scipy_linalg(tmp_path):
 @pytest.mark.parametrize("elements", [1, 8, 32])
 @pytest.mark.parametrize("kind", ["nurbs", "fem"])
 def test_factors_equal_scipy(kind, elements, default_path, monkeypatch):
-    supports = []
+    supports, bases = [], []
 
     def recording(rows):
         supports.append(rows.copy())
-        return _lapack.null_space(rows)
+        bases.append(_lapack.null_space(rows))
+        return bases[-1]
 
     monkeypatch.setattr(vtsi.beams, "null_space", recording)
     scenario = parse_scenario({"bridge": {
         "kind": kind, "elements_per_span": elements}})
     br = build_scenario_bridge(scenario, default_path)
-    rows, = supports
+    (rows,), (basis,) = supports, bases
+    # Set-up reduces by the dense basis, and the bridge keeps its rows.
     want = scipy.linalg.null_space(rows)
-    assert np.array_equal(br.Z, want) and br.Z.strides == want.strides
+    assert np.array_equal(basis, want) and basis.strides == want.strides
+    assert np.array_equal(br.Z[np.arange(br.n_full)].view(np.int64),
+                          basis.view(np.int64))
 
     newmark = parse_scenario({"run": {"strategy": "C"}})
     for params in (scenario_scheme(scenario), scenario_scheme(newmark)):
@@ -252,6 +256,29 @@ class TestPark:
                       " - threading.active_count())")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
+
+    def test_import_spins_no_workers(self, parkable):
+        # numpy's OpenBLAS starts its workers when it loads; vtsi._lapack
+        # loads it before numpy does and parks it, so they do not spin
+        # through numpy's import. The workers' CPU is the process's (which
+        # keeps that of exited threads) less the main thread's. When numpy
+        # loaded the library it read 0.06-0.07 s with one worker on a 2-core
+        # machine, whose process CPU time still did not exceed wall time.
+        proc = _fresh(
+            "import os, time\n"
+            "def ticks(path):\n"
+            "    stat = open(path).read().rsplit(')', 1)[1].split()\n"
+            "    return int(stat[11]) + int(stat[12])\n"
+            "wall, cpu = time.perf_counter(), time.process_time()\n"
+            "import vtsi.cli\n"
+            "wall, cpu = time.perf_counter() - wall, time.process_time() - cpu\n"
+            "workers = (ticks('/proc/self/stat')\n"
+            "           - ticks('/proc/self/task/%d/stat' % os.getpid()))\n"
+            "print(cpu - wall, workers / os.sysconf('SC_CLK_TCK'))")
+        assert proc.returncode == 0, proc.stderr
+        excess, workers = map(float, proc.stdout.split())
+        assert excess <= 0.03
+        assert workers <= 0.03
 
     def test_threaded_calls_restart_parked_pools(self, parkable):
         scipy_count, numpy_count = parkable
