@@ -1,20 +1,35 @@
-"""scipy's compiled LAPACK and BLAS, without the ``scipy.linalg`` package.
+"""scipy's bundled OpenBLAS, bound with ``ctypes``, without ``scipy.linalg``.
 
-vtsi calls five routines of scipy's bundled OpenBLAS: getrf, getrs, gesv,
-gemv and gesdd. They live in ``scipy.linalg._flapack`` and ``_fblas``, the
-f2py extension modules that ``scipy.linalg`` itself wraps. Importing that
-package runs its ``__init__``, whose array-API shim imports numpy.f2py,
-numpy.testing and numpy.random: about a fifth of a default run's wall
-time and 21 MB of its peak memory. So this module loads the two extension
-modules from scipy's directory without running ``scipy/__init__`` or
-``scipy/linalg/__init__``, and registers them in ``sys.modules`` under
-their own names, so that a later ``import scipy.linalg`` shares them.
+vtsi calls five routines of scipy's LAPACK and BLAS: dgetrf, dgetrs, dgesv,
+dgemv and dgesdd. This module binds them with ``ctypes`` from scipy's
+bundled library, ``scipy.libs/libscipy_openblas-*.so``, as its entry
+points ``scipy_dgetrf_``, ``scipy_dgetrs_``, ``scipy_dgesv_``,
+``scipy_dgemv_`` and ``scipy_dgesdd_``, with 32-bit integers: the routines
+that scipy's f2py modules ``scipy.linalg._flapack`` and ``_fblas`` call. So
+no scipy module is imported. The ``scipy.linalg`` package's ``__init__``
+imports numpy.f2py, numpy.testing and numpy.random (21 MB of a run's peak
+memory), and the two f2py modules alone take 2.45 MB. Where the bundled
+library or one of the five symbols is missing, as under another build of
+scipy, the routines are bound from the public ``scipy.linalg.lapack`` and
+``scipy.linalg.blas`` instead, at the address that each f2py wrapper calls
+(its ``_cpointer``). Either way scipy's library runs with the arguments
+that scipy passes it, so every result is scipy's bit for bit.
 
-``lu_factor`` and ``null_space`` call their routines with the arguments
-that ``scipy.linalg.lu_factor`` and ``scipy.linalg.null_space`` pass, so
-their results are scipy's bit for bit. ``dgetrs``, ``dgesv`` and ``dgemv``
-are the objects that ``get_lapack_funcs`` and ``get_blas_funcs`` return
-for float64 arrays.
+A routine takes each of its Fortran arguments by address, as a
+``c_void_p``: an array by its data, a scalar by a pointer to a ctypes value.
+``lu_factor`` and ``null_space`` call dgetrf and dgesdd as
+``scipy.linalg.lu_factor`` and ``scipy.linalg.null_space`` do, down to
+dgesdd's work size from its ``lwork = -1`` query, which picks its blocked
+path and so its bits. ``LUSolver``, ``gesv_args`` and ``gemv_args`` build
+the arguments of dgetrs, dgesv and dgemv for arrays that the caller keeps
+and rewrites between calls (``integrators.Stepper``): a call on prebuilt
+arguments costs what an f2py call costs. Building them costs about as much
+again: a default run that built them for every Schur solve took 3-13 %
+more CPU time. They check each array's dtype, shape and layout, since a wrong
+one would have the library read or write past it. Each pointer holds what
+it points to (numpy's ``data_as`` holds the array, ``ctypes.cast`` the
+value), so the arguments keep their arrays alive for as long as they are
+kept.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool, sized by ``OPENBLAS_NUM_THREADS`` (at most the core count) when it
@@ -52,15 +67,13 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import importlib.machinery
 import importlib.util
 import os
-import sys
 from contextlib import contextmanager
 from typing import NamedTuple
 
-__all__ = ["blas_threads", "dgemv", "dgesv", "dgetrs", "lu_factor",
-           "null_space", "park"]
+__all__ = ["LUSolver", "blas_threads", "dgemv", "dgesv", "dgetrs",
+           "gemv_args", "gesv_args", "lu_factor", "null_space", "park"]
 
 # Each bundled OpenBLAS: its package, its library's directory beside the
 # package and file name, and its symbols' suffix.
@@ -101,71 +114,174 @@ _load_numpy_openblas()
 import numpy as np  # noqa: E402  (after its OpenBLAS is parked)
 
 
-def _load(name: str):
-    """The extension module scipy.linalg.<name>: the one already imported,
-    or loaded from scipy's directory and registered under that name."""
-    full = "scipy.linalg." + name
-    if full in sys.modules:
-        return sys.modules[full]
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None:
-        raise ImportError("vtsi needs scipy, which is not installed")
-    linalg = [os.path.join(p, "linalg")
-              for p in scipy.submodule_search_locations]
-    spec = importlib.machinery.PathFinder.find_spec(full, linalg)
-    if spec is None:
-        raise ImportError("scipy has no compiled module %s" % full)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[full] = module
-    return module
+# The five routines: each one's number of arguments.
+_ROUTINES = {"dgetrf": 6, "dgetrs": 9, "dgesv": 8, "dgemv": 11,
+             "dgesdd": 14}
 
 
-_flapack = _load("_flapack")
-_fblas = _load("_fblas")
+def _bundled() -> dict | None:
+    """The routines ``scipy_<name>_`` of scipy's bundled OpenBLAS, which
+    this loads; None where the library or a symbol is missing."""
+    path = _library(*_OPENBLAS[0][:3])
+    if path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(path)
+        return {name: getattr(lib, "scipy_%s_" % name) for name in _ROUTINES}
+    except (AttributeError, OSError):
+        return None
 
-dgetrs = _flapack.dgetrs
-dgesv = _flapack.dgesv
-dgemv = _fblas.dgemv
+
+def _public() -> dict:
+    """The routines that the f2py wrappers of the public
+    ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` call, at the address
+    that f2py keeps in each wrapper's ``_cpointer`` capsule."""
+    from scipy.linalg import blas, lapack
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return {name: ctypes.CFUNCTYPE(None)(address(getattr(
+        blas if name == "dgemv" else lapack, name)._cpointer, None))
+        for name in _ROUTINES}
+
+
+def _bind() -> dict:
+    """The five routines by name, each taking its arguments' addresses."""
+    routines = _bundled() or _public()
+    for name, routine in routines.items():
+        routine.argtypes = [ctypes.c_void_p] * _ROUTINES[name]
+        routine.restype = None
+    return routines
+
+
+dgetrf, dgetrs, dgesv, dgemv, dgesdd = _bind().values()
+
+
+def _address(value) -> ctypes.c_void_p:
+    """The address of a ctypes value, holding the value."""
+    return ctypes.cast(ctypes.pointer(value), ctypes.c_void_p)
+
+
+def _int(n: int) -> ctypes.c_void_p:
+    return _address(ctypes.c_int(n))
+
+
+def _data(a: np.ndarray, dtype=np.float64) -> ctypes.c_void_p:
+    """The address of an aligned, Fortran-contiguous array's data, holding
+    the array; ValueError for another dtype or layout."""
+    if (a.dtype != dtype or not a.flags.f_contiguous
+            or not a.flags.aligned):
+        raise ValueError("LAPACK and BLAS need an aligned, Fortran-"
+                         "contiguous %s array" % np.dtype(dtype))
+    return a.ctypes.data_as(ctypes.c_void_p)
+
+
+_NO_TRANS, _TRANS = (_address(ctypes.c_char(c)) for c in (b"N", b"T"))
+_ONE, _ZERO = (_address(ctypes.c_double(x)) for x in (1.0, 0.0))
 
 
 def lu_factor(a: np.ndarray):
     """(lu, piv) of a finite float64 matrix by dgetrf, as
     ``scipy.linalg.lu_factor(a, overwrite_a=True)`` returns them: a
-    Fortran-ordered ``a`` is factored in place, and an empty one gives
-    empty factors. A zero pivot raises RuntimeError, where scipy only
-    warns."""
+    writable Fortran-ordered ``a`` is factored in place, the pivots are
+    0-based, and an empty ``a`` gives empty factors. A zero pivot raises
+    RuntimeError, where scipy only warns."""
     a = np.asarray_chkfinite(a)
     if a.size == 0:
         return np.empty_like(a), np.arange(0, dtype=np.int32)
+    lu = np.require(a, np.float64, ["F", "A", "W"])
+    m, n = lu.shape
+    piv = np.empty(min(m, n), np.int32)
+    info = ctypes.c_int()
     park()
-    lu, piv, info = _flapack.dgetrf(a, overwrite_a=1)
-    if info < 0:
+    dgetrf(_int(m), _int(n), _data(lu), _int(m), _data(piv, np.int32),
+           _address(info))
+    if info.value < 0:
         raise ValueError("illegal value in %dth argument of internal getrf "
-                         "(lu_factor)" % -info)
-    if info > 0:
+                         "(lu_factor)" % -info.value)
+    if info.value > 0:
         raise RuntimeError("singular matrix: pivot %d of its LU factor is "
-                           "exactly zero" % info)
+                           "exactly zero" % info.value)
+    piv -= 1
     return lu, piv
 
 
 def null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of a finite float64 matrix, as
-    ``scipy.linalg.null_space(A)`` forms it: dgesdd with full matrices, and
+    """Orthonormal basis of the null space of a finite float64 matrix with
+    at least one entry, as ``scipy.linalg.null_space(A)`` forms it: dgesdd
+    with full matrices on a copy of A, with the work size of its query, and
     the singular values at most eps * max(m, n) of the largest dropped."""
-    a = np.asarray_chkfinite(A)
+    a = np.array(np.asarray_chkfinite(A), dtype=np.float64, order="F")
+    if a.size == 0:
+        raise ValueError("null_space needs a matrix with an entry")
     m, n = a.shape
-    work, info = _flapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=1)
-    if info:
-        raise ValueError("dgesdd work size query failed: %d" % info)
+    s = np.empty(min(m, n))
+    u, vt = np.empty((m, m), order="F"), np.empty((n, n), order="F")
+    iwork = np.empty(8 * len(s), np.int32)
+    work, info = np.empty(1), ctypes.c_int()
+    args = [_address(ctypes.c_char(b"A")), _int(m), _int(n), _data(a),
+            _int(m), _data(s), _data(u), _int(m), _data(vt), _int(n),
+            _data(work), _int(-1), _data(iwork, np.int32), _address(info)]
+    dgesdd(*args)
+    if info.value:
+        raise ValueError("dgesdd work size query failed: %d" % info.value)
+    work = np.empty(int(work[0]))
+    args[10:12] = _data(work), _int(len(work))
     park()
-    _, s, vh, info = _flapack.dgesdd(a, compute_uv=1, lwork=int(work),
-                                     full_matrices=1)
+    dgesdd(*args)
     park()
-    if info > 0:
+    if info.value > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(m, n))
-    return vh[np.sum(s > tol, dtype=int):, :].T
+    return vt[np.sum(s > tol, dtype=int):, :].T
+
+
+class LUSolver:
+    """In-place solves by a factor ``(lu, piv)`` of ``lu_factor``, through
+    dgetrs. The factor and LAPACK's 1-based pivots are bound once."""
+
+    def __init__(self, lu: np.ndarray, piv: np.ndarray):
+        self._n = len(piv)
+        if lu.shape != (self._n, self._n):
+            raise ValueError("an LU factor is square, with a pivot per row")
+        self._pivots = np.add(piv, 1, dtype=np.int32)   # LAPACK's, 1-based
+        self._factor = (_NO_TRANS, _int(self._n), _data(lu),
+                        _int(max(1, self._n)), _data(self._pivots, np.int32))
+
+    def args(self, b: np.ndarray) -> tuple:
+        """dgetrs's arguments that overwrite b, Fortran-contiguous with n
+        rows and one column or more, with lu^-1 b."""
+        if b.shape[:1] != (self._n,):
+            raise ValueError("right-hand sides need %d rows" % self._n)
+        trans, n, lu, ld, piv = self._factor
+        return (trans, n, _int(b.size // max(1, self._n)), lu, ld, piv,
+                _data(b), ld, _int(0))
+
+
+def gesv_args(a: np.ndarray, b: np.ndarray) -> tuple:
+    """dgesv's arguments that overwrite b with a^-1 b and a with its LU
+    factor, for a Fortran-contiguous square a and b of its rows and one
+    column or more; and the ``ctypes.c_int`` that receives its info,
+    positive when a is singular."""
+    n = len(a)
+    if a.shape != (n, n) or b.shape[:1] != (n,):
+        raise ValueError("dgesv needs a square matrix and its rows of b")
+    info = ctypes.c_int()
+    return (_int(n), _int(b.size // max(1, n)), _data(a), _int(max(1, n)),
+            _data(np.empty(n, np.int32), np.int32), _data(b),
+            _int(max(1, n)), _address(info)), info
+
+
+def gemv_args(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """dgemv's arguments that set y = a @ x for a C-contiguous a and
+    contiguous x and y: the transposed kernel on a's Fortran-ordered
+    transpose, which numpy's ``a @ x`` calls, so the bits are numpy's.
+    y's old values are not read (beta is 0)."""
+    m, n = a.shape
+    if x.shape != (n,) or y.shape != (m,):
+        raise ValueError("dgemv needs x of a's columns and y of its rows")
+    return (_TRANS, _int(n), _int(m), _ONE, _data(a.T), _int(max(1, n)),
+            _data(x), _int(1), _ZERO, _data(y), _int(1))
 
 
 class _Pool(NamedTuple):

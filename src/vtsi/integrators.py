@@ -69,7 +69,13 @@ solves by dgetrs, and the reduced (a_t, lam) system by dgesv, as
 ``np.linalg.solve`` calls it (checked on the step's own systems in
 tests/test_batched.py: the two builds round some other 7 x 7 systems
 differently). The tables' stacked products are 3-row items, below
-OpenBLAS's threading size.
+OpenBLAS's threading size. The three calls go through ``vtsi._lapack``'s
+ctypes bindings on arguments that the ``Stepper`` builds once, for the
+factor and for each bridge matrix, and for buffers of its own that every
+step rewrites: the bridge solves overwrite their right-hand sides (a
+step's, and a Schur solve's block of columns), each product its output,
+and the 7 x 7 solve copies of the matrix and the right-hand side. So a
+call costs what an f2py call costs.
 
 A run steps inside one ``_lapack.blas_threads`` block, which leaves both
 pools parked. A bridge with fewer than SERIAL_BRIDGE_DOFS reduced DOFs
@@ -93,7 +99,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import blas_threads, dgemv, dgesv, dgetrs, lu_factor
+from ._lapack import (LUSolver, blas_threads, dgemv, dgesv, dgetrs,
+                      gemv_args, gesv_args, lu_factor)
 from .beams import panels
 from .coupling import Constraint, ConstraintTable, constraint_rates
 from .pathgeom import CosineProfile
@@ -262,6 +269,22 @@ class TimeHistory:
         return len(self.t) - 1
 
 
+class _Product(NamedTuple):
+    """A bridge matrix bound for dgemv (``_product``)."""
+
+    x: np.ndarray       # the vector, copied in before each product
+    y: np.ndarray       # the product, written by each call
+    args: tuple         # dgemv's arguments: y = A @ x
+
+
+def _product(A: np.ndarray) -> _Product:
+    """A C-contiguous matrix bound for ``Stepper._bridge_product``, with
+    new buffers for its vector and product."""
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    x, y = np.empty(A.shape[1]), np.empty(A.shape[0])
+    return _Product(x, y, gemv_args(A, x, y))
+
+
 def _step_block(bridge, p: SchemeParams, damped: bool) -> np.ndarray:
     """A_b = (1 - a_m) M + (1 - a_f) (gamma dt C + beta dt^2 K), each
     product and sum grouped as written, in a Fortran-ordered array, so that
@@ -328,32 +351,61 @@ class Stepper:
         # alpha_f is 0.
         self._instants = 1 if af == 0.0 else 2
         self._nt, self._nb = model.n_t, model.n_b
-        self._bridge_lu = None
+        # A step's three kinds of LAPACK and BLAS calls work in buffers of
+        # their own, whose arguments are built once, here.
         self._damped = False
         if model.bridge is not None:
             br = model.bridge
             self._damped = bool(br.C.any())
-            self._bridge_lu = lu_factor(_step_block(br, params, self._damped))
+            solver = LUSolver(*lu_factor(_step_block(br, params,
+                                                     self._damped)))
+            # The bridge solves overwrite buffers of their own, each with
+            # its prebuilt arguments: a step's right-hand side, and the
+            # leading 3, 6 or 9 columns of one Schur solve's block.
+            self._rhs = np.empty(self._nb)
+            schur = np.empty((self._nb, SCHUR_COLUMNS), order="F")
+            self._schur = [schur[:, :w]
+                           for w in range(3, SCHUR_COLUMNS + 1, 3)]
+            self._solves = {id(b): solver.args(b)
+                            for b in (self._rhs, *self._schur)}
+            self._M = _product(br.M) if am else None
+            self._C = _product(br.C) if self._damped else None
+            self._K = _product(br.K)
+        if model.n_lam:
+            n = self._nt + 3
+            self._saddle, self._x = np.empty((n, n), order="F"), np.empty(n)
+            self._saddle_args, self._saddle_info = gesv_args(self._saddle,
+                                                             self._x)
 
     def _bridge_solve(self, b: np.ndarray) -> np.ndarray:
-        """A_b^-1 b from the factors, by scipy's LAPACK dgetrs
-        (``_lapack.dgetrs``) as ``lu_solve`` calls it but without its
-        finiteness scan: ``run_model`` checks every state instead."""
-        return dgetrs(*self._bridge_lu, b)[0]
+        """A_b^-1 b in place in b, one of the solve buffers (``_rhs`` or a
+        ``_schur`` block), by scipy's LAPACK dgetrs as ``lu_solve`` calls it
+        but without its finiteness scan: ``run_model`` checks every state
+        instead."""
+        dgetrs(*self._solves[id(b)])
+        return b
 
-    def _bridge_product(self, A: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """A @ x for a bridge matrix by scipy's BLAS dgemv
-        (``_lapack.dgemv``), the transposed kernel that numpy's ``A @ x``
-        calls for a C-contiguous A, so the bits are the same; see the
-        module docstring for why."""
-        return dgemv(1.0, A.T, x, trans=1)
+    def _bridge_product(self, A: _Product, x: np.ndarray) -> np.ndarray:
+        """A @ x for a bridge matrix bound by ``_product``, by scipy's BLAS
+        dgemv: the transposed kernel that numpy's ``A @ x`` calls for a
+        C-contiguous A, so the bits are the same; see the module docstring
+        for why. The result is A's buffer, which its next product
+        overwrites."""
+        A.x[...] = x
+        dgemv(*A.args)
+        return A.y
 
-    def _solve(self, A: np.ndarray, b: np.ndarray, t1: float) -> np.ndarray:
-        """A^-1 b for a small system, by LAPACK dgesv as ``np.linalg.solve``
-        calls it, on a copy of A and overwriting b; a singular A raises
-        RuntimeError naming t1."""
-        x, info = dgesv(A, b, overwrite_b=True)[2:]
-        if info > 0:
+    def _solve(self, A: np.ndarray, r_t: np.ndarray, r_c: np.ndarray,
+               t1: float) -> np.ndarray:
+        """The solution of the reduced system A x = (r_t, r_c), by LAPACK
+        dgesv as ``np.linalg.solve`` calls it, on copies of A and the
+        right-hand side in the step's buffers; x is the buffer, which the
+        next step overwrites. A singular A raises RuntimeError naming t1."""
+        self._saddle[...] = A
+        x, nt = self._x, self._nt
+        x[:nt], x[nt:] = r_t, r_c
+        dgesv(*self._saddle_args)
+        if self._saddle_info.value > 0:
             raise RuntimeError("singular saddle system at t=%.6g" % t1)
         return x
 
@@ -412,12 +464,14 @@ class Stepper:
     def _schur_columns(self, Lf: np.ndarray) -> np.ndarray:
         """A_b^-1 L^T for each L of a stack of 3 x n_red rows, stacked as
         (n, n_red, 3) Fortran-ordered columns, as getrs returns them; each
-        solve takes at most SCHUR_COLUMNS columns."""
+        solve takes at most SCHUR_COLUMNS columns, copied into its block."""
         Yt = np.empty(Lf.shape)
         nb, per_solve = Lf.shape[-1], SCHUR_COLUMNS // 3
         for j in range(0, len(Lf), per_solve):
-            rhs = Lf[j:j + per_solve].reshape(-1, nb).T
-            Yt[j:j + per_solve] = self._bridge_solve(rhs).T.reshape(-1, 3, nb)
+            rows = Lf[j:j + per_solve]
+            cols = self._schur[len(rows) - 1]
+            cols[...] = rows.reshape(-1, nb).T
+            Yt[j:j + per_solve] = self._bridge_solve(cols).T.reshape(-1, 3, nb)
         return Yt.transpose(0, 2, 1)
 
     def tabulate(self, con1: Constraint | None, conf: Constraint | None,
@@ -506,14 +560,13 @@ class Stepper:
                 r_t = r_t - M_t @ (am * state.at)
             r_t = r_t - C_t @ vt_f - K_t @ ut_f
         if nb:
-            br = self.model.bridge
             r_b = P_b
             mv = self._bridge_product
             if am:
-                r_b = r_b - mv(br.M, am * state.ab)
+                r_b = r_b - mv(self._M, am * state.ab)
             if self._damped:
-                r_b = r_b - mv(br.C, vb_f)
-            r_b = r_b - mv(br.K, ub_f)
+                r_b = r_b - mv(self._C, vb_f)
+            r_b = np.subtract(r_b, mv(self._K, ub_f), out=self._rhs)
 
         if con1 is None:
             if nb:
@@ -530,7 +583,7 @@ class Stepper:
             if nb:
                 y0 = self._bridge_solve(r_b)
                 r_c = r_c - C_b @ y0
-            x = self._solve(A, np.concatenate((r_t, r_c)), t1)
+            x = self._solve(A, r_t, r_c, t1)
             at[...] = x[:nt]
             lam[...] = x[nt:]
             if nb:
@@ -610,8 +663,12 @@ def initial_state(model: CoupledModel, t0_correction: bool = True,
         K, P = model.bridge.K, model.bridge.P
         try:
             static = np.linalg.solve(K, P)
-            # K u by scipy's dgemv (``Stepper._bridge_product``).
-            res = np.linalg.norm(dgemv(1.0, K.T, static, trans=1) - P)
+            # K u by scipy's dgemv, as a step's products
+            # (``Stepper._bridge_product``).
+            Ku = np.empty_like(static)
+            dgemv(*gemv_args(np.ascontiguousarray(K, dtype=np.float64),
+                             static, Ku))
+            res = np.linalg.norm(Ku - P)
         except np.linalg.LinAlgError:
             res = np.inf
         if not res <= 1e-6 * np.linalg.norm(P):

@@ -1,9 +1,11 @@
-"""vtsi's loader of scipy's compiled LAPACK and BLAS against ``scipy.linalg``.
+"""vtsi's bindings of scipy's LAPACK and BLAS against ``scipy.linalg``.
 
-``vtsi._lapack`` loads ``scipy.linalg._flapack`` and ``_fblas`` without the
-``scipy.linalg`` package. Its ``null_space`` and ``lu_factor`` must give
-scipy's bits on the matrices a run factors, since a last-bit change moves
-the time history far beyond round-off.
+``vtsi._lapack`` binds five routines of scipy's bundled OpenBLAS with
+``ctypes``, without any scipy module, or from the public
+``scipy.linalg.lapack`` and ``scipy.linalg.blas`` where that library is
+missing. Each binding must give scipy's bits, on the matrices a run
+factors and on random ones of the step's sizes, since a last-bit change
+moves the time history far beyond round-off.
 
 ``blas_threads`` runs a small bridge's steps on one BLAS thread. Below
 ``SERIAL_BRIDGE_DOFS`` the step's kernels must give the bits of the pinned
@@ -25,6 +27,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import blas, lapack
 
 import vtsi
 import vtsi.beams
@@ -35,23 +40,62 @@ from vtsi.integrators import SERIAL_BRIDGE_DOFS, _step_block
 from vtsi.simulate import (build_scenario_bridge, build_scenario_model,
                            run_simulation, scenario_scheme)
 
-FRESH_RUN = """
-import sys
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=4,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# The libraries mapped into this process whose file name starts so.
+MAPPED = """
+def mapped(prefix):
+    with open("/proc/self/maps") as maps:
+        return {line.split()[-1] for line in maps
+                if line.split()[-1].rpartition("/")[2].startswith(prefix)}
+"""
+
+FRESH_RUN = MAPPED + """
+import os, sys
 
 from vtsi.cli import cli
 
-assert "scipy.linalg" not in sys.modules
 before = set(sys.modules)
 assert cli(["run", sys.argv[1], "-o", sys.argv[2]]) == 0
 new = sorted(m for m in set(sys.modules) - before
              if m.partition(".")[0] == "numpy")
 assert not new, new
 assert "numpy.ma" not in sys.modules
+linalg = [m for m in sys.modules if m.startswith("scipy.linalg")]
+assert not linalg, linalg
 
-import scipy.linalg
+# scipy's f2py modules, imported later, call the library that vtsi loaded:
+# one library, one thread pool.
+if os.path.isfile("/proc/self/maps"):
+    import scipy.linalg
+    assert len(mapped("libscipy_openblas-")) == 1
+"""
+
+# As FRESH_RUN, with scipy's bundled OpenBLAS hidden from vtsi._lapack's
+# lookup: the routines come from the public scipy.linalg.lapack and
+# scipy.linalg.blas, and the pools, which vtsi cannot reach, are left alone.
+FALLBACK_RUN = """
+import ctypes, glob, sys
+
+find = glob.glob
+glob.glob = lambda pattern, **kwargs: (
+    [] if "libscipy_openblas-" in pattern else find(pattern, **kwargs))
+
 from vtsi import _lapack
-assert scipy.linalg.lapack._flapack is _lapack._flapack
-assert scipy.linalg.blas._fblas is _lapack._fblas
+from vtsi.cli import cli
+
+glob.glob = find
+assert _lapack._POOLS == ()
+from scipy.linalg import blas, lapack
+address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                            ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+for name in ("dgetrf", "dgetrs", "dgesv", "dgemv", "dgesdd"):
+    wrapper = getattr(blas if name == "dgemv" else lapack, name)
+    routine = ctypes.cast(getattr(_lapack, name), ctypes.c_void_p)
+    assert routine.value == address(wrapper._cpointer, None), name
+assert cli(["run", sys.argv[1], "-o", sys.argv[2]]) == 0
 """
 
 
@@ -73,6 +117,127 @@ def test_fresh_run_imports_no_scipy_linalg(tmp_path):
     proc = _fresh(FRESH_RUN, scenario, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "timehistory.csv").is_file()
+
+
+@pytest.mark.parametrize("case", [
+    {"run": {"horizon": 0.05}},
+    {"bridge": {"kind": "fem"}, "run": {"strategy": "B", "horizon": 0.05}},
+], ids=["default", "fem-B"])
+def test_public_fallback_keeps_the_bytes(case, tmp_path):
+    # Without the bundled library the steps also keep the pinned thread
+    # count, whose bits below SERIAL_BRIDGE_DOFS are those of one thread.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(case))
+    for code, out in ((FRESH_RUN, "bundled"), (FALLBACK_RUN, "public")):
+        proc = _fresh(code, scenario, tmp_path / out)
+        assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "public" / "timehistory.csv").read_bytes()
+            == (tmp_path / "bundled" / "timehistory.csv").read_bytes())
+
+
+# The bindings on prebuilt arguments, as a step calls them.
+
+def _solve(lu, piv, b):
+    """lu^-1 b through dgetrs, on a Fortran-ordered copy of b."""
+    x = np.array(b, order="F")
+    _lapack.dgetrs(*_lapack.LUSolver(lu, piv).args(x))
+    return x
+
+
+def _product(A, x):
+    """A @ x through dgemv."""
+    y = np.empty(len(A))
+    _lapack.dgemv(*_lapack.gemv_args(np.ascontiguousarray(A), x, y))
+    return y
+
+
+def _gesv(a, b):
+    """a^-1 b through dgesv, on Fortran-ordered copies, and its info."""
+    a, x = np.array(a, order="F"), np.array(b, order="F")
+    args, info = _lapack.gesv_args(a, x)
+    _lapack.dgesv(*args)
+    return x, info.value
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The bits of a float64 array, so that -0.0 differs from +0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestBindings:
+    """Each binding against ``scipy.linalg``, bit for bit, at the sizes of
+    the step's systems (7) and of reduced bridges at 8, 16 and 32 elements
+    per span (234, 474 and 954), at the pinned BLAS thread count."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 234, 474, 954])
+    @SETTINGS
+    @given(k=st.integers(1, 9), order=st.sampled_from("CF"),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # The widest solve at every size: at n_red 954 a threaded 9-column
+    # dgetrs reads the pivots that the arguments hold, after any temporary
+    # of the call's set-up is gone.
+    @example(k=9, order="C", seed=0)
+    def test_square_systems_equal_scipy(self, n, k, order, seed):
+        rng = np.random.default_rng(seed)
+        A = np.array(rng.standard_normal((n, n)), order=order)
+        x = rng.standard_normal(n)
+        b = np.array(rng.standard_normal((n, k)), order=order)
+
+        a = A.copy(order="K")
+        lu, piv = _lapack.lu_factor(a)
+        # A Fortran-ordered matrix is factored in place.
+        assert np.shares_memory(lu, a) == (a.flags.f_contiguous and n > 0)
+        want_lu, want_piv = scipy.linalg.lu_factor(A)
+        assert np.array_equal(bits(lu), bits(want_lu))
+        assert np.array_equal(piv, want_piv) and piv.dtype == want_piv.dtype
+        for rhs in (b, b[:, 0]):
+            assert np.array_equal(
+                bits(_solve(lu, piv, rhs)),
+                bits(scipy.linalg.lu_solve((want_lu, want_piv), rhs)))
+
+        got, info = _gesv(A, b)
+        assert info == 0
+        if n == 0:
+            # scipy's f2py wrappers reject empty arrays.
+            assert got.shape == (0, k) and _product(A, x).shape == (0,)
+            return
+        assert np.array_equal(bits(got), bits(lapack.dgesv(A, b)[2]))
+        assert np.array_equal(bits(_product(A, x)),
+                              bits(blas.dgemv(1.0, A.T, x, trans=1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 234, 474, 954])
+    @SETTINGS
+    @given(rows=st.integers(1, 12), rank=st.integers(0, 12),
+           order=st.sampled_from("CF"), seed=st.integers(0, 2 ** 32 - 1))
+    @example(rows=12, rank=5, order="C", seed=0)
+    def test_null_spaces_equal_scipy(self, n, rows, rank, order, seed):
+        # Wide rows of a rank below their count, as support rows can be.
+        rng = np.random.default_rng(seed)
+        m = min(rows, n)
+        r = min(rank, m)
+        G = np.array(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)),
+                     order=order)
+        got = _lapack.null_space(G)
+        want = scipy.linalg.null_space(G)
+        assert np.array_equal(bits(got), bits(want))
+        assert got.strides == want.strides
+
+    def test_singular_saddle_raises(self):
+        a = np.array([[1.0, 2.0], [2.0, 4.0]])
+        assert _gesv(a, np.ones(2))[1] == 2
+
+    def test_arguments_check_their_arrays(self):
+        # A wrong layout, dtype or shape would have the library read or
+        # write past an array.
+        A = np.eye(3)
+        with pytest.raises(ValueError, match="Fortran-contiguous"):
+            _lapack.gesv_args(np.eye(3), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="float64"):
+            _lapack.gemv_args(A, np.ones(3, np.float32), np.empty(3))
+        with pytest.raises(ValueError, match="Fortran-contiguous"):
+            _lapack.gemv_args(A, np.ones(3), np.ones(6)[::2])
+        with pytest.raises(ValueError, match="rows"):
+            _lapack.LUSolver(*_lapack.lu_factor(A)).args(np.ones(4))
 
 
 @pytest.mark.parametrize("elements", [1, 8, 32])
@@ -105,7 +270,8 @@ def test_factors_equal_scipy(kind, elements, default_path, monkeypatch):
 
 
 def test_singular_factor_raises():
-    with pytest.raises(RuntimeError, match="singular"):
+    with pytest.raises(RuntimeError, match="^singular matrix: pivot 2 of "
+                       "its LU factor is exactly zero$"):
         _lapack.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
@@ -159,8 +325,7 @@ class TestSerialSteps:
 
         def kernels():
             # A @ x as the step forms it, and its bridge solves.
-            return ([_lapack.dgemv(1.0, A.T, x, trans=1)]
-                    + [_lapack.dgetrs(lu, piv, b)[0] for b in rhs])
+            return [_product(A, x)] + [_solve(lu, piv, b) for b in rhs]
 
         want = kernels()
         with _lapack.blas_threads(1):
