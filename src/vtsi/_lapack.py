@@ -1,67 +1,61 @@
 """scipy's bundled OpenBLAS, bound with ``ctypes``, without ``scipy.linalg``.
 
-vtsi calls five routines of scipy's LAPACK and BLAS: dgetrf, dgetrs, dgesv,
-dgemv and dgesdd. This module binds them with ``ctypes`` from scipy's
-bundled library, ``scipy.libs/libscipy_openblas-*.so``, as its entry
-points ``scipy_dgetrf_``, ``scipy_dgetrs_``, ``scipy_dgesv_``,
-``scipy_dgemv_`` and ``scipy_dgesdd_``, with 32-bit integers: the routines
-that scipy's f2py modules ``scipy.linalg._flapack`` and ``_fblas`` call. So
-no scipy module is imported. The ``scipy.linalg`` package's ``__init__``
-imports numpy.f2py, numpy.testing and numpy.random (21 MB of a run's peak
-memory), and the two f2py modules alone take 2.45 MB. Where the bundled
-library or one of the five symbols is missing, as under another build of
-scipy, the routines are bound from the public ``scipy.linalg.lapack`` and
+A run's set-up is numpy's, and its factor and steps are scipy's. vtsi calls
+four routines of scipy's LAPACK and BLAS: dgetrf, dgetrs, dgesv and dgemv.
+This module binds them with ``ctypes`` from scipy's bundled library,
+``scipy.libs/libscipy_openblas-*.so``, as its entry points
+``scipy_dgetrf_``, ``scipy_dgetrs_``, ``scipy_dgesv_`` and
+``scipy_dgemv_``, with 32-bit integers: the routines that scipy's f2py
+modules ``scipy.linalg._flapack`` and ``_fblas`` call. So no scipy module
+is imported. The ``scipy.linalg`` package's ``__init__`` imports
+numpy.f2py, numpy.testing and numpy.random (21 MB of a run's peak memory),
+and the two f2py modules alone take 2.45 MB. Where the bundled library or
+one of the four symbols is missing, as under another build of scipy, the
+routines are bound from the public ``scipy.linalg.lapack`` and
 ``scipy.linalg.blas`` instead, at the address that each f2py wrapper calls
 (its ``_cpointer``). Either way scipy's library runs with the arguments
 that scipy passes it, so every result is scipy's bit for bit.
 
 A routine takes each of its Fortran arguments by address, as a
 ``c_void_p``: an array by its data, a scalar by a pointer to a ctypes value.
-``lu_factor`` and ``null_space`` call dgetrf and dgesdd as
-``scipy.linalg.lu_factor`` and ``scipy.linalg.null_space`` do, down to
-dgesdd's work size from its ``lwork = -1`` query, which picks its blocked
-path and so its bits. ``LUSolver``, ``gesv_args`` and ``gemv_args`` build
-the arguments of dgetrs, dgesv and dgemv for arrays that the caller keeps
-and rewrites between calls (``integrators.Stepper``): a call on prebuilt
-arguments costs what an f2py call costs. Building them costs about as much
-again: a default run that built them for every Schur solve took 3-13 %
-more CPU time. They check each array's dtype, shape and layout, since a wrong
-one would have the library read or write past it. Each pointer holds what
-it points to (numpy's ``data_as`` holds the array, ``ctypes.cast`` the
-value), so the arguments keep their arrays alive for as long as they are
-kept.
+``lu_factor`` calls dgetrf as ``scipy.linalg.lu_factor`` does.
+``LUSolver``, ``gesv_args`` and ``gemv_args`` build the arguments of
+dgetrs, dgesv and dgemv for arrays that the caller keeps and rewrites
+between calls (``integrators.Stepper``): a call on prebuilt arguments costs
+what an f2py call costs. Building them costs about as much again: a default
+run that built them for every Schur solve took 3-13 % more CPU time. They
+check each array's dtype, shape and layout, since a wrong one would have
+the library read or write past it. Each pointer holds what it points to
+(numpy's ``data_as`` holds the array, ``ctypes.cast`` the value), so the
+arguments keep their arrays alive for as long as they are kept.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool, sized by ``OPENBLAS_NUM_THREADS`` (at most the core count) when it
-loads. This module owns both pools. At import it looks up, once, the
-routines of each library that act on its pool: the thread-count getter
-and setter (``scipy_openblas_get_num_threads`` and ``_set_``, with the
-suffix ``64_`` in numpy's ``numpy.libs`` library, none in scipy's
-``scipy.libs``) and ``blas_thread_shutdown_``, which each library runs
-before a fork. It opens the libraries with ``RTLD_NOLOAD``: both are
-already loaded, and a library that is not is left alone. Where either
-library or any of the routines is missing, as under another build of
-numpy or scipy, the table is empty and ``park`` and ``blas_threads`` do
-nothing.
+loads. This module owns both pools. Before it imports numpy it loads both
+libraries, once each, and looks up the routines of each that act on its
+pool: the thread-count getter and setter
+(``scipy_openblas_get_num_threads`` and ``_set_``, with the suffix ``64_``
+in numpy's ``numpy.libs`` library, none in scipy's ``scipy.libs``) and
+``blas_thread_shutdown_``, which each library runs before a fork. numpy's
+import then finds its library loaded. Where either library or any of the
+routines is missing, as under another build of numpy or scipy, the table is
+empty and ``park`` and ``blas_threads`` do nothing.
 
 A pool's idle workers spin for about 0.1 s of CPU each before they sleep:
 after every threaded call, when the library loads, and when the setter
 raises the count, which starts new workers. One pool's spinning workers
-slowed the other's threaded calls on the same cores: on 2 cores a set-up
-``null_space`` took 0.16-0.18 s where it needs 4 ms, and a step block's
-factor 0.11 s where it needs 0.04 s. ``park`` stops both pools' workers
+slowed the other's threaded calls on the same cores: a step block's factor
+took 0.11 s where it needs 0.04 s. ``park`` stops both pools' workers
 through ``blas_thread_shutdown_``; a pool restarts at its thread count on
-its next threaded call, so no result changes. Before it imports numpy,
-this module loads numpy's library itself and stops the workers that the
-load starts, which would spin through numpy's import; ``vtsi`` imports
-this module first. It parks the pools at the end of its import, around
-``null_space``'s dgesdd, before ``lu_factor``'s dgetrf, after
-``blas_threads`` sets the counts, and at the end of its block: the points
-where a run hands its threaded work from one pool to the other, and where
-its threaded work ends. A block at the
-pools' own counts sets nothing and parks only at its end: a setter call
-and the park after it cost about 4 ms, a park after a threaded call about
-0.1 ms.
+its next threaded call, so no result changes. The workers that each
+library starts when it loads are stopped at once, before numpy's import,
+through which they would spin; ``vtsi`` imports this module first. After
+that the pools are parked before ``lu_factor``'s dgetrf, where a run hands
+its threaded work from numpy's pool to scipy's, after ``blas_threads`` sets
+the counts, and at the end of its block, where a run's threaded work ends.
+A block at the pools' own counts sets nothing and parks only at its end: a
+setter call and the park after it cost about 4 ms, a park after a threaded
+call about 0.1 ms.
 """
 from __future__ import annotations
 
@@ -73,7 +67,7 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 __all__ = ["LUSolver", "blas_threads", "dgemv", "dgesv", "dgetrs",
-           "gemv_args", "gesv_args", "lu_factor", "null_space", "park"]
+           "gemv_args", "gesv_args", "lu_factor", "park"]
 
 # Each bundled OpenBLAS: its package, its library's directory beside the
 # package and file name, and its symbols' suffix.
@@ -81,80 +75,93 @@ _OPENBLAS = (("scipy", "scipy.libs", "libscipy_openblas-*.so", ""),
              ("numpy", "numpy.libs", "libscipy_openblas64_-*.so", "64_"))
 
 
-def _library(package: str, libs: str, pattern: str) -> str | None:
-    """The path of a package's bundled OpenBLAS, found without importing
-    the package; None unless there is exactly one."""
-    spec = importlib.util.find_spec(package)
-    found = [path for root in (spec.submodule_search_locations
-                               if spec else ())
-             for path in glob.glob(os.path.join(os.path.dirname(root), libs,
-                                                pattern))]
-    return found[0] if len(found) == 1 else None
+def _open() -> tuple:
+    """scipy's and numpy's bundled OpenBLAS, each found without importing
+    its package, and loaded; None for one that is missing, not alone in
+    its directory, or fails to load."""
+    libraries = []
+    for package, libs, pattern, _ in _OPENBLAS:
+        spec = importlib.util.find_spec(package)
+        found = [path for root in (spec.submodule_search_locations
+                                   if spec else ())
+                 for path in glob.glob(os.path.join(os.path.dirname(root),
+                                                    libs, pattern))]
+        try:
+            libraries.append(ctypes.CDLL(found[0]) if len(found) == 1
+                             else None)
+        except OSError:
+            libraries.append(None)
+    return tuple(libraries)
 
 
-def _load_numpy_openblas() -> None:
-    """Load numpy's OpenBLAS before numpy does, and stop the workers that
-    it starts when it loads: they would spin through the rest of numpy's
-    import, about 0.1 s of CPU. numpy's import then finds the library
-    loaded. Does nothing where the library or the routine is missing."""
-    package, libs, pattern, _ = _OPENBLAS[1]
-    path = _library(package, libs, pattern)
-    if path is None:
-        return
-    try:
-        shutdown = ctypes.CDLL(path).blas_thread_shutdown_
-    except (AttributeError, OSError):
-        return
-    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-    shutdown()
+class _Pool(NamedTuple):
+    """The routines of one bundled OpenBLAS that act on its thread pool."""
+
+    get: object         # scipy_openblas_get_num_threads: the count
+    set: object         # scipy_openblas_set_num_threads
+    shutdown: object    # blas_thread_shutdown_: stop the workers
 
 
-_load_numpy_openblas()
+def _lookup(libraries: tuple) -> tuple:
+    """The ``_Pool`` of each of ``_open``'s libraries; None for one that is
+    missing or lacks one of the routines."""
+    pools = []
+    for lib, (*_, suffix) in zip(libraries, _OPENBLAS):
+        try:
+            pool = _Pool(getattr(lib, "scipy_openblas_get_num_threads"
+                                 + suffix),
+                         getattr(lib, "scipy_openblas_set_num_threads"
+                                 + suffix),
+                         lib.blas_thread_shutdown_)
+        except AttributeError:
+            pools.append(None)
+            continue
+        pool.get.argtypes, pool.get.restype = [], ctypes.c_int
+        pool.set.argtypes, pool.set.restype = [ctypes.c_int], None
+        pool.shutdown.argtypes, pool.shutdown.restype = [], ctypes.c_int
+        pools.append(pool)
+    return tuple(pools)
+
+
+_LIBRARIES = _open()
+_pools = _lookup(_LIBRARIES)
+# The workers that each library started when it loaded.
+for _pool in filter(None, _pools):
+    _pool.shutdown()
+# vtsi sets and parks the pools only where it reaches both.
+_POOLS = () if None in _pools else _pools
 
 import numpy as np  # noqa: E402  (after its OpenBLAS is parked)
 
 
-# The five routines: each one's number of arguments.
-_ROUTINES = {"dgetrf": 6, "dgetrs": 9, "dgesv": 8, "dgemv": 11,
-             "dgesdd": 14}
+# The four routines: each one's number of arguments.
+_ROUTINES = {"dgetrf": 6, "dgetrs": 9, "dgesv": 8, "dgemv": 11}
 
 
-def _bundled() -> dict | None:
-    """The routines ``scipy_<name>_`` of scipy's bundled OpenBLAS, which
-    this loads; None where the library or a symbol is missing."""
-    path = _library(*_OPENBLAS[0][:3])
-    if path is None:
-        return None
-    try:
-        lib = ctypes.CDLL(path)
-        return {name: getattr(lib, "scipy_%s_" % name) for name in _ROUTINES}
-    except (AttributeError, OSError):
-        return None
-
-
-def _public() -> dict:
-    """The routines that the f2py wrappers of the public
+def _bind(lib) -> dict:
+    """The four routines by name, each taking its arguments' addresses:
+    ``scipy_<name>_`` of scipy's bundled library, or where it or a symbol
+    is missing, the routines that the f2py wrappers of the public
     ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` call, at the address
     that f2py keeps in each wrapper's ``_cpointer`` capsule."""
-    from scipy.linalg import blas, lapack
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return {name: ctypes.CFUNCTYPE(None)(address(getattr(
-        blas if name == "dgemv" else lapack, name)._cpointer, None))
-        for name in _ROUTINES}
-
-
-def _bind() -> dict:
-    """The five routines by name, each taking its arguments' addresses."""
-    routines = _bundled() or _public()
+    try:
+        routines = {name: getattr(lib, "scipy_%s_" % name)
+                    for name in _ROUTINES}
+    except AttributeError:
+        from scipy.linalg import blas, lapack
+        address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        routines = {name: ctypes.CFUNCTYPE(None)(address(getattr(
+            blas if name == "dgemv" else lapack, name)._cpointer, None))
+            for name in _ROUTINES}
     for name, routine in routines.items():
         routine.argtypes = [ctypes.c_void_p] * _ROUTINES[name]
         routine.restype = None
     return routines
 
 
-dgetrf, dgetrs, dgesv, dgemv, dgesdd = _bind().values()
+dgetrf, dgetrs, dgesv, dgemv = _bind(_LIBRARIES[0]).values()
 
 
 def _address(value) -> ctypes.c_void_p:
@@ -206,36 +213,6 @@ def lu_factor(a: np.ndarray):
     return lu, piv
 
 
-def null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of a finite float64 matrix with
-    at least one entry, as ``scipy.linalg.null_space(A)`` forms it: dgesdd
-    with full matrices on a copy of A, with the work size of its query, and
-    the singular values at most eps * max(m, n) of the largest dropped."""
-    a = np.array(np.asarray_chkfinite(A), dtype=np.float64, order="F")
-    if a.size == 0:
-        raise ValueError("null_space needs a matrix with an entry")
-    m, n = a.shape
-    s = np.empty(min(m, n))
-    u, vt = np.empty((m, m), order="F"), np.empty((n, n), order="F")
-    iwork = np.empty(8 * len(s), np.int32)
-    work, info = np.empty(1), ctypes.c_int()
-    args = [_address(ctypes.c_char(b"A")), _int(m), _int(n), _data(a),
-            _int(m), _data(s), _data(u), _int(m), _data(vt), _int(n),
-            _data(work), _int(-1), _data(iwork, np.int32), _address(info)]
-    dgesdd(*args)
-    if info.value:
-        raise ValueError("dgesdd work size query failed: %d" % info.value)
-    work = np.empty(int(work[0]))
-    args[10:12] = _data(work), _int(len(work))
-    park()
-    dgesdd(*args)
-    park()
-    if info.value > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(m, n))
-    return vt[np.sum(s > tol, dtype=int):, :].T
-
-
 class LUSolver:
     """In-place solves by a factor ``(lu, piv)`` of ``lu_factor``, through
     dgetrs. The factor and LAPACK's 1-based pivots are bound once."""
@@ -284,41 +261,6 @@ def gemv_args(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
             _data(x), _int(1), _ZERO, _data(y), _int(1))
 
 
-class _Pool(NamedTuple):
-    """The routines of one bundled OpenBLAS that act on its thread pool."""
-
-    get: object         # scipy_openblas_get_num_threads: the count
-    set: object         # scipy_openblas_set_num_threads
-    shutdown: object    # blas_thread_shutdown_: stop the workers
-
-
-def _lookup() -> tuple:
-    """The ``_Pool`` of scipy's and of numpy's OpenBLAS; none if either
-    library is missing or not loaded, or lacks one of the routines."""
-    pools = []
-    for package, libs, pattern, suffix in _OPENBLAS:
-        path = _library(package, libs, pattern)
-        if path is None:
-            return ()
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            pool = _Pool(getattr(lib, "scipy_openblas_get_num_threads"
-                                 + suffix),
-                         getattr(lib, "scipy_openblas_set_num_threads"
-                                 + suffix),
-                         lib.blas_thread_shutdown_)
-        except (AttributeError, OSError):
-            return ()
-        pool.get.argtypes, pool.get.restype = [], ctypes.c_int
-        pool.set.argtypes, pool.set.restype = [ctypes.c_int], None
-        pool.shutdown.argtypes, pool.shutdown.restype = [], ctypes.c_int
-        pools.append(pool)
-    return tuple(pools)
-
-
-_POOLS = _lookup()
-
-
 def park() -> None:
     """Stop the idle workers of both OpenBLAS pools, which would spin on the
     cores for about 0.1 s before they sleep. Does nothing where the pools
@@ -351,6 +293,3 @@ def blas_threads(n: int | None):
             pool.set(count)
         park()
 
-
-# The workers that each library started when it loaded.
-park()

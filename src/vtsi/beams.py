@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._lapack import null_space
 from .pathgeom import (ArclengthMap, PlanPath, build_plan_path, ipow,
                        _curvature_terms)
 from .splines import NurbsCurve, distinct, eval_nurbs_basis
@@ -514,6 +513,18 @@ def _default_supports(joints: np.ndarray):
     return sup
 
 
+def _null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of support rows, as
+    ``scipy.linalg.null_space`` forms it, bits and strides: the right
+    singular vectors past the singular values above eps * max(m, n) * s_max,
+    taken from a Fortran-ordered copy of v^T. Its strides pick the kernel of
+    the reductions' matmul, and so their bits."""
+    m, n = rows.shape
+    _, s, vt = np.linalg.svd(rows)
+    tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(m, n))
+    return np.asfortranarray(vt)[np.sum(s > tol, dtype=int):].T
+
+
 def _reduced(Z: np.ndarray, elements: np.ndarray,
              dofs: np.ndarray) -> np.ndarray:
     """Z^T A Z, where the full matrix A sums the element matrices on their
@@ -582,7 +593,7 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
             raise ValueError("support field indices %s outside 0..5"
                              % list(fields))
         rows.extend(shape.rows(min(s, length), fields, 0).dense()[0, 0])
-    Z = null_space(np.array(rows)) if rows else np.eye(shape.n_full)
+    Z = _null_space(np.array(rows)) if rows else np.eye(shape.n_full)
 
     P = np.zeros(shape.n_full)
     for Pe, d in zip(P_e, dofs):

@@ -59,16 +59,17 @@ Two OpenBLAS runtimes are loaded, numpy's and scipy's, each with its own
 thread pool; ``vtsi._lapack`` owns both. A step that alternated numpy's
 n_red x n_red products with scipy's solves kept both pools awake on the
 same cores: at n_red 954 a step cost 7.7 ms where its arithmetic needs
-about 2. So ``run_model`` first does its n_red-sized numpy work: the
-static self-weight state, by ``np.linalg.solve`` (no scipy routine gives
-its bits at every bridge size), and the probe rows. From the factor of
-the ``Stepper`` on, a step's threaded work goes through scipy alone, by
-the kernels numpy calls, so the bits are unchanged: the bridge products by
-the transposed dgemv of numpy's ``A @ x`` on a C-contiguous A, the bridge
-solves by dgetrs, and the reduced (a_t, lam) system by dgesv, as
-``np.linalg.solve`` calls it (checked on the step's own systems in
-tests/test_batched.py: the two builds round some other 7 x 7 systems
-differently). The tables' stacked products are 3-row items, below
+about 2. So a run's set-up is numpy's alone: the bridge's null space and
+reductions (``beams.assemble_bridge``), the static self-weight state by
+``np.linalg.solve`` (no scipy routine gives its bits at every bridge size)
+and its check, and the probe rows. The factor of the ``Stepper`` is the
+one handover to scipy: from it on, a step's threaded work goes through
+scipy alone, by the kernels numpy calls, so the bits are unchanged: the
+bridge products by the transposed dgemv of numpy's ``A @ x`` on a
+C-contiguous A, the bridge solves by dgetrs, and the reduced (a_t, lam)
+system by dgesv, as ``np.linalg.solve`` calls it (checked on the step's own
+systems in tests/test_batched.py: the two builds round some other 7 x 7
+systems differently). The tables' stacked products are 3-row items, below
 OpenBLAS's threading size. The three calls go through ``vtsi._lapack``'s
 ctypes bindings on arguments that the ``Stepper`` builds once, for the
 factor and for each bridge matrix, and for buffers of its own that every
@@ -663,12 +664,7 @@ def initial_state(model: CoupledModel, t0_correction: bool = True,
         K, P = model.bridge.K, model.bridge.P
         try:
             static = np.linalg.solve(K, P)
-            # K u by scipy's dgemv, as a step's products
-            # (``Stepper._bridge_product``).
-            Ku = np.empty_like(static)
-            dgemv(*gemv_args(np.ascontiguousarray(K, dtype=np.float64),
-                             static, Ku))
-            res = np.linalg.norm(Ku - P)
+            res = np.linalg.norm(K @ static - P)
         except np.linalg.LinAlgError:
             res = np.inf
         if not res <= 1e-6 * np.linalg.norm(P):

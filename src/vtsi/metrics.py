@@ -61,8 +61,8 @@ def centripetal_check(history: TimeHistory, scenario: Scenario) -> CentripetalCh
     if not np.any(mask):
         raise ValueError("run never reaches the circular span")
     mean_force = float(np.mean(history.lam[mask, 0]))
-    denom = reference if reference else 1.0
-    rel_error = abs(abs(mean_force) - reference) / denom
+    denom = abs(reference) if reference else 1.0
+    rel_error = abs(mean_force - reference) / denom
     return CentripetalCheck(mean_force, reference, rel_error)
 
 

@@ -322,7 +322,9 @@ def build_plan_path(spec: PlanSpec, ctrl_per_span: int = 10,
 def _curvature_terms(curve: NurbsCurve, xi: np.ndarray):
     """Curve derivatives (m, 5, 3) and (kappa, tau, dkappa/ds, dtau/ds),
     each of shape (m,), at the parameters ``xi``; all four are zero where
-    the curvature is below STRAIGHT_CURVATURE_TOL."""
+    the curvature is below STRAIGHT_CURVATURE_TOL. kappa and dkappa/ds are
+    signed as ``PlanSpec``'s radius: negative where the curve turns right,
+    (x1 x x2) . UP < 0."""
     k = min(curve.degree, 4)
     d = np.zeros((len(xi), 5, 3))
     d[:, : k + 1] = eval_nurbs(curve, xi, k)
@@ -344,7 +346,9 @@ def _curvature_terms(curve: NurbsCurve, xi: np.ndarray):
         tau = np.vecdot(c, x3) / cn2
         tau_xi = ((np.vecdot(cp, x3) + np.vecdot(c, x4)) / cn2
                   - 2.0 * tau * np.vecdot(c, cp) / cn2)
-        terms[:, bent] = kappa, tau, kap_xi / sp, tau_xi / sp
+        # Signed after the unsigned arithmetic, which a left turn keeps.
+        sign = np.where(np.vecdot(c, UP) < 0.0, -1.0, 1.0)
+        terms[:, bent] = sign * kappa, tau, sign * (kap_xi / sp), tau_xi / sp
     return d, *terms
 
 
@@ -363,7 +367,9 @@ def frame_kinematics(curve: NurbsCurve, amap: ArclengthMap, s,
     d, kappa, tau, dkap, dtau = _curvature_terms(curve, xi)
     x1 = d[:, 1]
     t = x1 / np.sqrt(np.vecdot(x1, x1))[:, None]
+    # The binormal keeps the up side: x1 x x2 points down on a right turn.
     b = np.cross(x1, d[:, 2])
+    b[kappa < 0.0] *= -1.0
     straight = kappa == 0.0
     b[straight] = UP - np.vecdot(t[straight], UP)[:, None] * t[straight]
     b /= np.sqrt(np.vecdot(b, b))[:, None]

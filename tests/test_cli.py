@@ -14,7 +14,10 @@ import vtsi.integrators as integ
 from vtsi import _lapack, parse_scenario
 from vtsi.cli import cli
 from vtsi.metrics import oscillation_index
-from vtsi.simulate import build_scenario_model, scenario_scheme
+from vtsi.output import timehistory_header
+from vtsi.scenario import default_plan_spec
+from vtsi.simulate import (build_scenario_model, run_simulation,
+                           scenario_scheme)
 
 
 CHEAP_SCENARIO = {
@@ -191,15 +194,14 @@ class TestSupports:
         assert (out / "timehistory.csv").is_file()
 
 
-radii = st.floats(150.0, 6000.0)
+# A negative radius turns right.
+radii = st.floats(150.0, 6000.0) | st.floats(-6000.0, -150.0)
 
 
 @st.composite
-def whole_runs(draw):
-    """A scenario a coarse bridge runs in a few dozen steps: 1-3 spans whose
-    curvature is continuous at the joints (a first span may start curved),
-    random supports (fully fixed ends among them), probes, speed, strategy
-    and static initial state."""
+def plans(draw):
+    """1-3 spans whose curvature is continuous at the joints (a first span
+    may start curved), turning either way."""
     spans, radius = [], draw(st.none() | radii)
     for _ in range(draw(st.integers(1, 3))):
         end = draw(st.none() | st.just(radius) | radii)
@@ -208,6 +210,15 @@ def whole_runs(draw):
         spans.append({"kind": kind, "length": draw(st.floats(10.0, 40.0)),
                       "radius_start": radius, "radius_end": end})
         radius = end
+    return spans
+
+
+@st.composite
+def whole_runs(draw):
+    """A scenario a coarse bridge runs in a few dozen steps: a plan of
+    ``plans``, random supports (fully fixed ends among them), probes,
+    speed, strategy and static initial state."""
+    spans = draw(plans())
     length = sum(span["length"] for span in spans)
     where = st.floats(0.0, length)
     fields = st.lists(st.integers(0, 5), min_size=1, max_size=6,
@@ -294,6 +305,69 @@ class TestWholeRuns:
                 if data["run"].get("strategy") == "C":
                     for level in ("disp", "vel", "acc"):
                         assert report["max_residual_" + level] <= 1e-9
+
+
+# The columns that a plan's mirror image negates: the vehicle's lateral and
+# roll DOFs (*1 and *3), lam_y and lam_thx, and each probe's ub_n and ab_n.
+# Each column's group is its quantity: ut, vt, at, lam, ub or ab.
+MIRROR_FLIPS = {"ut1", "ut3", "vt1", "vt3", "at1", "at3", "lam_y", "lam_thx",
+                "ub_n", "ab_n"}
+# Mirrored runs differ by round-off only, scaled by the largest value of
+# the column's group: at most 5e-7 on these runs (the default plan's ab,
+# 0.03 s in), and 0 on most plans. Round-off between 1 and 2 BLAS threads
+# reaches 2e-6 on a 32-element-per-span bridge; a wrong right-hand model
+# is off by about 1.
+MIRROR_TOL = 1e-5
+
+
+def _mirror_table(data: dict):
+    """A run's time history as one table and its columns' names, or the
+    error that stopped the run and None."""
+    try:
+        history = run_simulation(parse_scenario(data))
+    except RuntimeError as err:
+        return str(err), None
+    names = timehistory_header(history)[1:]
+    table = np.column_stack([history.ut, history.vt, history.at,
+                             history.lam, *history.probes.values()])
+    return table, names
+
+
+class TestMirror:
+    # Negating every radius mirrors the run: the lateral columns flip sign
+    # and the others keep theirs, under each strategy and bridge kind.
+    @pytest.mark.parametrize("strategy", "ABC")
+    @pytest.mark.parametrize("kind", ["nurbs", "fem"])
+    @settings(derandomize=True, deadline=None, max_examples=4,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spans=plans())
+    # The default plan turning right: its car's vertical displacement once
+    # peaked at 1.89 m, against 4.13 mm turning left.
+    @example(spans=[{"kind": span.kind, "length": span.length,
+                     "radius_start": span.radius_start,
+                     "radius_end": span.radius_end}
+                    for span in default_plan_spec().spans])
+    def test_negated_radii_mirror_the_run(self, spans, kind, strategy):
+        data = {"plan": {"spans": spans},
+                "bridge": {"kind": kind, "elements_per_span": 2},
+                "run": {"strategy": strategy, "horizon": 0.03}}
+        mirrored = json.loads(json.dumps(data))
+        for span in mirrored["plan"]["spans"]:
+            for end in ("radius_start", "radius_end"):
+                if span[end] is not None:
+                    span[end] = -span[end]
+        (left, names), (right, _) = map(_mirror_table, (data, mirrored))
+        if names is None:
+            assert right == left
+            return
+        sign = np.array([-1.0 if n in MIRROR_FLIPS else 1.0 for n in names])
+        groups = np.array([n.rstrip("0123456789").partition("_")[0]
+                           for n in names])
+        for group in set(groups):
+            cols = groups == group
+            scale = np.abs(left[:, cols]).max()
+            assert (np.abs(left[:, cols] - sign[cols] * right[:, cols]).max()
+                    <= MIRROR_TOL * scale), group
 
 
 class TestOutputPath:

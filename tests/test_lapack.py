@@ -1,11 +1,12 @@
 """vtsi's bindings of scipy's LAPACK and BLAS against ``scipy.linalg``.
 
-``vtsi._lapack`` binds five routines of scipy's bundled OpenBLAS with
+``vtsi._lapack`` binds four routines of scipy's bundled OpenBLAS with
 ``ctypes``, without any scipy module, or from the public
 ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` where that library is
 missing. Each binding must give scipy's bits, on the matrices a run
 factors and on random ones of the step's sizes, since a last-bit change
-moves the time history far beyond round-off.
+moves the time history far beyond round-off. So must the support null
+space that ``vtsi.beams`` forms with numpy's SVD, strides included.
 
 ``blas_threads`` runs a small bridge's steps on one BLAS thread. Below
 ``SERIAL_BRIDGE_DOFS`` the step's kernels must give the bits of the pinned
@@ -15,7 +16,8 @@ tests of ``TestSerialSteps`` check it at whatever count the pools have.
 ``park`` stops the idle workers of both pools, which restart at the same
 count on the next threaded call; ``TestPark`` counts them as the threads
 of this process that Python did not start. Both act through one table of
-each pool's routines, ``_lapack._POOLS``, looked up at import.
+each pool's routines, ``_lapack._POOLS``, looked up at import from the
+libraries that ``_lapack`` loads, once each, before numpy's import.
 """
 import json
 import os
@@ -51,7 +53,28 @@ def mapped(prefix):
                 if line.split()[-1].rpartition("/")[2].startswith(prefix)}
 """
 
-FRESH_RUN = MAPPED + """
+# Counts the libraries that ctypes loads, by path, from here on.
+OPENED = """
+import ctypes
+
+CDLL, opened = ctypes.CDLL, []
+
+
+class Counted(CDLL):
+    def __init__(self, name, *args, **kwargs):
+        opened.append(name)
+        super().__init__(name, *args, **kwargs)
+
+
+ctypes.CDLL = Counted
+
+
+def openblas():
+    return sorted(path.rpartition("/")[2].partition("-")[0]
+                  for path in opened if "openblas" in path)
+"""
+
+FRESH_RUN = MAPPED + OPENED + """
 import os, sys
 
 from vtsi.cli import cli
@@ -64,6 +87,8 @@ assert not new, new
 assert "numpy.ma" not in sys.modules
 linalg = [m for m in sys.modules if m.startswith("scipy.linalg")]
 assert not linalg, linalg
+# Each bundled OpenBLAS is loaded once.
+assert openblas() == ["libscipy_openblas", "libscipy_openblas64_"], opened
 
 # scipy's f2py modules, imported later, call the library that vtsi loaded:
 # one library, one thread pool.
@@ -75,8 +100,11 @@ if os.path.isfile("/proc/self/maps"):
 # As FRESH_RUN, with scipy's bundled OpenBLAS hidden from vtsi._lapack's
 # lookup: the routines come from the public scipy.linalg.lapack and
 # scipy.linalg.blas, and the pools, which vtsi cannot reach, are left alone.
-FALLBACK_RUN = """
-import ctypes, glob, sys
+# numpy's library is still loaded once, and its workers parked, before
+# numpy's import: the threads left are the workers of scipy's library,
+# which the public modules load.
+FALLBACK_RUN = OPENED + """
+import glob, importlib.util, os, sys, threading
 
 find = glob.glob
 glob.glob = lambda pattern, **kwargs: (
@@ -87,11 +115,19 @@ from vtsi.cli import cli
 
 glob.glob = find
 assert _lapack._POOLS == ()
+assert openblas() == ["libscipy_openblas64_"], opened
+if os.path.isdir("/proc/self/task"):
+    scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    scipy_lib, = find(os.path.join(os.path.dirname(scipy_dir), "scipy.libs",
+                                   "libscipy_openblas-*.so"))
+    scipy_pool = CDLL(scipy_lib, mode=os.RTLD_NOLOAD)
+    workers = len(os.listdir("/proc/self/task")) - threading.active_count()
+    assert workers == scipy_pool.scipy_openblas_get_num_threads() - 1, workers
 from scipy.linalg import blas, lapack
 address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                             ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
-for name in ("dgetrf", "dgetrs", "dgesv", "dgemv", "dgesdd"):
+for name in ("dgetrf", "dgetrs", "dgesv", "dgemv"):
     wrapper = getattr(blas if name == "dgemv" else lapack, name)
     routine = ctypes.cast(getattr(_lapack, name), ctypes.c_void_p)
     assert routine.value == address(wrapper._cpointer, None), name
@@ -165,9 +201,10 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 
 class TestBindings:
-    """Each binding against ``scipy.linalg``, bit for bit, at the sizes of
-    the step's systems (7) and of reduced bridges at 8, 16 and 32 elements
-    per span (234, 474 and 954), at the pinned BLAS thread count."""
+    """Each binding, and ``beams``' null space, against ``scipy.linalg``,
+    bit for bit, at the sizes of the step's systems (7) and of reduced
+    bridges at 8, 16 and 32 elements per span (234, 474 and 954), at the
+    pinned BLAS thread count."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 234, 474, 954])
     @SETTINGS
@@ -217,7 +254,7 @@ class TestBindings:
         r = min(rank, m)
         G = np.array(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)),
                      order=order)
-        got = _lapack.null_space(G)
+        got = vtsi.beams._null_space(G)
         want = scipy.linalg.null_space(G)
         assert np.array_equal(bits(got), bits(want))
         assert got.strides == want.strides
@@ -247,10 +284,11 @@ def test_factors_equal_scipy(kind, elements, default_path, monkeypatch):
 
     def recording(rows):
         supports.append(rows.copy())
-        bases.append(_lapack.null_space(rows))
+        bases.append(null_space(rows))
         return bases[-1]
 
-    monkeypatch.setattr(vtsi.beams, "null_space", recording)
+    null_space = vtsi.beams._null_space
+    monkeypatch.setattr(vtsi.beams, "_null_space", recording)
     scenario = parse_scenario({"bridge": {
         "kind": kind, "elements_per_span": elements}})
     br = build_scenario_bridge(scenario, default_path)
@@ -360,7 +398,7 @@ def test_blas_threads_without_the_libraries(default_path, monkeypatch):
         patched.setattr(_lapack, "_OPENBLAS", tuple(
             (package, libs, "no-such-" + pattern, suffix)
             for package, libs, pattern, suffix in _lapack._OPENBLAS))
-        assert _lapack._lookup() == ()
+        assert _lapack._lookup(_lapack._open()) == (None, None)
     monkeypatch.setattr(_lapack, "_POOLS", ())
     with _lapack.blas_threads(1):
         assert [pool.get() for pool in pools] == counts
@@ -423,9 +461,9 @@ class TestPark:
         assert proc.stdout.split() == ["0"]
 
     def test_import_spins_no_workers(self, parkable):
-        # numpy's OpenBLAS starts its workers when it loads; vtsi._lapack
-        # loads it before numpy does and parks it, so they do not spin
-        # through numpy's import. The workers' CPU is the process's (which
+        # Each bundled OpenBLAS starts its workers when it loads;
+        # vtsi._lapack loads both before numpy's import and parks them, so
+        # they do not spin through numpy's import. The workers' CPU is the process's (which
         # keeps that of exited threads) less the main thread's. When numpy
         # loaded the library it read 0.06-0.07 s with one worker on a 2-core
         # machine, whose process CPU time still did not exceed wall time.
@@ -517,7 +555,7 @@ class TestPark:
             patched.setattr(_lapack, "_OPENBLAS", tuple(
                 (package, libs, pattern, "_no_such_routine")
                 for package, libs, pattern, _ in _lapack._OPENBLAS))
-            assert _lapack._lookup() == ()
+            assert _lapack._lookup(_lapack._LIBRARIES) == (None, None)
         scenario = parse_scenario({"run": {"horizon": 0.03}})
         model = build_scenario_model(scenario, default_path)
         want = run_simulation(scenario, model)
