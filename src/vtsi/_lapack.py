@@ -18,16 +18,16 @@ that scipy passes it, so every result is scipy's bit for bit.
 
 A routine takes each of its Fortran arguments by address, as a
 ``c_void_p``: an array by its data, a scalar by a pointer to a ctypes value.
-``lu_factor`` calls dgetrf as ``scipy.linalg.lu_factor`` does.
-``LUSolver``, ``gesv_args`` and ``gemv_args`` build the arguments of
-dgetrs, dgesv and dgemv for arrays that the caller keeps and rewrites
-between calls (``integrators.Stepper``): a call on prebuilt arguments costs
-what an f2py call costs. Building them costs about as much again: a default
-run that built them for every Schur solve took 3-13 % more CPU time. They
-check each array's dtype, shape and layout, since a wrong one would have
-the library read or write past it. Each pointer holds what it points to
-(numpy's ``data_as`` holds the array, ``ctypes.cast`` the value), so the
-arguments keep their arrays alive for as long as they are kept.
+``lu_factor`` calls dgetrf as ``scipy.linalg.lu_factor`` does. ``getrs``,
+``gesv`` and ``gemv`` bind dgetrs, dgesv and dgemv to arrays that the
+caller keeps and rewrites between calls (``integrators.Stepper``), and
+return the bound call, a ``functools.partial`` of the routine over its
+arguments: a call costs what an f2py call costs. Building the arguments
+costs about as much again: a default run that built them for every Schur
+solve took 3-13 % more CPU time. Each checks its arrays' dtype, shape and
+layout, since a wrong one would have the library read or write past it.
+Each pointer holds what it points to (numpy's ``data_as`` holds the array,
+``ctypes.cast`` the value), so a bound call keeps its arrays alive.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool, sized by ``OPENBLAS_NUM_THREADS`` (at most the core count) when it
@@ -64,10 +64,10 @@ import glob
 import importlib.util
 import os
 from contextlib import contextmanager
+from functools import partial
 from typing import NamedTuple
 
-__all__ = ["LUSolver", "blas_threads", "dgemv", "dgesv", "dgetrs",
-           "gemv_args", "gesv_args", "lu_factor", "park"]
+__all__ = ["blas_threads", "gemv", "gesv", "getrs", "lu_factor", "park"]
 
 # Each bundled OpenBLAS: its package, its library's directory beside the
 # package and file name, and its symbols' suffix.
@@ -191,9 +191,12 @@ def lu_factor(a: np.ndarray):
     """(lu, piv) of a finite float64 matrix by dgetrf, as
     ``scipy.linalg.lu_factor(a, overwrite_a=True)`` returns them: a
     writable Fortran-ordered ``a`` is factored in place, the pivots are
-    0-based, and an empty ``a`` gives empty factors. A zero pivot raises
-    RuntimeError, where scipy only warns."""
-    a = np.asarray_chkfinite(a)
+    0-based, and an empty ``a`` gives empty factors. A matrix that is not
+    finite raises RuntimeError, where scipy raises ValueError, and so does
+    a zero pivot, where scipy only warns."""
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise RuntimeError("matrix to factor is not finite")
     if a.size == 0:
         return np.empty_like(a), np.arange(0, dtype=np.int32)
     lu = np.require(a, np.float64, ["F", "A", "W"])
@@ -213,52 +216,48 @@ def lu_factor(a: np.ndarray):
     return lu, piv
 
 
-class LUSolver:
-    """In-place solves by a factor ``(lu, piv)`` of ``lu_factor``, through
-    dgetrs. The factor and LAPACK's 1-based pivots are bound once."""
-
-    def __init__(self, lu: np.ndarray, piv: np.ndarray):
-        self._n = len(piv)
-        if lu.shape != (self._n, self._n):
-            raise ValueError("an LU factor is square, with a pivot per row")
-        self._pivots = np.add(piv, 1, dtype=np.int32)   # LAPACK's, 1-based
-        self._factor = (_NO_TRANS, _int(self._n), _data(lu),
-                        _int(max(1, self._n)), _data(self._pivots, np.int32))
-
-    def args(self, b: np.ndarray) -> tuple:
-        """dgetrs's arguments that overwrite b, Fortran-contiguous with n
-        rows and one column or more, with lu^-1 b."""
-        if b.shape[:1] != (self._n,):
-            raise ValueError("right-hand sides need %d rows" % self._n)
-        trans, n, lu, ld, piv = self._factor
-        return (trans, n, _int(b.size // max(1, self._n)), lu, ld, piv,
-                _data(b), ld, _int(0))
+def getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> partial:
+    """dgetrs bound to overwrite b, Fortran-contiguous with n rows and one
+    column or more, with lu^-1 b, for a factor ``(lu, piv)`` of
+    ``lu_factor``; LAPACK's 1-based pivots are bound with it."""
+    n = len(piv)
+    if lu.shape != (n, n):
+        raise ValueError("an LU factor is square, with a pivot per row")
+    if b.shape[:1] != (n,):
+        raise ValueError("right-hand sides need %d rows" % n)
+    pivots = np.add(piv, 1, dtype=np.int32)     # LAPACK's, 1-based
+    ld = _int(max(1, n))
+    return partial(dgetrs, _NO_TRANS, _int(n), _int(b.size // max(1, n)),
+                   _data(lu), ld, _data(pivots, np.int32), _data(b), ld,
+                   _int(0))
 
 
-def gesv_args(a: np.ndarray, b: np.ndarray) -> tuple:
-    """dgesv's arguments that overwrite b with a^-1 b and a with its LU
-    factor, for a Fortran-contiguous square a and b of its rows and one
-    column or more; and the ``ctypes.c_int`` that receives its info,
-    positive when a is singular."""
+def gesv(a: np.ndarray, b: np.ndarray) -> tuple:
+    """dgesv bound to overwrite b with a^-1 b and a with its LU factor, for
+    a Fortran-contiguous square a and b of its rows and one column or more;
+    and the ``ctypes.c_int`` that receives each call's info, positive when
+    a is singular."""
     n = len(a)
     if a.shape != (n, n) or b.shape[:1] != (n,):
         raise ValueError("dgesv needs a square matrix and its rows of b")
     info = ctypes.c_int()
-    return (_int(n), _int(b.size // max(1, n)), _data(a), _int(max(1, n)),
-            _data(np.empty(n, np.int32), np.int32), _data(b),
-            _int(max(1, n)), _address(info)), info
+    ld = _int(max(1, n))
+    return partial(dgesv, _int(n), _int(b.size // max(1, n)), _data(a), ld,
+                   _data(np.empty(n, np.int32), np.int32), _data(b), ld,
+                   _address(info)), info
 
 
-def gemv_args(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
-    """dgemv's arguments that set y = a @ x for a C-contiguous a and
-    contiguous x and y: the transposed kernel on a's Fortran-ordered
-    transpose, which numpy's ``a @ x`` calls, so the bits are numpy's.
-    y's old values are not read (beta is 0)."""
+def gemv(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> partial:
+    """dgemv bound to set y = a @ x for a C-contiguous a and contiguous x
+    and y: the transposed kernel on a's Fortran-ordered transpose, which
+    numpy's ``a @ x`` calls, so the bits are numpy's. y's old values are
+    not read (beta is 0)."""
     m, n = a.shape
     if x.shape != (n,) or y.shape != (m,):
         raise ValueError("dgemv needs x of a's columns and y of its rows")
-    return (_TRANS, _int(n), _int(m), _ONE, _data(a.T), _int(max(1, n)),
-            _data(x), _int(1), _ZERO, _data(y), _int(1))
+    return partial(dgemv, _TRANS, _int(n), _int(m), _ONE, _data(a.T),
+                   _int(max(1, n)), _data(x), _int(1), _ZERO, _data(y),
+                   _int(1))
 
 
 def park() -> None:

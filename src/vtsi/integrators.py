@@ -35,10 +35,12 @@ the same code. A block is sized by bytes, at most STEP_TABLE_BYTES (at
 n_red 234, 12 steps under Newmark and 9 under generalized-alpha; from 954
 on, 3), since a run's peak memory is reached while it steps. It holds a
 multiple of three steps: the Schur columns of three steps, 9 columns, are
-one getrs call. Wider calls cost less per column, but from n_red 474 on
+one getrs call, on one 9-column buffer whose columns past those in use
+are zero. Wider calls cost less per column, but from n_red 474 on
 OpenBLAS's trsm then rounds differently (above 9 columns with 1 thread,
-above 21 with 2). Up to 9, every operator has the bits of a block of one
-step, so a run's output does not depend on its blocks.
+above 21 with 2). Up to 9, each column in use has the bits of a solve of
+those columns alone (tests/test_lapack.py), so every operator has the bits
+of a block of one step, and a run's output does not depend on its blocks.
 
 A run also records a block of steps at once. Each step writes its new ut,
 vt, at and lam straight into the time history's rows, and its new ub, vb
@@ -70,13 +72,12 @@ C-contiguous A, the bridge solves by dgetrs, and the reduced (a_t, lam)
 system by dgesv, as ``np.linalg.solve`` calls it (checked on the step's own
 systems in tests/test_batched.py: the two builds round some other 7 x 7
 systems differently). The tables' stacked products are 3-row items, below
-OpenBLAS's threading size. The three calls go through ``vtsi._lapack``'s
-ctypes bindings on arguments that the ``Stepper`` builds once, for the
-factor and for each bridge matrix, and for buffers of its own that every
-step rewrites: the bridge solves overwrite their right-hand sides (a
-step's, and a Schur solve's block of columns), each product its output,
-and the 7 x 7 solve copies of the matrix and the right-hand side. So a
-call costs what an f2py call costs.
+OpenBLAS's threading size. The ``Stepper`` holds each of these calls bound
+once by ``vtsi._lapack`` to buffers of its own that every step rewrites:
+one solve of a step's right-hand side and one of the Schur buffer, in
+place; one product per bridge matrix, from one vector buffer into one
+product buffer; and the 7 x 7 solve, on copies of the matrix and the
+right-hand side. So a call costs what an f2py call costs.
 
 A run steps inside one ``_lapack.blas_threads`` block, which leaves both
 pools parked. A bridge with fewer than SERIAL_BRIDGE_DOFS reduced DOFs
@@ -100,8 +101,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import (LUSolver, blas_threads, dgemv, dgesv, dgetrs,
-                      gemv_args, gesv_args, lu_factor)
+from ._lapack import blas_threads, gemv, gesv, getrs, lu_factor
 from .beams import panels
 from .coupling import Constraint, ConstraintTable, constraint_rates
 from .pathgeom import CosineProfile
@@ -164,10 +164,11 @@ TABLE_BLOCK = 512
 # Bytes of step operators tabulated at a time (``Stepper.block_steps``):
 # they add to a run's peak memory, 0.5 MiB to criterion 6's 67 MB.
 STEP_TABLE_BYTES = 1 << 19
-# Widest solve of Schur columns: three steps' three columns. Up to this
-# width OpenBLAS's trsm gives each column the bits of a 3-column solve at
-# every bridge size with 1 or 2 threads; wider, from n_red 474 on, it takes
-# another path (21 columns still match with 2 threads, not with 1).
+# Width of every Schur solve: three steps' three columns, zero past those
+# in use. Up to this width OpenBLAS's trsm gives each column the bits of a
+# 3-column solve at every bridge size with 1 or 2 threads; wider, from n_red
+# 474 on, it takes another path (21 columns still match with 2 threads, not
+# with 1).
 SCHUR_COLUMNS = 9
 # Bridges with fewer reduced DOFs step on one BLAS thread (``run_model``).
 # Measured on OpenBLAS 0.3.30 and 0.3.31, against 2 threads: the step's
@@ -270,22 +271,6 @@ class TimeHistory:
         return len(self.t) - 1
 
 
-class _Product(NamedTuple):
-    """A bridge matrix bound for dgemv (``_product``)."""
-
-    x: np.ndarray       # the vector, copied in before each product
-    y: np.ndarray       # the product, written by each call
-    args: tuple         # dgemv's arguments: y = A @ x
-
-
-def _product(A: np.ndarray) -> _Product:
-    """A C-contiguous matrix bound for ``Stepper._bridge_product``, with
-    new buffers for its vector and product."""
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    x, y = np.empty(A.shape[1]), np.empty(A.shape[0])
-    return _Product(x, y, gemv_args(A, x, y))
-
-
 def _step_block(bridge, p: SchemeParams, damped: bool) -> np.ndarray:
     """A_b = (1 - a_m) M + (1 - a_f) (gamma dt C + beta dt^2 K), each
     product and sum grouped as written, in a Fortran-ordered array, so that
@@ -352,49 +337,35 @@ class Stepper:
         # alpha_f is 0.
         self._instants = 1 if af == 0.0 else 2
         self._nt, self._nb = model.n_t, model.n_b
-        # A step's three kinds of LAPACK and BLAS calls work in buffers of
-        # their own, whose arguments are built once, here.
+        # A step's LAPACK and BLAS calls are bound here, each to buffers
+        # of the step's own that it overwrites (see the module docstring).
         self._damped = False
         if model.bridge is not None:
             br = model.bridge
             self._damped = bool(br.C.any())
-            solver = LUSolver(*lu_factor(_step_block(br, params,
-                                                     self._damped)))
-            # The bridge solves overwrite buffers of their own, each with
-            # its prebuilt arguments: a step's right-hand side, and the
-            # leading 3, 6 or 9 columns of one Schur solve's block.
+            lu, piv = lu_factor(_step_block(br, params, self._damped))
+            # The bridge solves, in place, by dgetrs as ``lu_solve`` calls
+            # it but without its finiteness scan (``run_model`` checks every
+            # state): a step's right-hand side, and one Schur solve's
+            # columns, zero past those in use.
             self._rhs = np.empty(self._nb)
-            schur = np.empty((self._nb, SCHUR_COLUMNS), order="F")
-            self._schur = [schur[:, :w]
-                           for w in range(3, SCHUR_COLUMNS + 1, 3)]
-            self._solves = {id(b): solver.args(b)
-                            for b in (self._rhs, *self._schur)}
-            self._M = _product(br.M) if am else None
-            self._C = _product(br.C) if self._damped else None
-            self._K = _product(br.K)
+            self._solve_rhs = getrs(lu, piv, self._rhs)
+            self._schur = np.zeros((self._nb, SCHUR_COLUMNS), order="F")
+            self._solve_schur = getrs(lu, piv, self._schur)
+            # The bridge products, each A @ _vec into _prod.
+            self._vec, self._prod = np.empty(self._nb), np.empty(self._nb)
+
+            def product(A):
+                return gemv(np.ascontiguousarray(A), self._vec, self._prod)
+
+            self._M = product(br.M) if am else None
+            self._C = product(br.C) if self._damped else None
+            self._K = product(br.K)
         if model.n_lam:
             n = self._nt + 3
             self._saddle, self._x = np.empty((n, n), order="F"), np.empty(n)
-            self._saddle_args, self._saddle_info = gesv_args(self._saddle,
-                                                             self._x)
-
-    def _bridge_solve(self, b: np.ndarray) -> np.ndarray:
-        """A_b^-1 b in place in b, one of the solve buffers (``_rhs`` or a
-        ``_schur`` block), by scipy's LAPACK dgetrs as ``lu_solve`` calls it
-        but without its finiteness scan: ``run_model`` checks every state
-        instead."""
-        dgetrs(*self._solves[id(b)])
-        return b
-
-    def _bridge_product(self, A: _Product, x: np.ndarray) -> np.ndarray:
-        """A @ x for a bridge matrix bound by ``_product``, by scipy's BLAS
-        dgemv: the transposed kernel that numpy's ``A @ x`` calls for a
-        C-contiguous A, so the bits are the same; see the module docstring
-        for why. The result is A's buffer, which its next product
-        overwrites."""
-        A.x[...] = x
-        dgemv(*A.args)
-        return A.y
+            self._solve_saddle, self._saddle_info = gesv(self._saddle,
+                                                         self._x)
 
     def _solve(self, A: np.ndarray, r_t: np.ndarray, r_c: np.ndarray,
                t1: float) -> np.ndarray:
@@ -405,7 +376,7 @@ class Stepper:
         self._saddle[...] = A
         x, nt = self._x, self._nt
         x[:nt], x[nt:] = r_t, r_c
-        dgesv(*self._saddle_args)
+        self._solve_saddle()
         if self._saddle_info.value > 0:
             raise RuntimeError("singular saddle system at t=%.6g" % t1)
         return x
@@ -464,15 +435,18 @@ class Stepper:
 
     def _schur_columns(self, Lf: np.ndarray) -> np.ndarray:
         """A_b^-1 L^T for each L of a stack of 3 x n_red rows, stacked as
-        (n, n_red, 3) Fortran-ordered columns, as getrs returns them; each
-        solve takes at most SCHUR_COLUMNS columns, copied into its block."""
+        (n, n_red, 3) Fortran-ordered columns, as getrs returns them. Each
+        solve takes the SCHUR_COLUMNS columns of the Schur buffer, the
+        rows of up to three steps copied in and zeros after them."""
         Yt = np.empty(Lf.shape)
-        nb, per_solve = Lf.shape[-1], SCHUR_COLUMNS // 3
+        nb, per_solve, cols = Lf.shape[-1], SCHUR_COLUMNS // 3, self._schur
         for j in range(0, len(Lf), per_solve):
             rows = Lf[j:j + per_solve]
-            cols = self._schur[len(rows) - 1]
-            cols[...] = rows.reshape(-1, nb).T
-            Yt[j:j + per_solve] = self._bridge_solve(cols).T.reshape(-1, 3, nb)
+            w = 3 * len(rows)
+            cols[:, :w] = rows.reshape(-1, nb).T
+            cols[:, w:] = 0.0
+            self._solve_schur()
+            Yt[j:j + per_solve] = cols[:, :w].T.reshape(-1, 3, nb)
         return Yt.transpose(0, 2, 1)
 
     def tabulate(self, con1: Constraint | None, conf: Constraint | None,
@@ -561,17 +535,25 @@ class Stepper:
                 r_t = r_t - M_t @ (am * state.at)
             r_t = r_t - C_t @ vt_f - K_t @ ut_f
         if nb:
-            r_b = P_b
-            mv = self._bridge_product
+            # r_b is formed in the solve's buffer and solved there; each
+            # product is of the vector copied into _vec.
+            r_b, v, Av = P_b, self._vec, self._prod
             if am:
-                r_b = r_b - mv(self._M, am * state.ab)
+                np.multiply(am, state.ab, out=v)
+                self._M()
+                r_b = r_b - Av
             if self._damped:
-                r_b = r_b - mv(self._C, vb_f)
-            r_b = np.subtract(r_b, mv(self._K, ub_f), out=self._rhs)
+                v[...] = vb_f
+                self._C()
+                r_b = r_b - Av
+            v[...] = ub_f
+            self._K()
+            np.subtract(r_b, Av, out=self._rhs)
+            self._solve_rhs()
 
         if con1 is None:
             if nb:
-                ab[...] = self._bridge_solve(r_b)
+                ab[...] = self._rhs
             lam[...] = state.lam
         else:
             L1, Ld1, Ldd1, r1 = con1
@@ -582,7 +564,7 @@ class Stepper:
             # The bridge is eliminated: A holds the reduced system in
             # (a_t, lam), and r_c gets the bridge solve's share.
             if nb:
-                y0 = self._bridge_solve(r_b)
+                y0 = self._rhs
                 r_c = r_c - C_b @ y0
             x = self._solve(A, r_t, r_c, t1)
             at[...] = x[:nt]
@@ -800,7 +782,7 @@ def run_rigid_profile(params: VehicleParams, profile: CosineProfile,
 
     def vehicles(t):
         return VehicleSystem(*(np.broadcast_to(a, t.shape + a.shape) for a in (
-            veh.M, veh.C, veh.K, veh.P, veh.L_tr)))
+            veh.M, veh.C, veh.K, veh.P)))
 
     def gaps(t):
         r = np.zeros((len(t), 3, 3))

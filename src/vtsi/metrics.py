@@ -46,16 +46,16 @@ class CentripetalCheck:
 
 def centripetal_check(history: TimeHistory, scenario: Scenario) -> CentripetalCheck:
     """Compare mean transverse contact force on the arc span to (m_w+m_c) v^2/R."""
-    window = scenario.arc_window
-    if window is None:
+    first = scenario.first_arc
+    if first is None:
         raise ValueError("scenario path contains no circular span")
+    start, arc = first
     veh = scenario.vehicle
-    arc = next(sp for sp in scenario.plan.spans if sp.kind == "arc")
     R = float(arc.radius_start)
     reference = (veh.m_w + veh.m_c) * veh.v ** 2 / R
     if veh.v > 0.0:
         s = veh.v * history.t
-        mask = (s >= window[0]) & (s <= window[1])
+        mask = (s >= start) & (s <= start + arc.length)
     else:
         mask = np.ones_like(history.t, dtype=bool)
     if not np.any(mask):

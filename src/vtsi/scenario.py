@@ -45,6 +45,11 @@ MAX_BRIDGE_DOFS = 5_976
 # matrix is (20 N + 1) x (N + 3) float64, and a 1 GB budget for it allows
 # 160 B * N^2 <= 1e9, so N <= 2,500.
 MAX_FIT_SPANS = 2_500
+# Longest plan span, in m. The plan fit and the bridge elements take
+# lengths to the third power (``pathgeom.ipow``), which overflows a float64
+# from about 1e102 m and ends a run in a traceback. 1e6 m, far longer than
+# any bridge span, keeps those cubes below 1e18 m^3.
+MAX_SPAN_LENGTH = 1e6
 
 
 class ScenarioError(ValueError):
@@ -161,10 +166,20 @@ class Scenario:
     add_static_axle_load: bool = False
 
     def __post_init__(self):
+        # The default probe: midspan of the first circular span, or the
+        # path's midpoint when there is none.
         if not self.probes:
-            object.__setattr__(self, "probes", (_default_probe(self.plan),))
+            arc = self.first_arc
+            s = (arc[0] + 0.5 * arc[1].length if arc
+                 else 0.5 * self.plan.total_length)
+            object.__setattr__(self, "probes", (Probe("midspan", s),))
         if self.ctrl_per_span < 1:
             raise ScenarioError("plan.ctrl_per_span must be >= 1")
+        for i, sp in enumerate(self.plan.spans):
+            if sp.length > MAX_SPAN_LENGTH:
+                raise ScenarioError(
+                    "plan.spans[%d] is %.8g m long, above the limit of %g m"
+                    % (i, sp.length, MAX_SPAN_LENGTH))
         n_spans = len(self.plan.spans)
         if n_spans * self.ctrl_per_span > MAX_FIT_SPANS:
             raise ScenarioError(
@@ -200,24 +215,15 @@ class Scenario:
                                     "path [0, %g]" % (i, s, L))
 
     @property
-    def arc_window(self) -> tuple[float, float] | None:
-        """Arclength interval of the first circular span, if any."""
+    def first_arc(self) -> tuple[float, Span] | None:
+        """The start arclength and the span of the first circular span, if
+        any; the start is the sum of the lengths before it, in order."""
         s = 0.0
         for sp in self.plan.spans:
             if sp.kind == "arc":
-                return s, s + sp.length
+                return s, sp
             s += sp.length
         return None
-
-
-def _default_probe(plan: PlanSpec) -> Probe:
-    """Midspan of the first circular span; path midpoint when none exists."""
-    s = 0.0
-    for sp in plan.spans:
-        if sp.kind == "arc":
-            return Probe("midspan", s + 0.5 * sp.length)
-        s += sp.length
-    return Probe("midspan", 0.5 * plan.total_length)
 
 
 def _wrong(path: str, expected: str, value) -> ScenarioError:

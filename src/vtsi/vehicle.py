@@ -91,11 +91,9 @@ class VehicleSystem:
     C: np.ndarray
     K: np.ndarray
     P: np.ndarray
-    L_tr: np.ndarray
 
     def __getitem__(self, i) -> "VehicleSystem":
-        return VehicleSystem(self.M[i], self.C[i], self.K[i], self.P[i],
-                             self.L_tr[i])
+        return VehicleSystem(self.M[i], self.C[i], self.K[i], self.P[i])
 
 
 def mass_matrix(params: VehicleParams) -> np.ndarray:
@@ -139,8 +137,7 @@ def vehicle_matrices(params: VehicleParams, fk: FrameKinematics,
         dR = RT - rotation_ref.T
         P -= ((mw * params.g * Tw.T + mc * params.g * Tc.T)
               @ (dR @ np.array([0.0, 0.0, 1.0]))[..., None])
-    return VehicleSystem(M, C, K, P[..., 0],
-                         np.broadcast_to(L_TR, stack + (4, 3)))
+    return VehicleSystem(M, C, K, P[..., 0])
 
 
 def wheel_position(params: VehicleParams, fk: FrameKinematics,

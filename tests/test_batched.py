@@ -456,7 +456,7 @@ class TestBatchedRows:
                 assert np.array_equal(getattr(fk[i], name), want)
                 assert np.array_equal(getattr(one, name), want)
             ref = vehicle_matrices(params, one, rotation_ref=R0)
-            for name in ("M", "C", "K", "P", "L_tr"):
+            for name in ("M", "C", "K", "P"):
                 assert np.array_equal(getattr(veh[i], name),
                                       getattr(ref, name))
 
@@ -688,13 +688,16 @@ class TestStepOracle:
                                      bridges(scenario))
         stepper = Stepper(model, scenario_scheme(scenario), strategy)
         calls = []
-        product = stepper._bridge_product
 
-        def counting(A, x):
-            calls.append(A)
-            return product(A, x)
+        def counting(product):
+            def call():
+                calls.append(product)
+                return product()
+            return call
 
-        stepper._bridge_product = counting
+        for name in ("_M", "_C", "_K"):
+            if getattr(stepper, name) is not None:
+                setattr(stepper, name, counting(getattr(stepper, name)))
         state = initial_state(model)
         for n in range(1, 4):
             state = stepper.step(state)
@@ -815,17 +818,27 @@ class TestStepTables:
     def test_solves_per_step(self, case, default_path, bridges,
                              monkeypatch):
         # One one-column solve per step for the state; the Schur columns,
-        # three per step, in solves of at most 9 columns (SCHUR_COLUMNS).
+        # three per step, in solves of SCHUR_COLUMNS columns whose unused
+        # ones are zero.
         model, params, strategy = self._model(TABLE_CASES[case], 16,
                                               default_path, bridges)
-        widths = []
-        solve = Stepper._bridge_solve
+        widths, getrs = [], integrators.getrs
 
-        def recording(self, b):
-            widths.append(1 if b.ndim == 1 else -b.shape[1])
-            return solve(self, b)
+        def recording(lu, piv, b):
+            solve = getrs(lu, piv, b)
 
-        monkeypatch.setattr(Stepper, "_bridge_solve", recording)
+            def call():
+                if b.ndim == 1:
+                    widths.append(1)
+                else:
+                    assert b.shape[1] == integrators.SCHUR_COLUMNS
+                    used = np.flatnonzero(b.any(axis=0))
+                    widths.append(-len(used))
+                    assert np.array_equal(used, np.arange(len(used)))
+                return solve()
+            return call
+
+        monkeypatch.setattr(integrators, "getrs", recording)
         n = 3 * Stepper(model, params, strategy).block_steps() + 1
         run_model(model, params, strategy, n)
         schur = [-w for w in widths if w < 0]
@@ -1015,9 +1028,20 @@ class TestRunSchedule:
                 return f(*args, **kwargs)
             return call
 
-        for name in ("dgemv", "dgetrs", "dgesv", "lu_factor"):
+        def binding(name, bind):
+            # The bound call, recorded as it is made.
+            def bound(*args):
+                call = bind(*args)
+                if name == "gesv":
+                    return recording(name, call[0]), call[1]
+                return recording(name, call)
+            return bound
+
+        for name in ("gemv", "getrs", "gesv"):
             monkeypatch.setattr(integrators, name,
-                                recording(name, getattr(integrators, name)))
+                                binding(name, getattr(integrators, name)))
+        monkeypatch.setattr(integrators, "lu_factor",
+                            recording("lu_factor", integrators.lu_factor))
         monkeypatch.setattr(np.linalg, "solve",
                             recording("solve", np.linalg.solve))
         run_simulation(scenario, model)
@@ -1026,7 +1050,7 @@ class TestRunSchedule:
         assert names[:at] == ["solve"]
         assert all(counts == pinned for _, counts in events[:at + 1])
         steps = events[at + 1:]
-        assert {"dgemv", "dgetrs", "dgesv"} == {name for name, _ in steps}
+        assert {"gemv", "getrs", "gesv"} == {name for name, _ in steps}
         want = [1] * len(pinned) if serial else pinned
         assert all(counts == want for _, counts in steps)
         assert [pool.get() for pool in pools] == pinned

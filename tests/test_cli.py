@@ -287,6 +287,10 @@ class TestWholeRuns:
     # Below rho_inf 1/3 generalized-alpha's gamma exceeds 1, which the
     # scheme used to reject with a traceback.
     @example(data={"run": {"horizon": 0.02, "rho_inf": 0.0}})
+    # The damping overflows the step block, whose factor used to raise
+    # ValueError in a traceback; it exits 2.
+    @example(data={"bridge": {"rayleigh": [1e300, 1e300]},
+                   "run": {"horizon": 0.02}})
     def test_exits_cleanly_with_finite_outputs(self, data, capfd):
         capfd.readouterr()
         with tempfile.TemporaryDirectory() as tmp:
@@ -468,6 +472,11 @@ class TestMalformedScenario:
         # A support that fixes no field, which used to pass `check` and end
         # `run` in a traceback from the bridge assembly.
         ({"bridge": {"supports": [[0, []]]}}, "bridge.supports[0]"),
+        # A span whose length overflows when the elements cube it, which
+        # used to pass `check` and end `run` in a traceback.
+        ({"plan": {"spans": [{"kind": "straight", "length": 30.0},
+                             {"kind": "straight", "length": 1e104}]},
+          "bridge": {"kind": "fem"}}, "plan.spans[1]"),
     ])
     def test_rejected_with_key_named(self, data, key, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -126,10 +126,10 @@ class TestCoupledSystem:
         Lb = snap.L @ default_bridge.Z[np.arange(default_bridge.n_full)]
         A = np.zeros((4 + nb + 3, 4 + nb + 3))
         A[:4, :4] = veh.K
-        A[:4, 4 + nb:] = veh.L_tr
+        A[:4, 4 + nb:] = L_TR
         A[4:4 + nb, 4:4 + nb] = default_bridge.K
         A[4:4 + nb, 4 + nb:] = Lb.T
-        A[4 + nb:, :4] = veh.L_tr.T
+        A[4 + nb:, :4] = L_TR.T
         A[4 + nb:, 4:4 + nb] = Lb
         rhs = np.concatenate([veh.P, default_bridge.P, np.zeros(3)])
         x = np.linalg.solve(A, rhs)

@@ -9,7 +9,7 @@ from vtsi.integrators import (CoupledModel, Stepper, constraint_residuals,
                               project_constraints, run_model,
                               run_rigid_profile, scheme_params)
 from vtsi.pathgeom import CosineProfile
-from vtsi.vehicle import L_TR, VehicleParams, VehicleSystem
+from vtsi.vehicle import VehicleParams, VehicleSystem
 
 
 class Sys:
@@ -205,7 +205,7 @@ class TestSaddleSystem:
         # no gap, stacked over the instants.
         def vehicles(t):
             return VehicleSystem(*(np.zeros(t.shape + shape) for shape in (
-                (4, 4), (4, 4), (4, 4), (4,), L_TR.shape)))
+                (4, 4), (4, 4), (4, 4), (4,))))
 
         model = CoupledModel(
             vehicle_at=vehicles,

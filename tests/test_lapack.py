@@ -19,6 +19,7 @@ of this process that Python did not start. Both act through one table of
 each pool's routines, ``_lapack._POOLS``, looked up at import from the
 libraries that ``_lapack`` loads, once each, before numpy's import.
 """
+import functools
 import json
 import os
 import subprocess
@@ -38,7 +39,7 @@ import vtsi.beams
 import vtsi.integrators as integrators
 from vtsi import _lapack, parse_scenario
 from vtsi.cli import cli
-from vtsi.integrators import SERIAL_BRIDGE_DOFS, _step_block
+from vtsi.integrators import SCHUR_COLUMNS, SERIAL_BRIDGE_DOFS, _step_block
 from vtsi.simulate import (build_scenario_bridge, build_scenario_model,
                            run_simulation, scenario_scheme)
 
@@ -171,28 +172,35 @@ def test_public_fallback_keeps_the_bytes(case, tmp_path):
             == (tmp_path / "bundled" / "timehistory.csv").read_bytes())
 
 
-# The bindings on prebuilt arguments, as a step calls them.
+# The bound calls, as a step makes them.
 
 def _solve(lu, piv, b):
     """lu^-1 b through dgetrs, on a Fortran-ordered copy of b."""
     x = np.array(b, order="F")
-    _lapack.dgetrs(*_lapack.LUSolver(lu, piv).args(x))
+    _lapack.getrs(lu, piv, x)()
     return x
 
 
 def _product(A, x):
     """A @ x through dgemv."""
     y = np.empty(len(A))
-    _lapack.dgemv(*_lapack.gemv_args(np.ascontiguousarray(A), x, y))
+    _lapack.gemv(np.ascontiguousarray(A), x, y)()
     return y
 
 
 def _gesv(a, b):
     """a^-1 b through dgesv, on Fortran-ordered copies, and its info."""
     a, x = np.array(a, order="F"), np.array(b, order="F")
-    args, info = _lapack.gesv_args(a, x)
-    _lapack.dgesv(*args)
+    solve, info = _lapack.gesv(a, x)
+    solve()
     return x, info.value
+
+
+@functools.cache
+def _random_factor(n: int) -> tuple:
+    """The LU factor of a random n x n matrix, by lu_factor."""
+    a = np.random.default_rng(n).standard_normal((n, n))
+    return _lapack.lu_factor(np.asfortranarray(a))
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -211,8 +219,8 @@ class TestBindings:
     @given(k=st.integers(1, 9), order=st.sampled_from("CF"),
            seed=st.integers(0, 2 ** 32 - 1))
     # The widest solve at every size: at n_red 954 a threaded 9-column
-    # dgetrs reads the pivots that the arguments hold, after any temporary
-    # of the call's set-up is gone.
+    # dgetrs reads the pivots that the bound call holds, after any
+    # temporary of the call's set-up is gone.
     @example(k=9, order="C", seed=0)
     def test_square_systems_equal_scipy(self, n, k, order, seed):
         rng = np.random.default_rng(seed)
@@ -242,6 +250,23 @@ class TestBindings:
         assert np.array_equal(bits(_product(A, x)),
                               bits(blas.dgemv(1.0, A.T, x, trans=1)))
 
+    # A one-column solve is not padded: dgetrs solves it by another kernel
+    # (trsv, not trsm), which rounds differently.
+    @pytest.mark.parametrize("k", range(2, SCHUR_COLUMNS + 1))
+    @pytest.mark.parametrize("n", [7, 234, 474, 954])
+    @SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_padded_solve_keeps_the_bits(self, n, k, seed):
+        # A step solves each block of Schur columns as the SCHUR_COLUMNS
+        # columns of one buffer, zero past those in use: the columns in use
+        # keep the bits of a solve of those alone.
+        lu, piv = _random_factor(n)
+        b = np.random.default_rng(seed).standard_normal((n, k))
+        padded = np.zeros((n, SCHUR_COLUMNS), order="F")
+        padded[:, :k] = b
+        _lapack.getrs(lu, piv, padded)()
+        assert np.array_equal(bits(padded[:, :k]), bits(_solve(lu, piv, b)))
+
     @pytest.mark.parametrize("n", [1, 2, 7, 234, 474, 954])
     @SETTINGS
     @given(rows=st.integers(1, 12), rank=st.integers(0, 12),
@@ -268,13 +293,13 @@ class TestBindings:
         # write past an array.
         A = np.eye(3)
         with pytest.raises(ValueError, match="Fortran-contiguous"):
-            _lapack.gesv_args(np.eye(3), np.ones((3, 2)))
+            _lapack.gesv(np.eye(3), np.ones((3, 2)))
         with pytest.raises(ValueError, match="float64"):
-            _lapack.gemv_args(A, np.ones(3, np.float32), np.empty(3))
+            _lapack.gemv(A, np.ones(3, np.float32), np.empty(3))
         with pytest.raises(ValueError, match="Fortran-contiguous"):
-            _lapack.gemv_args(A, np.ones(3), np.ones(6)[::2])
+            _lapack.gemv(A, np.ones(3), np.ones(6)[::2])
         with pytest.raises(ValueError, match="rows"):
-            _lapack.LUSolver(*_lapack.lu_factor(A)).args(np.ones(4))
+            _lapack.getrs(*_lapack.lu_factor(A), np.ones(4))
 
 
 @pytest.mark.parametrize("elements", [1, 8, 32])

@@ -55,12 +55,14 @@ class TestDefaults:
         assert not sc.add_static_axle_load
 
     def test_arc_window(self):
+        # The first arc's start and span, from which the report's
+        # centripetal check takes its window [60, 90] m.
         sc = parse_scenario({})
-        assert sc.arc_window == (60.0, 90.0)
+        assert sc.first_arc == (60.0, sc.plan.spans[2])
         straight = parse_scenario(
             {"plan": {"spans": [{"kind": "straight", "length": 30.0}]},
              "run": {"horizon": 0.3}})
-        assert straight.arc_window is None
+        assert straight.first_arc is None
         assert straight.probes[0].s == 15.0
 
 
