@@ -613,10 +613,16 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
 
     a0, a1 = rayleigh
     if a0 or a1:
-        # a0 M + a1 K, a panel of rows at a time.
-        Cr = np.multiply(a0, Mr)
-        for lines in panels(len(Cr), Cr.strides[0]):
-            Cr[lines] += a1 * Kr[lines]
+        # a0 M + a1 K, a panel of rows at a time; damping that overflows
+        # names its key.
+        try:
+            with np.errstate(over="raise"):
+                Cr = np.multiply(a0, Mr)
+                for lines in panels(len(Cr), Cr.strides[0]):
+                    Cr[lines] += a1 * Kr[lines]
+        except FloatingPointError:
+            raise RuntimeError("bridge.rayleigh %s overflows the damping "
+                               "matrix a0 M + a1 K" % list(rayleigh)) from None
     else:
         # Undamped: a read-only zero view, which holds no n_red^2 buffer.
         Cr = np.broadcast_to(0.0, Mr.shape)

@@ -57,32 +57,20 @@ states are never recorded, since the run stops at the check.
 The same machinery also integrates a bridge alone, and the rigid-profile
 run, whose constraint has no bridge columns and a prescribed gap instead.
 
-Two OpenBLAS runtimes are loaded, numpy's and scipy's, each with its own
-thread pool; ``vtsi._lapack`` owns both. A step that alternated numpy's
-n_red x n_red products with scipy's solves kept both pools awake on the
-same cores: at n_red 954 a step cost 7.7 ms where its arithmetic needs
-about 2. So a run's set-up is numpy's alone: the bridge's null space and
-reductions (``beams.assemble_bridge``), the static self-weight state by
-``np.linalg.solve`` (no scipy routine gives its bits at every bridge size)
-and its check, and the probe rows. The factor of the ``Stepper`` is the
-one handover to scipy: from it on, a step's threaded work goes through
-scipy alone, by the kernels numpy calls, so the bits are unchanged: the
-bridge products by the transposed dgemv of numpy's ``A @ x`` on a
-C-contiguous A, the bridge solves by dgetrs, and the reduced (a_t, lam)
-system by dgesv, as ``np.linalg.solve`` calls it (checked on the step's own
-systems in tests/test_batched.py: the two builds round some other 7 x 7
-systems differently). The tables' stacked products are 3-row items, below
-OpenBLAS's threading size. The ``Stepper`` holds each of these calls bound
-once by ``vtsi._lapack`` to buffers of its own that every step rewrites:
-one solve of a step's right-hand side and one of the Schur buffer, in
-place; one product per bridge matrix, from one vector buffer into one
-product buffer; and the 7 x 7 solve, on copies of the matrix and the
-right-hand side. So a call costs what an f2py call costs.
+A step's bridge work and its (a_t, lam) solve are calls that the
+``Stepper`` binds once to buffers of its own that every step rewrites: one
+dgetrs solve of a step's right-hand side and one of the Schur buffer, in
+place (``vtsi._lapack``); one ``np.matmul`` per bridge matrix, made
+C-contiguous as numpy's ``A @ x`` takes it, from one vector buffer into one
+product buffer; and the 7 x 7 solve by dgesv, as ``np.linalg.solve`` calls
+it, on copies of the matrix and the right-hand side. So a call costs what
+an f2py call costs. The tables' stacked products are 3-row items, below
+OpenBLAS's threading size.
 
-A run steps inside one ``_lapack.blas_threads`` block, which leaves both
-pools parked. A bridge with fewer than SERIAL_BRIDGE_DOFS reduced DOFs
-steps on one thread: there a second thread adds CPU and no speed, and the
-step's kernels give the bits of the pinned count (measured;
+A run steps inside one ``_lapack.blas_threads`` block, which leaves
+numpy's OpenBLAS pool parked. A bridge with fewer than SERIAL_BRIDGE_DOFS
+reduced DOFs steps on one thread: there a second thread adds CPU and no
+speed, and the step's kernels give the bits of the pinned count (measured;
 tests/test_lapack.py). Set-up keeps the pinned count, since on one thread
 the static solve rounds differently from n_red 114 on, the factor from
 174, and the assembly at some sizes (354).
@@ -97,11 +85,12 @@ undamped bridge, whose C is a read-only zero view
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import blas_threads, gemv, gesv, getrs, lu_factor
+from ._lapack import blas_threads, gesv, getrs, lu_factor
 from .beams import panels
 from .coupling import Constraint, ConstraintTable, constraint_rates
 from .pathgeom import CosineProfile
@@ -356,7 +345,8 @@ class Stepper:
             self._vec, self._prod = np.empty(self._nb), np.empty(self._nb)
 
             def product(A):
-                return gemv(np.ascontiguousarray(A), self._vec, self._prod)
+                return partial(np.matmul, np.ascontiguousarray(A), self._vec,
+                               out=self._prod)
 
             self._M = product(br.M) if am else None
             self._C = product(br.C) if self._damped else None
@@ -637,9 +627,11 @@ def initial_state(model: CoupledModel, t0_correction: bool = True,
     and the optional t = 0 correction projects its velocity and
     acceleration onto the differentiated constraints.
 
-    A bridge whose static state does not solve K u = P to 1e-6 of P, as
-    when the supports leave it free to move, raises RuntimeError naming
-    ``bridge.supports``, whether or not the run starts from that state."""
+    A bridge whose static state does not solve K u = P to 1e-6 of P
+    raises RuntimeError, whether or not the run starts from that state.
+    It names ``bridge.supports``, which may leave the bridge free to move,
+    and ``plan.spans``, whose length may leave K too ill-conditioned to
+    solve (a straight NURBS span of 1e5 m)."""
     nb = model.n_b
     ub = np.zeros(nb)
     if nb:
@@ -651,8 +643,9 @@ def initial_state(model: CoupledModel, t0_correction: bool = True,
             res = np.inf
         if not res <= 1e-6 * np.linalg.norm(P):
             raise RuntimeError(
-                "bridge.supports leave the bridge free to move: its static "
-                "self-weight state does not solve K u = P")
+                "the bridge's static self-weight state does not solve "
+                "K u = P: bridge.supports leave it free to move, or "
+                "plan.spans make K too ill-conditioned")
         if bridge_static_init:
             ub = static
     con = model.reduced_at(np.zeros(1))[0] if model.n_lam else None
@@ -693,8 +686,6 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
     if model.bridge is not None and probes:
         for name, s in probes.items():
             probe_rows[name] = model.bridge.probe_rows(s)
-    # The factor and the steps use scipy's BLAS; numpy's n_red-sized work
-    # is done (see the module docstring).
     stepper = Stepper(model, params, strategy)
 
     N = n_steps + 1

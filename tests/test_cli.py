@@ -77,15 +77,15 @@ class TestRun:
             return dataclasses.replace(veh, P=P)
 
         monkeypatch.setattr(integ, "vehicle_matrices", poisoned)
-        pinned = [pool.get() for pool in _lapack._POOLS]
+        pinned = _lapack._POOL and _lapack._POOL.get()
         out = tmp_path / "out"
         assert cli(["run", str(scenario_file), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert "step %d " % step in err and "t=%g" % (step * 1e-3) in err
         assert not (out / "timehistory.csv").exists()
         # The run left its one-thread steps with an exception, and the BLAS
-        # pools are back at their pinned count.
-        assert [pool.get() for pool in _lapack._POOLS] == pinned
+        # pool is back at its pinned count.
+        assert (_lapack._POOL and _lapack._POOL.get()) == pinned
 
     def test_divergence_named_before_a_later_singular_solve(
             self, scenario_file, tmp_path, capsys, monkeypatch):
@@ -184,6 +184,21 @@ class TestSupports:
         assert code == 2
         assert "bridge.supports" in capsys.readouterr().err
         assert not (out / "timehistory.csv").exists()
+
+    # A straight span of 1e5 m on its default supports: NURBS's reduced K
+    # is too ill-conditioned for its static state, which FEM solves. The
+    # message names the spans as well as the supports.
+    @pytest.mark.parametrize("kind,want", [("nurbs", 2), ("fem", 0)])
+    def test_long_span_names_plan_spans(self, kind, want, tmp_path, capsys):
+        code, out = self._run(tmp_path, {
+            "plan": {"spans": [{"kind": "straight", "length": 1e5}]},
+            "bridge": {"kind": kind}, "run": {"horizon": 0.02}})
+        err = capsys.readouterr().err
+        assert code == want
+        if want:
+            assert len(err.splitlines()) == 1
+            assert "plan.spans" in err and "bridge.supports" in err
+            assert not (out / "timehistory.csv").exists()
 
     @pytest.mark.parametrize("kind", ["nurbs", "fem"])
     def test_bridge_fixed_at_one_end_runs(self, kind, tmp_path):
@@ -287,8 +302,9 @@ class TestWholeRuns:
     # Below rho_inf 1/3 generalized-alpha's gamma exceeds 1, which the
     # scheme used to reject with a traceback.
     @example(data={"run": {"horizon": 0.02, "rho_inf": 0.0}})
-    # The damping overflows the step block, whose factor used to raise
-    # ValueError in a traceback; it exits 2.
+    # The damping overflows, which used to raise ValueError in a traceback
+    # and then to print numpy's overflow warning before a message that
+    # named no key; it exits 2 with one line naming bridge.rayleigh.
     @example(data={"bridge": {"rayleigh": [1e300, 1e300]},
                    "run": {"horizon": 0.02}})
     def test_exits_cleanly_with_finite_outputs(self, data, capfd):
@@ -299,6 +315,10 @@ class TestWholeRuns:
             code = cli(["run", str(scenario), "-o", str(out)])
             printed = capfd.readouterr()
             assert code in (0, 1, 2) and printed.out == ""
+            # A failure prints its one message line, and no warning.
+            assert len(printed.err.splitlines()) == (code != 0)
+            if data.get("bridge", {}).get("rayleigh") == [1e300, 1e300]:
+                assert code == 2 and "bridge.rayleigh" in printed.err
             if code == 0:
                 assert printed.err == ""
                 table = np.loadtxt(out / "timehistory.csv", delimiter=",",
