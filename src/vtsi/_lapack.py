@@ -1,20 +1,22 @@
 """numpy's bundled OpenBLAS, bound with ``ctypes``, without any scipy module.
 
-vtsi calls three LAPACK routines: dgetrf, dgetrs and dgesv. This module
-binds them with ``ctypes`` from the OpenBLAS that numpy bundles and loads,
+vtsi calls four LAPACK routines: dgesdd in set-up, and dgetrf, dgetrs and
+dgesv for the steps. This module binds them with ``ctypes`` from the
+OpenBLAS that numpy bundles and loads,
 ``numpy.libs/libscipy_openblas64_-*.so``, as its entry points
-``scipy_dgetrf_64_``, ``scipy_dgetrs_64_`` and ``scipy_dgesv_64_``, with
-64-bit integers. So a run loads one OpenBLAS and imports no scipy module:
+``scipy_dgesdd_64_``, ``scipy_dgetrf_64_`` and so on, with 64-bit
+integers. So a run loads one OpenBLAS and imports no scipy module:
 the ``scipy.linalg`` package's ``__init__`` imports numpy.f2py,
 numpy.testing and numpy.random (21 MB of a run's peak memory), and its f2py
 modules load scipy's own OpenBLAS, with a thread pool of its own. Where
-numpy's library or one of the three symbols is missing, as under another
+numpy's library or one of the four symbols is missing, as under another
 build of numpy, the routines are bound from the public
 ``scipy.linalg.lapack`` instead, at the address that each f2py wrapper
 calls (its ``_cpointer``), with 32-bit integers.
 
 A routine takes each of its Fortran arguments by address, as a
 ``c_void_p``: an array by its data, a scalar by a pointer to a ctypes value.
+``svd`` calls dgesdd with the arguments of ``np.linalg.svd`` and
 ``lu_factor`` calls dgetrf as ``scipy.linalg.lu_factor`` does. ``getrs``
 and ``gesv`` bind dgetrs and dgesv to arrays that the caller keeps and
 rewrites between calls (``integrators.Stepper``), and return the bound
@@ -58,7 +60,7 @@ from contextlib import contextmanager
 from functools import partial
 from typing import NamedTuple
 
-__all__ = ["blas_threads", "gesv", "getrs", "lu_factor", "park"]
+__all__ = ["blas_threads", "gesv", "getrs", "lu_factor", "park", "svd"]
 
 # numpy's bundled OpenBLAS: its directory beside the package, its file
 # name, and its symbols' suffix.
@@ -110,12 +112,12 @@ if _POOL is not None:
 import numpy as np  # noqa: E402  (after its OpenBLAS is parked)
 
 
-# The three routines: each one's number of arguments.
-_ROUTINES = {"dgetrf": 6, "dgetrs": 9, "dgesv": 8}
+# The four routines: each one's number of arguments.
+_ROUTINES = {"dgetrf": 6, "dgetrs": 9, "dgesv": 8, "dgesdd": 14}
 
 
 def _bind(lib) -> tuple:
-    """The three routines, each taking its arguments' addresses, and the
+    """The four routines, each taking its arguments' addresses, and the
     ctypes integer that they take: ``scipy_<name>_64_`` of numpy's bundled
     library and 64-bit integers, or where it or a symbol is missing, the
     routines that the f2py wrappers of the public ``scipy.linalg.lapack``
@@ -139,7 +141,7 @@ def _bind(lib) -> tuple:
     return (*routines, integer)
 
 
-dgetrf, dgetrs, dgesv, _INT = _bind(_LIBRARY)
+dgetrf, dgetrs, dgesv, dgesdd, _INT = _bind(_LIBRARY)
 # The routines' integer, as the dtype of the pivots.
 _PIVOT = np.dtype(_INT)
 
@@ -164,6 +166,41 @@ def _data(a: np.ndarray, dtype=np.float64) -> ctypes.c_void_p:
 
 
 _NO_TRANS = _address(ctypes.c_char(b"N"))
+_ALL = _address(ctypes.c_char(b"A"))
+
+
+def svd(a: np.ndarray) -> tuple:
+    """(s, vt) of a finite, nonempty float64 matrix by dgesdd, with the
+    bits of ``np.linalg.svd(a)``: the singular values, and v^T in the
+    Fortran-ordered array that LAPACK writes, where numpy returns a
+    C-ordered copy. The call is numpy's: jobz 'A', a Fortran-ordered copy
+    of ``a``, the workspace that a query returns (at least 1), and an
+    iwork of 8 min(m, n). A matrix that is not finite raises RuntimeError,
+    and so does an SVD that does not converge."""
+    a = np.array(a, np.float64, order="F")
+    if not np.isfinite(a).all():
+        raise RuntimeError("matrix to decompose is not finite")
+    m, n = a.shape
+    k = min(m, n)
+    if not k:
+        raise ValueError("dgesdd needs a nonempty matrix")
+    s = np.empty(k)
+    u = np.empty((m, m), order="F")
+    vt = np.empty((n, n), order="F")
+    info = _INT()
+    arguments = (_ALL, _int(m), _int(n), _data(a), _int(m), _data(s),
+                 _data(u), _int(m), _data(vt), _int(n))
+    iwork = _data(np.empty(8 * k, _PIVOT), _PIVOT)
+    query = np.empty(1)
+    dgesdd(*arguments, _data(query), _int(-1), iwork, _address(info))
+    work = np.empty(max(1, int(query[0])))
+    dgesdd(*arguments, _data(work), _int(len(work)), iwork, _address(info))
+    if info.value < 0:
+        raise ValueError("illegal value in %dth argument of internal gesdd"
+                         % -info.value)
+    if info.value > 0:
+        raise RuntimeError("SVD did not converge")
+    return s, vt
 
 
 def lu_factor(a: np.ndarray):

@@ -18,6 +18,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .pathgeom import (ArclengthMap, PlanPath, build_plan_path, ipow,
                        _curvature_terms)
+from ._lapack import svd
 from .splines import NurbsCurve, distinct, eval_nurbs_basis
 
 __all__ = [
@@ -126,8 +127,11 @@ def element_matrices_iga(section: BeamSection, curve: NurbsCurve,
     Gauss-Legendre with p + 1 points; self-weight acts in the -b direction.
     Returns ``(K_e, M_e, P_e, indices)``, each with a leading axis over the
     elements when ``elem`` is an array. The strain operator, jacobian and
-    basis come from one evaluation at every element's Gauss points; each
-    element's integrals are then summed point by point.
+    basis come from one evaluation at every element's Gauss points. The
+    integrals are then summed point by point, each point's products formed
+    for every element at once: one stacked matmul per point and matrix,
+    which calls each element's own gemm, so every element has the bits of
+    a loop over its points.
     """
     bks = curve.knots.breakpoints
     el = np.atleast_1d(elem)
@@ -146,17 +150,19 @@ def element_matrices_iga(section: BeamSection, curve: NurbsCurve,
     g = 9.81
     xi = (0.5 * (a + b) + 0.5 * (b - a) * nodes).ravel()
     B_q, idx = strain_operator(curve, amap, xi)
-    J_q = amap.jacobian(xi)
-    R_q = eval_nurbs_basis(curve, xi, 0).table[:, 0]
-    w_q = (0.5 * (b - a) * wts).ravel()
-    for k, (B, J, R, wq) in enumerate(zip(B_q, J_q, R_q, w_q)):
-        e = k // m
-        K[e] += wq * J * (B.T * D) @ B
-        N = np.zeros((N_FIELDS, N_FIELDS * m))
+    # Weight times jacobian, strain operator and basis, by element (axis 0)
+    # and Gauss point (axis 1).
+    wJ = ((0.5 * (b - a) * wts).ravel() * amap.jacobian(xi)).reshape(-1, m)
+    B_q = B_q.reshape(len(el), m, *B_q.shape[1:])
+    R_q = eval_nurbs_basis(curve, xi, 0).table[:, 0].reshape(len(el), m, m)
+    N = np.zeros((len(el), N_FIELDS, N_FIELDS * m))
+    for q in range(m):
+        c, B, R = wJ[:, q, None, None], B_q[:, q], R_q[:, q]
+        K += c * (np.swapaxes(B, 1, 2) * D) @ B
         for f in range(N_FIELDS):
-            N[f, f::N_FIELDS] = R
-        M[e] += wq * J * (N.T * rho) @ N
-        P[e, F_UB::N_FIELDS] -= wq * J * section.rho_lin * g * R
+            N[:, f, f::N_FIELDS] = R
+        M += c * (np.swapaxes(N, 1, 2) * rho) @ N
+        P[:, F_UB::N_FIELDS] -= c[:, 0] * section.rho_lin * g * R
     idx = idx[m - 1::m]
     if np.ndim(elem):
         return K, M, P, idx
@@ -517,21 +523,30 @@ def _null_space(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of support rows, as
     ``scipy.linalg.null_space`` forms it, bits and strides: the right
     singular vectors past the singular values above eps * max(m, n) * s_max,
-    taken from a Fortran-ordered copy of v^T. Its strides pick the kernel of
-    the reductions' matmul, and so their bits."""
+    taken from the Fortran-ordered v^T that dgesdd writes (``_lapack.svd``).
+    Its strides pick the kernel of the reductions' matmul, and so their
+    bits."""
     m, n = rows.shape
-    _, s, vt = np.linalg.svd(rows)
+    s, vt = svd(rows)
     tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(m, n))
-    return np.asfortranarray(vt)[np.sum(s > tol, dtype=int):].T
+    return vt[np.sum(s > tol, dtype=int):].T
+
+
+def _summed(values: np.ndarray, dofs: np.ndarray, n: int) -> np.ndarray:
+    """The full n-vector, or n x n matrix, that sums each element's vector
+    or matrix of ``values`` on its ``dofs``, in one ``np.add.at``, which
+    adds in element order: the bits of adding one element at a time."""
+    out = np.zeros((n,) * (values.ndim - 1))
+    index = dofs if values.ndim == 2 else dofs[:, :, None] * n + dofs[:, None]
+    np.add.at(out.reshape(-1), index, values)
+    return out
 
 
 def _reduced(Z: np.ndarray, elements: np.ndarray,
              dofs: np.ndarray) -> np.ndarray:
     """Z^T A Z, where the full matrix A sums the element matrices on their
     DOFs, formed as (Z^T A) Z with A freed before the second product."""
-    A = np.zeros((len(Z), len(Z)))
-    for Ae, d in zip(elements, dofs):
-        A[np.ix_(d, d)] += Ae
+    A = _summed(elements, dofs, len(Z))
     T = Z.T @ A
     del A
     return T @ Z
@@ -595,9 +610,7 @@ def assemble_bridge(path: PlanPath, section: BeamSection, kind: str = "nurbs",
         rows.extend(shape.rows(min(s, length), fields, 0).dense()[0, 0])
     Z = _null_space(np.array(rows)) if rows else np.eye(shape.n_full)
 
-    P = np.zeros(shape.n_full)
-    for Pe, d in zip(P_e, dofs):
-        P[d] += Pe
+    P = _summed(P_e, dofs, shape.n_full)
 
     Mr = _reduced(Z, M_e, dofs)
     # Reduced M is kept by its stored entries while K is reduced.

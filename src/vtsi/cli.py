@@ -10,7 +10,8 @@ from .metrics import build_report
 from .output import write_report, write_timehistory
 from .scenario import (ScenarioError, load_scenario, parse_scenario,
                        read_scenario_file)
-from .simulate import run_simulation
+from .simulate import (build_scenario_bridge, build_scenario_model,
+                       build_scenario_path, run_simulation)
 
 __all__ = ["cli", "main"]
 
@@ -40,11 +41,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(scenario, out_dir: Path) -> None:
-    history = run_simulation(scenario)
+def _run_one(scenario, out_dir: Path, model) -> None:
+    history = run_simulation(scenario, model)
     report = build_report(history, scenario)
     write_timehistory(history, out_dir / "timehistory.csv")
     write_report(report, out_dir / "report.json")
+
+
+def _run_all(runs) -> None:
+    """Run each scenario and write its outputs to its directory. Runs in a
+    row whose plan, ``plan.ctrl_per_span`` and bridge are equal, as a
+    sweep's over another key, share one path and one bridge: set-up
+    assembles the bridge once, and no run changes it."""
+    built = path = bridge = None
+    for scenario, out_dir in runs:
+        key = (scenario.plan, scenario.ctrl_per_span, scenario.bridge)
+        if key != built:
+            path = build_scenario_path(scenario)
+            bridge = build_scenario_bridge(scenario, path)
+            built = key
+        _run_one(scenario, out_dir,
+                 build_scenario_model(scenario, path, bridge))
 
 
 def _set_dotted(data, dotted: str, value) -> None:
@@ -99,8 +116,7 @@ def cli(argv=None) -> int:
         return 1
 
     try:
-        for scenario, out_dir in runs:
-            _run_one(scenario, out_dir)
+        _run_all(runs)
         return 0
     except RuntimeError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)

@@ -36,11 +36,14 @@ n_red 234, 12 steps under Newmark and 9 under generalized-alpha; from 954
 on, 3), since a run's peak memory is reached while it steps. It holds a
 multiple of three steps: the Schur columns of three steps, 9 columns, are
 one getrs call, on one 9-column buffer whose columns past those in use
-are zero. Wider calls cost less per column, but from n_red 474 on
-OpenBLAS's trsm then rounds differently (above 9 columns with 1 thread,
-above 21 with 2). Up to 9, each column in use has the bits of a solve of
-those columns alone (tests/test_lapack.py), so every operator has the bits
-of a block of one step, and a run's output does not depend on its blocks.
+are zero. A wider call costs less per column, though far from in
+proportion: with 1 thread, 1 column took 15 us at n_red 234 and 314 us at
+954, and 9 columns 106 us and 1.35 ms (medians of 300 calls on a 2-core
+x86-64 machine). But from n_red 474 on OpenBLAS's trsm rounds differently
+above 9 columns with 1 thread (above 21 with 2). Up to 9, each column in
+use has the bits of a solve of those columns alone (tests/test_lapack.py),
+so every operator has the bits of a block of one step, and a run's output
+does not depend on its blocks.
 
 A run also records a block of steps at once. Each step writes its new ut,
 vt, at and lam straight into the time history's rows, and its new ub, vb

@@ -11,7 +11,10 @@ numpy's ``@``, including those whose scheme weight is zero, and solves with
 ``lu_solve`` and ``np.linalg.solve``, for a run's blocks of tabulated
 step operators, checked against blocks of one step, and for the bridge's
 null-space basis kept by its rows and its step block and damping formed in
-panels, checked against the dense basis and whole arrays.
+panels, checked against the dense basis and whole arrays. The element
+integrals, formed for every element at once, are checked against a loop
+over Gauss points, and the assembled arrays, one ``np.add.at`` each,
+against a loop over elements.
 """
 import dataclasses
 from math import comb, cos, sin
@@ -363,6 +366,42 @@ class TestPlanGeometry:
             assert calls == {"point": 2, "heading": 2}
 
 
+def ref_element_matrices_iga(section, curve, amap, elems):
+    """Stiffness, mass and load of each element, summed one Gauss point at
+    a time, each point's products formed element by element."""
+    bks = curve.knots.breakpoints
+    a, b = bks[elems][:, None], bks[elems + 1][:, None]
+    m = curve.degree + 1
+    nodes, wts = np.polynomial.legendre.leggauss(m)
+    K = np.zeros((len(elems), 6 * m, 6 * m))
+    M = np.zeros_like(K)
+    P = np.zeros((len(elems), 6 * m))
+    D, rho = section.stiffness_diag, section.inertia_diag
+    xi = (0.5 * (a + b) + 0.5 * (b - a) * nodes).ravel()
+    B_q, _ = vtsi.beams.strain_operator(curve, amap, xi)
+    J_q = amap.jacobian(xi)
+    R_q = eval_nurbs_basis(curve, xi, 0).table[:, 0]
+    w_q = (0.5 * (b - a) * wts).ravel()
+    for k, (B, J, R, wq) in enumerate(zip(B_q, J_q, R_q, w_q)):
+        e = k // m
+        K[e] += wq * J * (B.T * D) @ B
+        N = np.zeros((6, 6 * m))
+        for f in range(6):
+            N[f, f::6] = R
+        M[e] += wq * J * (N.T * rho) @ N
+        P[e, F_UB::6] -= wq * J * section.rho_lin * 9.81 * R
+    return K, M, P
+
+
+def ref_summed(values, dofs, n):
+    """The full vector or matrix of element vectors or matrices, added on
+    their DOFs one element at a time."""
+    out = np.zeros((n,) * (values.ndim - 1))
+    for v, d in zip(values, dofs):
+        out[np.ix_(*[d] * v.ndim)] += v
+    return out
+
+
 class TestElementIntegrals:
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_array_equals_one_element_calls(self, degree):
@@ -378,6 +417,21 @@ class TestElementIntegrals:
         with pytest.raises(ValueError, match="outside knot domain"):
             element_matrices_iga(section, path.curve, path.amap,
                                  np.array([0, len(elems)]))
+
+    @pytest.mark.parametrize("elements", [1, 8, 32])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_stacked_points_equal_point_loop(self, degree, elements):
+        # Each Gauss point's products, stacked over the elements, are each
+        # element's own gemm, added in point order.
+        path = build_plan_path(default_plan_spec(), ctrl_per_span=elements,
+                               p=degree)
+        section = BeamSection()
+        elems = np.arange(path.curve.knots.n_elems)
+        got = element_matrices_iga(section, path.curve, path.amap, elems)
+        want = ref_element_matrices_iga(section, path.curve, path.amap,
+                                        elems)
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))
 
 
 class TestSplineKernel:
@@ -914,6 +968,36 @@ class TestBridgeArrays:
             for first in range(0, n - w + 1):
                 rows = np.arange(first, first + w)
                 assert np.array_equal(bits(br.Z[rows]), bits(basis[rows]))
+
+    @pytest.mark.parametrize("elements", [1, 8, 32])
+    @pytest.mark.parametrize("bridge", [
+        {"degree": 2}, {"degree": 3}, {"degree": 4}, {"kind": "fem"}],
+        ids=["nurbs-2", "nurbs-3", "nurbs-4", "fem"])
+    def test_assembly_equals_element_loop(self, bridge, elements,
+                                          default_path, monkeypatch):
+        # One np.add.at per assembled array adds the elements in order:
+        # the bits of one element at a time, for P, and for M and K before
+        # and after their reduction.
+        summed, reduced, checked = vtsi.beams._summed, vtsi.beams._reduced, []
+
+        def checked_summed(values, dofs, n):
+            got = summed(values, dofs, n)
+            assert np.array_equal(bits(got), bits(ref_summed(values, dofs, n)))
+            checked.append(values.ndim)
+            return got
+
+        def checked_reduced(Z, elements, dofs):
+            got = reduced(Z, elements, dofs)
+            want = (Z.T @ ref_summed(elements, dofs, len(Z))) @ Z
+            assert np.array_equal(bits(got), bits(want))
+            checked.append("reduced")
+            return got
+
+        monkeypatch.setattr(vtsi.beams, "_summed", checked_summed)
+        monkeypatch.setattr(vtsi.beams, "_reduced", checked_reduced)
+        build_scenario_bridge(parse_scenario({"bridge": {
+            **bridge, "elements_per_span": elements}}), default_path)
+        assert checked == [2, 3, "reduced", 3, "reduced"]
 
     @pytest.mark.parametrize("panel_bytes", [None, 8, 20_000],
                              ids=["default", "one-column", "uneven"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import vtsi.cli
 import vtsi.integrators as integ
+import vtsi.simulate
 from vtsi import _lapack, parse_scenario
 from vtsi.cli import cli
 from vtsi.metrics import oscillation_index
@@ -533,6 +534,36 @@ class TestSweep:
             indices.append(oscillation_index(data[:, 10], 1e-3))  # at2
         # Numerical dissipation strictly damps the wheel-acceleration noise.
         assert indices[1] < indices[0]
+
+    @pytest.mark.parametrize("param,values,assembled", [
+        ("run.rho_inf", ["1.0", "0.9", "0.8"], 1),
+        ("bridge.elements_per_span", ["2", "4", "8"], 3),
+    ])
+    def test_sweep_shares_its_bridge(self, scenario_file, tmp_path,
+                                     monkeypatch, param, values, assembled):
+        # Values that leave the plan and the bridge as they are run on one
+        # bridge, and each writes the bytes of its own vtsi run.
+        calls = []
+        assemble = vtsi.simulate.assemble_bridge
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(vtsi.simulate, "assemble_bridge", counted)
+        out = tmp_path / "sweep"
+        assert cli(["sweep", str(scenario_file), "--param", param,
+                    "--values", ",".join(values), "-o", str(out)]) == 0
+        assert len(calls) == assembled
+        for text in values:
+            data = json.loads(scenario_file.read_text())
+            vtsi.cli._set_dotted(data, param, vtsi.cli._coerce(text))
+            single = tmp_path / ("single-%s.json" % text)
+            single.write_text(json.dumps(data))
+            assert cli(["run", str(single), "-o", str(tmp_path / text)]) == 0
+            for name in ("timehistory.csv", "report.json"):
+                assert ((out / ("%s=%s" % (param, text)) / name).read_bytes()
+                        == (tmp_path / text / name).read_bytes())
 
     def test_bad_value_exits_one(self, scenario_file, tmp_path, capsys):
         assert cli(["sweep", str(scenario_file),

@@ -1,13 +1,13 @@
 """vtsi's bindings of numpy's bundled LAPACK against ``scipy.linalg``.
 
-``vtsi._lapack`` binds three routines of numpy's bundled OpenBLAS with
+``vtsi._lapack`` binds four routines of numpy's bundled OpenBLAS with
 ``ctypes``, without any scipy module, or from the public
 ``scipy.linalg.lapack`` where that library is missing. Each binding is
-checked against ``np.linalg.solve``, which calls the same library, bit for
-bit, and against ``scipy.linalg``, whose OpenBLAS is another build, within
-a stated tolerance and with equal pivots. The support null space that
-``vtsi.beams`` forms with numpy's SVD must give scipy's bits, strides
-included.
+checked against ``np.linalg.solve`` or ``np.linalg.svd``, which call the
+same library, bit for bit, and against ``scipy.linalg``, whose OpenBLAS is
+another build, within a stated tolerance and with equal pivots. The
+support null space that ``vtsi.beams`` forms with the bound dgesdd must
+give scipy's bits, strides included.
 
 ``blas_threads`` runs a small bridge's steps on one BLAS thread. Below
 ``SERIAL_BRIDGE_DOFS`` the step's kernels must give the bits of the pinned
@@ -145,7 +145,7 @@ from scipy.linalg import lapack
 address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                             ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
-for name in ("dgetrf", "dgetrs", "dgesv"):
+for name in ("dgetrf", "dgetrs", "dgesv", "dgesdd"):
     routine = ctypes.cast(getattr(_lapack, name), ctypes.c_void_p)
     assert routine.value == address(getattr(lapack, name)._cpointer,
                                     None), name
@@ -299,6 +299,20 @@ class TestBindings:
         want = scipy.linalg.null_space(G)
         assert np.array_equal(bits(got), bits(want))
         assert got.strides == want.strides
+
+    def test_svd_equals_numpy(self):
+        # The bits of np.linalg.svd, which calls the same routine of the
+        # same library with the same arguments; v^T as LAPACK writes it.
+        G = np.random.default_rng(0).standard_normal((24, 978))
+        s, vt = _lapack.svd(G)
+        _, want_s, want_vt = np.linalg.svd(G)
+        assert np.array_equal(bits(s), bits(want_s))
+        assert np.array_equal(bits(vt), bits(want_vt))
+        assert vt.flags.f_contiguous
+        with pytest.raises(RuntimeError, match="not finite"):
+            _lapack.svd(np.array([[1.0, np.nan]]))
+        with pytest.raises(ValueError, match="nonempty"):
+            _lapack.svd(np.empty((0, 3)))
 
     def test_singular_saddle_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
