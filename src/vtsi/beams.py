@@ -312,7 +312,7 @@ class FieldRows(NamedTuple):
                           axis=-1)
         return out
 
-    def reduced(self, i, Z) -> np.ndarray:
+    def reduced(self, i, Z, out: np.ndarray | None = None) -> np.ndarray:
         """(k + 1, n_fields, n_red) rows of position i times Z, or for an
         index array i those of each position stacked: one product per
         order over the window's rows of Z, in one stacked matmul per run of
@@ -322,10 +322,12 @@ class FieldRows(NamedTuple):
         product L @ Z gives the same bits (tests/test_batched.py) unless
         OpenBLAS splits its sum at a block edge: on the default plan at 64
         elements per span, the rows at the joints 30 and 90 m differ by
-        about 1e-38 of their largest entry."""
+        about 1e-38 of their largest entry. The rows are written into
+        ``out`` if it is given."""
         idx = np.atleast_1d(i)
         blocks, first = self.block(idx), self.first[idx]
-        out = np.empty(blocks.shape[:-1] + Z.shape[1:])
+        if out is None:
+            out = np.empty(blocks.shape[:-1] + Z.shape[1:])
         cuts = [0, *(np.flatnonzero(np.diff(first)) + 1).tolist(), len(idx)]
         for a, b in zip(cuts, cuts[1:]):
             np.matmul(blocks[a:b], Z[first[a] + self.window], out=out[a:b])

@@ -44,8 +44,8 @@ class ConstraintTable:
     constraint has no bridge columns.
 
     ``table[i]`` is the ``Constraint`` at entry i, its rows reduced through
-    Z, or those of an index array i stacked; ``L``, ``L_dot`` and ``L_ddot``
-    are the full dense rows.
+    Z, or those of an index array i stacked (``take``); ``L``, ``L_dot``
+    and ``L_ddot`` are the full dense rows.
     """
 
     r: np.ndarray
@@ -54,11 +54,20 @@ class ConstraintTable:
     s: float | np.ndarray | None = None
 
     def __getitem__(self, i) -> Constraint:
-        r = self.r[i]
-        if self.rows is None:
-            L = np.zeros(r.shape[:-1] + (0,))
-            return Constraint(L, L, L, r)
-        return Constraint(*np.moveaxis(self.rows.reduced(i, self.Z), -3, 0), r)
+        return self.take(i)
+
+    def take(self, i, rows: np.ndarray | None = None,
+             r: np.ndarray | None = None) -> Constraint:
+        """``table[i]``, its reduced rows written into ``rows``, L, L_dot
+        and L_ddot along the third-last axis, and its gaps into ``r``, each
+        where it is given."""
+        r = np.take(self.r, i, axis=0, out=r)
+        if rows is None:
+            rows = (np.zeros(r.shape[:-2] + (3, 3, 0)) if self.rows is None
+                    else self.rows.reduced(i, self.Z))
+        elif self.rows is not None:
+            self.rows.reduced(i, self.Z, rows)
+        return Constraint(*np.moveaxis(rows, -3, 0), r)
 
     def _full(self, order: int) -> np.ndarray:
         full = self.rows.dense()[:, order]

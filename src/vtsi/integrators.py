@@ -18,32 +18,36 @@ dt, accumulated, and the collocation instant t_f between t_n and t_{n+1}),
 and one generator, ``Stepper.blocks``, schedules them: it calls each
 callable once per chunk of whole blocks of steps, on the chunk's instants,
 at most TABLE_BLOCK of them, so no table grows with the run, and yields
-each block's operators. A direct ``Stepper.step`` takes the first block of
-a run of one step. The t_{n+1} constraint travels with the new state as
+each block's tables. A direct ``Stepper.step`` takes the first block of a
+run of one step. The t_{n+1} constraint travels with the new state as
 ``CoupledState.con``, so projection, displacement repair, and the residual
 record read it there.
 
 What a step uses that depends only on its index is tabulated ahead of it,
-a block of steps at a time (``Stepper.tabulate``): the coupling rows of
-each distinct instant, reduced through Z by stacked matmuls; the
-constraint rows C_b; the Schur columns Y = A_b^-1 Lf^T; C_b Y, in one
-stacked matmul; the reduced (a_t, lam) matrix; and, with an axle load, the
-bridge load. The step itself forms the predictors and the residuals, makes
-one one-column bridge solve, and solves a copy of the tabulated matrix. A
+a block of steps at a time (``Stepper.tabulate``), into stacked tables
+that the caller passes (``StepTables``): the coupling rows of each
+distinct instant, reduced through Z by stacked matmuls; the constraint
+rows C_b; the Schur columns Y = A_b^-1 Lf^T; C_b Y, in one stacked matmul;
+the reduced (a_t, lam) matrix; and, with an axle load, the bridge load.
+Each step's operators are views of the tables (``Stepper.operators``).
+The step itself forms the predictors and the residuals, makes one
+one-column bridge solve, and solves a copy of the tabulated matrix. A
 direct ``Stepper.step`` tabulates a block of one step, so every step runs
-the same code. A block is sized by bytes, at most STEP_TABLE_BYTES (at
-n_red 234, 12 steps under Newmark and 9 under generalized-alpha; from 954
-on, 3), since a run's peak memory is reached while it steps. It holds a
-multiple of three steps: the Schur columns of three steps, 9 columns, are
-one getrs call, on one 9-column buffer whose columns past those in use
-are zero. A wider call costs less per column, though far from in
-proportion: with 1 thread, 1 column took 15 us at n_red 234 and 314 us at
-954, and 9 columns 106 us and 1.35 ms (medians of 300 calls on a 2-core
-x86-64 machine). But from n_red 474 on OpenBLAS's trsm rounds differently
-above 9 columns with 1 thread (above 21 with 2). Up to 9, each column in
-use has the bits of a solve of those columns alone (tests/test_lapack.py),
-so every operator has the bits of a block of one step, and a run's output
-does not depend on its blocks.
+the same code. A block is sized by bytes, since a run's peak memory is
+reached while it steps: a run holds at most RING_SLOTS blocks' tables, the
+ring of a producer (below), and those take at most STEP_TABLE_BYTES (at
+n_red 234, blocks of 27 steps under Newmark and 18 under generalized-alpha;
+from 954 on, 3). A run without a producer holds one block's tables, which
+every block rewrites. A block holds a multiple of three steps: the Schur
+columns of three steps, 9 columns, are one getrs call, on one 9-column
+buffer whose columns past those in use are zero. A wider call costs less
+per column, though far from in proportion: with 1 thread, 1 column took
+15 us at n_red 234 and 314 us at 954, and 9 columns 106 us and 1.35 ms
+(medians of 300 calls on a 2-core x86-64 machine). But from n_red 474 on
+OpenBLAS's trsm rounds differently above 9 columns with 1 thread (above
+21 with 2). Up to 9, each column in use has the bits of a solve of those
+columns alone (tests/test_lapack.py), so every operator has the bits of a
+block of one step, and a run's output does not depend on its blocks.
 
 A run also records a block of steps at once. Each step writes its new ut,
 vt, at and lam straight into the time history's rows, and its new ub, vb
@@ -78,6 +82,25 @@ tests/test_lapack.py). Set-up keeps the pinned count, since on one thread
 the static solve rounds differently from n_red 114 on, the factor from
 174, and the assembly at some sizes (354).
 
+Such a run gives its idle CPU the tables. When the process may run on a
+second CPU, has one Python thread and can fork, and the run has more than
+one block, ``run_model`` forks a producer process inside the
+``blas_threads(1)`` block, after the step block is factored, with the
+pool parked. The producer runs ``Stepper.blocks`` and writes each block's
+tables into the next of the RING_SLOTS slots of a shared anonymous
+mapping, while the process steps from views of the slot before it; two
+pipes pass each filled slot on and hand it back. A thread cannot do this:
+OpenBLAS calls that overlap in one process crash or corrupt their results,
+at any thread count. A forked process has its own copy of OpenBLAS's
+state, calls the same kernels on one thread, and writes each table into
+an array of the shape and strides that the process would have made, so
+the output keeps its bits. The tables are not pickled: a view that is
+pickled comes back C-contiguous, and for its strides ``np.matmul`` calls
+another gemv kernel. An exception that the blocks raise in the producer
+is raised in the process at the same block, and the producer has exited
+and been waited for when ``run_model`` returns or raises; it exits too
+when the process dies, at the end of its pipe.
+
 A step leaves out each term whose weight is exactly zero, which keeps the
 bits (x - (+-0) and 1.0 x + (+-0) are x for nonzero x): the C term of an
 undamped bridge, whose C is a read-only zero view
@@ -87,6 +110,13 @@ undamped bridge, whose C is a read-only zero view
 """
 from __future__ import annotations
 
+import itertools
+import mmap
+import os
+import pickle
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -153,9 +183,16 @@ def scheme_params(rho_inf: float | None = None, dt: float = 1e-3,
 # whole blocks of steps): large enough to amortise a call's fixed cost,
 # small enough that a chunk's tables and temporaries stay small.
 TABLE_BLOCK = 512
-# Bytes of step operators tabulated at a time (``Stepper.block_steps``):
-# they add to a run's peak memory, 0.5 MiB to criterion 6's 67 MB.
-STEP_TABLE_BYTES = 1 << 19
+# Bytes of the step operators that a run holds at once: RING_SLOTS blocks
+# of them (``Stepper.block_steps``), the ring of a producer that tabulates
+# ahead of the steps (``run_model``). They add to a run's peak memory. A
+# block's lead over the steps absorbs the evaluation of a chunk of
+# coefficients: with 1 MiB blocks (27 steps at n_red 234 under Newmark)
+# projected_fine_dt stepped in 15 % less time and 8 % less CPU than with
+# 0.5 MiB blocks, for 0.65 MB more peak memory (medians of 20 alternating
+# runs on a 2-core machine).
+STEP_TABLE_BYTES = 1 << 21
+RING_SLOTS = 2
 # Width of every Schur solve: three steps' three columns, zero past those
 # in use. Up to this width OpenBLAS's trsm gives each column the bits of a
 # 3-column solve at every bridge size with 1 or 2 threads; wider, from n_red
@@ -231,9 +268,28 @@ class CoupledModel:
         return 3 if self.reduced_at is not None else 0
 
 
+class StepTables(NamedTuple):
+    """The stacked tables of a block of steps, each with a leading axis
+    over at least the block's steps (``Stepper.tables``), and None where
+    the model lacks them: what ``Stepper.tabulate`` writes, and what
+    ``Stepper.operators`` views a step at a time."""
+
+    rows: np.ndarray | None     # L, L_dot, L_ddot at t_{n+1}: (k, 3, 3, n_b)
+    r: np.ndarray | None        # the constraint's gap and rates at t_{n+1}
+    M: np.ndarray | None        # the vehicle's M, C, K and P at t_f
+    C: np.ndarray | None
+    K: np.ndarray | None
+    P: np.ndarray | None
+    A: np.ndarray | None        # the reduced (a_t, lam) matrices
+    P_b: np.ndarray | None      # the bridge loads, with an axle load only
+    C_b: np.ndarray | None      # the constraint rows' bridge columns
+    Yt: np.ndarray | None       # the Schur columns, transposed: (k, 3, n_b)
+
+
 class StepOperators(NamedTuple):
-    """What one step uses that does not depend on the state, from
-    ``Stepper.tabulate``; None where the model lacks the block."""
+    """What one step uses that does not depend on the state, a step of
+    ``StepTables`` (``Stepper.operators``); None where the model lacks the
+    block."""
 
     con1: Constraint | None     # the constraint at t_{n+1}
     veh: tuple | None           # the vehicle's M, C, K and P at t_f
@@ -374,49 +430,45 @@ class Stepper:
             raise RuntimeError("singular saddle system at t=%.6g" % t1)
         return x
 
-    def blocks(self, t: np.ndarray):
+    def blocks(self, t: np.ndarray, slots=None):
         """The steps starting at the consecutive instants t, a block at a
         time: yields the index in t of the block's first step, the block's
-        constraint at t_{n+1} stacked (None without one), and the block's
-        ``StepOperators``.
+        number of steps, and its ``StepTables``, written into the next
+        tables of the iterator ``slots``, or into new ones.
 
         Each model callable is called once per chunk of whole blocks, on
         the chunk's instants, at most TABLE_BLOCK of them unless one block
         has more: the constraint at the steps' t_{n+1}, and at their t_f
         unless alpha_f is 0 (under Newmark t_f is t_{n+1}), and the vehicle
-        at their t_f. The generator keeps no block it has yielded while it
+        at their t_f. The generator keeps no tables it has yielded while it
         builds the next, so a caller that lets go of each block first holds
         one block's tables at a time."""
-        m, af, instants = self.model, self._af, self._instants
+        m, af = self.model, self._af
         block = self.block_steps()
-        chunk = block * max(1, TABLE_BLOCK // (block * instants))
+        chunk = block * max(1, TABLE_BLOCK // (block * self._instants))
         for start in range(0, len(t), chunk):
             t0 = t[start:start + chunk]
             k = len(t0)
             t1 = t0 + self.params.dt
             tf = (1.0 - af) * t1 + af * t0
-            cons = None
+            cons = vehs = None
             if m.n_lam:
-                cons = m.reduced_at(t1 if instants == 1
+                cons = m.reduced_at(t1 if self._instants == 1
                                     else np.concatenate((t1, tf)))
                 vehs = m.vehicle_at(tf)
             for first in range(0, k, block):
                 i = np.arange(first, min(first + block, k))
-                con1 = conf = veh = None
+                tables = self.tables(block) if slots is None else next(slots)
                 if cons is not None:
-                    con1 = cons[i]
-                    conf = con1 if instants == 1 else cons[k + i]
-                    veh = vehs[i]
-                yield start + first, con1, self.tabulate(con1, conf, veh,
-                                                         len(i))
-                # Not kept while the next block is built.
-                del con1, conf, veh
+                    self.tabulate(cons, vehs, i, k, tables)
+                yield start + first, len(i), tables
+                del tables      # not kept while the next block is built
 
     def block_steps(self) -> int:
         """Steps per block of ``blocks`` and of ``run_model``'s record: a
         multiple of the three steps of one Schur solve, whose operators and
-        bridge states take at most STEP_TABLE_BYTES (or one solve's steps,
-        if those take more)."""
+        bridge states take at most STEP_TABLE_BYTES / RING_SLOTS (or one
+        solve's steps, if those take more)."""
         instants = self._instants
         # Per bridge DOF: the three orders' reduced rows of each distinct
         # instant (9), C_b and Y (6), and the new ub, vb and ab (3); then
@@ -424,14 +476,44 @@ class Stepper:
         per_step = (8 * (self._nb * (9 * instants + 9) + (self._nt + 3) ** 2)
                     + 2048)
         per_solve = SCHUR_COLUMNS // 3
-        return per_solve * max(1, STEP_TABLE_BYTES // (per_step * per_solve))
+        return per_solve * max(1, STEP_TABLE_BYTES
+                               // (RING_SLOTS * per_step * per_solve))
 
-    def _schur_columns(self, Lf: np.ndarray) -> np.ndarray:
-        """A_b^-1 L^T for each L of a stack of 3 x n_red rows, stacked as
-        (n, n_red, 3) Fortran-ordered columns, as getrs returns them. Each
-        solve takes the SCHUR_COLUMNS columns of the Schur buffer, the
-        rows of up to three steps copied in and zeros after them."""
-        Yt = np.empty(Lf.shape)
+    def _layout(self, k: int) -> tuple:
+        """The shape of each of the ``StepTables`` of k steps (None where
+        the model lacks the table), its offset in bytes when they are laid
+        out one after another, each at a multiple of 64 bytes, and the
+        bytes they take."""
+        m, nt, nb = self.model, self._nt, self._nb
+        shapes = [None] * len(StepTables._fields)
+        if m.n_lam:
+            shapes = [(k, 3, 3, nb), (k, 3, 3), (k, nt, nt), (k, nt, nt),
+                      (k, nt, nt), (k, nt), (k, nt + 3, nt + 3),
+                      (k, nb) if nb and m.axle_load is not None else None,
+                      (k, 3, nb), (k, 3, nb) if nb else None]
+        offsets, size = [], 0
+        for shape in shapes:
+            offsets.append(size)
+            if shape is not None:
+                size += -(-8 * int(np.prod(shape)) // 64) * 64
+        return shapes, offsets, size
+
+    def tables(self, k: int, buffer=None) -> StepTables:
+        """``StepTables`` for a block of up to k steps: new arrays, or
+        arrays over a writable ``buffer`` of the bytes that ``_layout``
+        counts."""
+        shapes, offsets, _ = self._layout(k)
+        return StepTables(*(
+            None if shape is None
+            else np.empty(shape) if buffer is None
+            else np.ndarray(shape, buffer=buffer, offset=offset)
+            for shape, offset in zip(shapes, offsets)))
+
+    def _schur_columns(self, Lf: np.ndarray, Yt: np.ndarray) -> None:
+        """Write A_b^-1 L^T for each L of a stack of 3 x n_red rows into
+        the stack Yt, transposed, as (n, 3, n_red) rows. Each solve takes
+        the SCHUR_COLUMNS columns of the Schur buffer, the rows of up to
+        three steps copied in and zeros after them."""
         nb, per_solve, cols = Lf.shape[-1], SCHUR_COLUMNS // 3, self._schur
         for j in range(0, len(Lf), per_solve):
             rows = Lf[j:j + per_solve]
@@ -440,48 +522,67 @@ class Stepper:
             cols[:, w:] = 0.0
             self._solve_schur()
             Yt[j:j + per_solve] = cols[:, :w].T.reshape(-1, 3, nb)
-        return Yt.transpose(0, 2, 1)
 
-    def tabulate(self, con1: Constraint | None, conf: Constraint | None,
-                 veh: VehicleSystem | None, n: int) -> list:
-        """The ``StepOperators`` of a block of n steps, from the block's
-        constraint at t_{n+1} and at t_f and its vehicle matrices at t_f,
-        each stacked along a leading axis (None where the model has no such
-        block).
+    def tabulate(self, cons: ConstraintTable, vehs: VehicleSystem,
+                 i: np.ndarray, k: int, out: StepTables) -> None:
+        """Write into ``out`` the ``StepTables`` of the steps at entries i
+        (an index array) of a chunk of k steps: their constraint at t_{n+1}
+        is at entries i of ``cons`` and at t_f at entries k + i (i when
+        alpha_f is 0), and their vehicle matrices at t_f at entries i of
+        ``vehs``.
 
-        Each operator is formed by the operations a step would apply to its
+        Each table is formed by the operations a step would apply to its
         own coefficients, in the same order, and the stacked products call
-        the same BLAS kernel on each step's operands, so no operator's bits
-        depend on the block (tests/test_batched.py)."""
-        m = self.model
-        nt = m.n_t
+        the same BLAS kernel on each step's operands, so no table's bits
+        depend on the block or on the buffer that holds it
+        (tests/test_batched.py)."""
+        m, nt = self.model, self._nt
         bdt2, gdt = self._bdt2, self._gdt
-        cons = vehs = A = P_b = C_b = Y = [None] * n
+        rows, r, M, C, K, P, A, P_b, C_b, Yt = (
+            None if a is None else a[:len(i)] for a in out)
+        con1 = cons.take(i, rows, r)
+        conf = con1 if self._instants == 1 else cons[k + i]
+        for table, a in zip((M, C, K, P), (vehs.M, vehs.C, vehs.K, vehs.P)):
+            np.take(a, i, axis=0, out=table)
+        L1, Ld1, Ldd1, _ = con1
+        if self.strategy == "B":
+            C_t = L_TR.T
+            np.multiply(bdt2, Ldd1, out=C_b)
+            C_b += gdt * 2.0 * Ld1
+            C_b += L1
+        else:
+            C_t = self._C_t
+            np.multiply(bdt2, L1, out=C_b)
+        A[...] = 0.0
+        A[:, :nt, :nt] = self._keep_m * M + self._keep_f * (gdt * C + bdt2 * K)
+        A[:, :nt, nt:] = L_TR
+        A[:, nt:, :nt] = C_t
         if m.n_b:
-            P_b = [m.bridge.P] * n
-            if conf is not None and m.axle_load is not None:
-                P_b = m.bridge.P + np.swapaxes(conf.L, 1, 2) @ m.axle_load
-        if con1 is not None:
-            vehs = list(zip(veh.M, veh.C, veh.K, veh.P))
-            A_t = (self._keep_m * veh.M
-                   + self._keep_f * (gdt * veh.C + bdt2 * veh.K))
-            L1, Ld1, Ldd1, r1 = con1
-            cons = [Constraint(*c) for c in zip(L1, Ld1, Ldd1, r1)]
-            if self.strategy == "B":
-                C_t = L_TR.T
-                C_b = bdt2 * Ldd1 + gdt * 2.0 * Ld1 + L1
-            else:
-                C_t = self._C_t
-                C_b = bdt2 * L1
-            A = np.zeros((n, nt + 3, nt + 3))
-            A[:, :nt, :nt] = A_t
-            A[:, :nt, nt:] = L_TR
-            A[:, nt:, :nt] = C_t
-            if m.n_b:
-                Y = self._schur_columns(conf.L)
-                A[:, nt:, nt:] -= C_b @ Y
-        return [StepOperators(*ops)
-                for ops in zip(cons, vehs, A, P_b, C_b, Y)]
+            self._schur_columns(conf.L, Yt)
+            A[:, nt:, nt:] -= C_b @ Yt.transpose(0, 2, 1)
+            if P_b is not None:
+                np.add(m.bridge.P, np.swapaxes(conf.L, 1, 2) @ m.axle_load,
+                       out=P_b)
+
+    def operators(self, tables: StepTables, n: int) -> tuple:
+        """The constraint at t_{n+1} of a block of n steps, stacked (None
+        without one), and the steps' ``StepOperators``: views of the
+        block's ``tables``."""
+        m = self.model
+        rows, r, M, C, K, P, A, P_b, C_b, Yt = tables
+        con1 = None
+        cons = vehs = As = P_bs = C_bs = Ys = [None] * n
+        if m.n_b:
+            P_bs = [m.bridge.P] * n if P_b is None else P_b[:n]
+        if rows is not None:
+            con1 = Constraint(*np.moveaxis(rows[:n], -3, 0), r[:n])
+            cons = [Constraint(*c) for c in zip(*con1)]
+            vehs = list(zip(M[:n], C[:n], K[:n], P[:n]))
+            As, C_bs = A[:n], C_b[:n]
+            if Yt is not None:
+                Ys = Yt[:n].transpose(0, 2, 1)
+        return con1, [StepOperators(*ops)
+                      for ops in zip(cons, vehs, As, P_bs, C_bs, Ys)]
 
     def step(self, state: CoupledState, ops: StepOperators | None = None,
              out: tuple | None = None) -> CoupledState:
@@ -494,7 +595,8 @@ class Stepper:
         and of its block buffers), or into new ones. A block the model
         lacks carries the old state's values."""
         if ops is None:
-            ops = next(self.blocks(np.array([state.t])))[2][0]
+            _, n, tables = next(self.blocks(np.array([state.t])))
+            ops = self.operators(tables, n)[1][0]
         if out is None:
             out = [np.empty_like(a) for a in (state.ut, state.vt, state.at,
                                                state.ub, state.vb, state.ab,
@@ -667,6 +769,130 @@ def initial_state(model: CoupledModel, t0_correction: bool = True,
     return state
 
 
+def _may_fork() -> bool:
+    """Whether this process can fork safely, with no other Python thread
+    that might hold a lock, and may run on a second CPU."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _picklable(exc: Exception) -> Exception:
+    """``exc``, or where it does not survive pickling, a RuntimeError
+    that names its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError("%s: %s" % (type(exc).__name__, exc))
+
+
+def _produce(stepper: Stepper, t: np.ndarray, slots: list, free: int,
+             ready: int) -> None:
+    """The forked producer: writes the blocks of ``stepper.blocks(t)``
+    into the ``slots`` in turn, and announces each block's first step and
+    number of steps on the pipe ``ready``, then None, or the exception that
+    the blocks raised. Before it writes a slot again it reads a byte from
+    the pipe ``free``. It exits and never returns: at the end, or when
+    either pipe is closed, as when the steps end early."""
+    def ring():
+        for j in itertools.count():
+            if j >= len(slots) and not os.read(free, 1):
+                os._exit(0)
+            yield slots[j % len(slots)]
+
+    try:
+        with os.fdopen(ready, "wb") as out:
+            try:
+                for first, n, _ in stepper.blocks(t, ring()):
+                    pickle.dump((first, n), out)
+                    out.flush()
+                end = None
+            except Exception as exc:
+                end = _picklable(exc)
+            pickle.dump(end, out)
+    finally:
+        os._exit(0)
+
+
+@contextmanager
+def _step_blocks(stepper: Stepper, t: np.ndarray, ahead: bool):
+    """The blocks of ``stepper.blocks(t)``: yields an iterator of each
+    block's first step, its constraint at t_{n+1} stacked, and its steps'
+    ``StepOperators`` (``Stepper.operators``). The caller lets go of a
+    block before it asks for the next.
+
+    In-process, each block's tables are new arrays. With ``ahead``, unless
+    the fork fails, a forked producer process (``_produce``) writes them
+    into the RING_SLOTS slots of a shared anonymous mapping in turn, and
+    announces each block on a pipe; the operators of each slot are viewed
+    once, and the iterator hands a slot back when the caller asks for the
+    next block. An exception that the blocks raise in the producer is
+    raised here, at the same block. When the ``with`` block ends, the
+    producer has exited and been waited for."""
+    k = stepper.block_steps()
+    pid = None
+    if ahead:
+        size = stepper._layout(k)[2]
+        ring = memoryview(mmap.mmap(-1, max(1, RING_SLOTS * size)))
+        slots = [stepper.tables(k, ring[j * size:(j + 1) * size])
+                 for j in range(RING_SLOTS)]
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:     # no process to spare: tabulate in-process
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+    if pid is None:
+        def made():
+            for first, n, tables in stepper.blocks(t):
+                yield (first, *stepper.operators(tables, n))
+                del tables      # not kept while the next block is built
+        yield made()
+        return
+    if not pid:
+        os.close(ready_r)
+        os.close(free_w)
+        _produce(stepper, t, slots, free_r, ready_w)
+    os.close(ready_w)
+    os.close(free_r)
+    ready = os.fdopen(ready_r, "rb")
+    ended = False
+    views = [stepper.operators(slot, k) for slot in slots]
+
+    def received():
+        nonlocal ended
+        for j in itertools.count():
+            try:
+                block = pickle.load(ready)
+            except EOFError:
+                raise RuntimeError("the step tables' producer process ended "
+                                   "early") from None
+            if block is None:
+                ended = True
+                return
+            if isinstance(block, Exception):
+                raise block
+            first, n = block
+            slot = j % RING_SLOTS
+            yield (first, *(views[slot] if n == k
+                            else stepper.operators(slots[slot], n)))
+            try:
+                os.write(free_w, b"\0")
+            except BrokenPipeError:
+                pass    # the producer has ended; ``ready`` says how
+
+    try:
+        yield received()
+    finally:
+        ready.close()
+        os.close(free_w)
+        if not ended:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
               n_steps: int, probes: dict | None = None,
               t0_correction: bool = True, bridge_static_init: bool = True,
@@ -675,11 +901,13 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
 
     The steps come a block at a time from ``Stepper.blocks``, which
     evaluates the time-varying coefficients a chunk of whole blocks at a
-    time and tabulates each block's operators. The steps are recorded a
-    block at a time: each step writes its state into the history and a
-    buffer of the block's bridge rows, and the block's probes, residuals
-    and finiteness follow in stacked operations, with the bits of one
-    state's. Raises RuntimeError, naming the step and t, at the first step
+    time and tabulates each block's operators: ahead of the steps, in a
+    forked producer process, when the steps run on one BLAS thread, the run
+    has more than one block, and a second CPU may run the producer (see the
+    module docstring). The steps are recorded a block at a time: each step
+    writes its state into the history and a buffer of the block's bridge
+    rows, and the block's probes, residuals and finiteness follow in
+    stacked operations, with the bits of one state's. Raises RuntimeError, naming the step and t, at the first step
     whose state is not finite."""
     # t_n accumulates dt exactly as the steps do: step i (1-based) starts
     # at t[i - 1].
@@ -728,9 +956,13 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
     out.ut[0], out.vt[0], out.at[0], out.lam[0] = (state.ut, state.vt,
                                                    state.at, state.lam)
     record(0, state)
-    # A small bridge steps on one BLAS thread (see the module docstring).
-    with blas_threads(1 if model.n_b < SERIAL_BRIDGE_DOFS else None):
-        for first, con1, ops in stepper.blocks(t[:-1]):
+    # A small bridge steps on one BLAS thread, and the other CPU tabulates
+    # ahead of it (see the module docstring).
+    serial = model.n_b < SERIAL_BRIDGE_DOFS
+    ahead = serial and n_steps > len(bridge_rows) and _may_fork()
+    with blas_threads(1 if serial else None), \
+            _step_blocks(stepper, t[:-1], ahead) as blocks:
+        for first, con1, ops in blocks:
             # Steps first..stop - 1, 1-based, and their rows of the history.
             first, stop = first + 1, first + 1 + len(ops)
             rows, new = slice(first, stop), bridge_rows[:len(ops)]
@@ -753,7 +985,8 @@ def run_model(model: CoupledModel, params: SchemeParams, strategy: str,
                                       out.at[rows], new[:, 0], new[:, 1],
                                       new[:, 2], out.lam[rows], con1))
             # Let go of the block, and copy the rows of it that the last state
-            # views, so that it is freed before the next block is built.
+            # views, so that it is freed before the next block is built, or
+            # its slot written again.
             del con1, ops, op
             if state.con is not None:
                 state.con = Constraint(*map(np.array, state.con))

@@ -1,4 +1,7 @@
 """Shared fixtures: expensive scenario runs are built once per session."""
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -54,3 +57,44 @@ def straight_span_scenario():
             "run": {"horizon": 0.3, **run_overrides},
         })
     return make
+
+
+class CallLog:
+    """Values that calls record, in this process or in a process that it
+    forks, such as the producer that tabulates a run's steps ahead of them
+    (``integrators.run_model``): each record is one write of a pickle, with
+    the recording process's id, appended to a file."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def add(self, value) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, pickle.dumps((os.getpid(), value)))
+        finally:
+            os.close(fd)
+
+    def records(self) -> list:
+        """(process id, value) of every record, in the order written."""
+        out = []
+        if os.path.exists(self.path):
+            with open(self.path, "rb") as f:
+                while True:
+                    try:
+                        out.append(pickle.load(f))
+                    except EOFError:
+                        return out
+        return out
+
+    def read(self) -> list:
+        return [value for _, value in self.records()]
+
+    def clear(self) -> None:
+        if os.path.exists(self.path):
+            os.unlink(self.path)
+
+
+@pytest.fixture
+def call_log(tmp_path):
+    return CallLog(tmp_path / "calls.pickle")

@@ -519,15 +519,15 @@ class TestTabulatedRun:
     @pytest.mark.parametrize("rho_inf,newmark", [(0.9, False), (None, True)])
     def test_tabulated_instants_are_the_t_column(
             self, default_scenario, default_path, default_bridge, rho_inf,
-            newmark):
-        # Longer than one chunk of steps, so the instants span calls.
+            newmark, call_log):
+        # Longer than one chunk of steps, so the instants span calls. The
+        # calls are recorded in a file, which the producer's calls reach.
         model = coupled_model(default_path, default_bridge,
                               default_scenario.vehicle)
-        seen = {"vehicle": [], "constraint": []}
 
         def recording(name, fn):
             def wrapped(t):
-                seen[name].append(t)
+                call_log.add((name, t))
                 return fn(t)
             return wrapped
 
@@ -536,6 +536,9 @@ class TestTabulatedRun:
         p = scheme_params(rho_inf=rho_inf, dt=1e-3, newmark=newmark)
         n = TABLE_BLOCK + 3
         hist = run_model(model, p, "A", n)
+        seen = {"vehicle": [], "constraint": []}
+        for name, instants in call_log.read():
+            seen[name].append(instants)
         t = hist.t
         tf = (1.0 - p.alpha_f) * t[1:] + p.alpha_f * t[:-1]
         assert len(seen["vehicle"]) >= 2
@@ -549,23 +552,22 @@ class TestTabulatedRun:
     @pytest.mark.parametrize("rho_inf,newmark", [(0.9, False), (None, True)])
     def test_tabulated_run_equals_direct_steps(self, default_scenario,
                                                default_path, default_bridge,
-                                               rho_inf, newmark):
+                                               rho_inf, newmark, call_log):
         # Longer than one chunk of steps, so the run evaluates its
         # coefficients in more than one call.
         model = coupled_model(default_path, default_bridge,
                               default_scenario.vehicle)
-        calls = []
         reduced_at = model.reduced_at
 
         def counting(t):
-            calls.append(len(t))
+            call_log.add(len(t))
             return reduced_at(t)
 
         model.reduced_at = counting
         p = scheme_params(rho_inf=rho_inf, dt=1e-3, newmark=newmark)
         n = TABLE_BLOCK + 3
         hist = run_model(model, p, "A", n)
-        assert len(calls) >= 3  # t = 0, then at least two chunks
+        assert len(call_log.read()) >= 3  # t = 0, then at least two chunks
         stepper = Stepper(model, p, "A")
         state = initial_state(model)
         for i in range(1, n + 1):
@@ -786,18 +788,16 @@ class TestStepTables:
         return model, scenario_scheme(scenario), scenario.run.strategy
 
     @staticmethod
-    def _counting_blocks(monkeypatch) -> list:
-        """The block lengths ``Stepper.tabulate`` is called with, from now
-        on."""
-        blocks = []
+    def _counting_blocks(monkeypatch, call_log) -> None:
+        """Record in ``call_log`` the number of steps of each block that
+        ``Stepper.tabulate`` writes, from now on."""
         tabulate = Stepper.tabulate
 
-        def counting(self, con1, conf, veh, n):
-            blocks.append(n)
-            return tabulate(self, con1, conf, veh, n)
+        def counting(self, cons, vehs, i, k, out):
+            call_log.add(len(i))
+            return tabulate(self, cons, vehs, i, k, out)
 
         monkeypatch.setattr(Stepper, "tabulate", counting)
-        return blocks
 
     @staticmethod
     def _assert_direct_steps_equal(hist, model, params, strategy,
@@ -829,22 +829,23 @@ class TestStepTables:
     @pytest.mark.parametrize("elements", [8, 16, 32])
     @pytest.mark.parametrize("case", TABLE_CASES.values(), ids=TABLE_CASES)
     def test_blocks_equal_one_step_blocks(self, case, elements, default_path,
-                                          bridges, monkeypatch):
+                                          bridges, monkeypatch, call_log):
         model, params, strategy = self._model(case, elements, default_path,
                                               bridges)
         block = Stepper(model, params, strategy).block_steps()
         assert block % (integrators.SCHUR_COLUMNS // 3) == 0
         n = 2 * block + 2
         repair = case["run"].get("displacement_repair_every", 0)
-        blocks = self._counting_blocks(monkeypatch)
+        self._counting_blocks(monkeypatch, call_log)
         hist = run_model(model, params, strategy, n, probes={"mid": 75.0},
                          displacement_repair_every=repair)
-        assert blocks == [block, block, 2]
+        assert call_log.read() == [block, block, 2]
         self._assert_direct_steps_equal(
             hist, model, params, strategy,
             probe_rows=model.bridge.probe_rows(75.0), repair=repair)
 
-    def test_rigid_profile_blocks_equal_one_step_blocks(self, monkeypatch):
+    def test_rigid_profile_blocks_equal_one_step_blocks(self, monkeypatch,
+                                                        call_log):
         # No bridge: the blocks' bridge rows have no columns.
         runs = []
 
@@ -858,11 +859,11 @@ class TestStepTables:
             vehicle_at=lambda t: None, reduced_at=lambda t: None), params,
             "A").block_steps()
         n = 2 * block + 2
-        blocks = self._counting_blocks(monkeypatch)
+        self._counting_blocks(monkeypatch, call_log)
         hist = integrators.run_rigid_profile(
             VehicleParams(v=100.0), CosineProfile(0.01, 30.0, 200.0), params,
             n * params.dt)
-        assert blocks == [block, block, 2]
+        assert call_log.read() == [block, block, 2]
         (model, _, strategy, kwargs), = runs
         assert model.n_b == 0 and hist.n_steps == n
         assert np.max(hist.res_acc[1:]) > 0.0
@@ -873,24 +874,25 @@ class TestStepTables:
 
     @pytest.mark.parametrize("case", ["A", "C"])
     def test_solves_per_step(self, case, default_path, bridges,
-                             monkeypatch):
+                             monkeypatch, call_log):
         # One one-column solve per step for the state; the Schur columns,
         # three per step, in solves of SCHUR_COLUMNS columns whose unused
-        # ones are zero.
+        # ones are zero. The state's solves are the steps' and the Schur
+        # solves the producer's: both are recorded in one file.
         model, params, strategy = self._model(TABLE_CASES[case], 16,
                                               default_path, bridges)
-        widths, getrs = [], integrators.getrs
+        getrs = integrators.getrs
 
         def recording(lu, piv, b):
             solve = getrs(lu, piv, b)
 
             def call():
                 if b.ndim == 1:
-                    widths.append(1)
+                    call_log.add(1)
                 else:
                     assert b.shape[1] == integrators.SCHUR_COLUMNS
                     used = np.flatnonzero(b.any(axis=0))
-                    widths.append(-len(used))
+                    call_log.add(-len(used))
                     assert np.array_equal(used, np.arange(len(used)))
                 return solve()
             return call
@@ -898,6 +900,7 @@ class TestStepTables:
         monkeypatch.setattr(integrators, "getrs", recording)
         n = 3 * Stepper(model, params, strategy).block_steps() + 1
         run_model(model, params, strategy, n)
+        widths = call_log.read()
         schur = [-w for w in widths if w < 0]
         assert widths.count(1) == n
         assert sum(schur) == 3 * n

@@ -123,18 +123,19 @@ class TestRun:
         assert (out / "timehistory.csv").is_file()
 
     def test_nonfinite_coupling_rows_exit_two(self, tmp_path, capsys,
-                                              monkeypatch):
+                                              monkeypatch, call_log):
         healthy = integ.constraint_rates
-        tabulated = []
 
         def poisoned(*args, **kwargs):
             # The run evaluates the constraint at t = 0, then, in one chunk
             # of its 200 steps, at t_{n+1} of steps 1..200 and at t_f of
-            # steps 1..200, so entry 1 + 200 + 49 is t_f of step 50.
+            # steps 1..200, so entry 1 + 200 + 49 is t_f of step 50. The
+            # evaluations are counted in a file, which the producer's
+            # evaluations reach.
             snap = healthy(*args, **kwargs)
             vals = snap.rows.vals
-            vals[max(250 - sum(tabulated), 0):] = np.nan
-            tabulated.append(len(vals))
+            vals[max(250 - sum(call_log.read()), 0):] = np.nan
+            call_log.add(len(vals))
             return snap
 
         monkeypatch.setattr(integ, "constraint_rates", poisoned)
@@ -143,7 +144,7 @@ class TestRun:
                                         "run": {"horizon": 0.2}}))
         out = tmp_path / "out"
         assert cli(["run", str(scenario), "-o", str(out)]) == 2
-        assert tabulated == [1, 400]
+        assert call_log.read() == [1, 400]
         err = capsys.readouterr().err
         assert "step 50 " in err and "t=0.05" in err
         assert not (out / "timehistory.csv").exists()

@@ -1,4 +1,5 @@
 import copy
+import os
 
 import numpy as np
 import pytest
@@ -269,26 +270,28 @@ class TestCoefficientEvaluations:
     every t_f (which equals t_{n+1} under Newmark), the vehicle frame at
     every t_f and once at the path start for the gravity reference.
     Projection, repair, and the residual record reuse the constraint the
-    state carries."""
+    state carries.
 
-    N_STEPS = 7
+    The run has more than one block of steps, so that a producer process
+    evaluates the coefficients where a second CPU may run it
+    (``run_model``); the calls are recorded in a file, which its calls
+    reach."""
+
+    N_STEPS = 60
 
     @pytest.mark.parametrize("strategy,rows_per_step", [("A", 2), ("B", 1),
                                                         ("C", 1)])
     def test_one_evaluation_per_instant(self, monkeypatch, strategy,
                                         rows_per_step, default_path,
-                                        default_bridge):
+                                        default_bridge, call_log):
         import vtsi.integrators
         import vtsi.pathgeom
         from vtsi import parse_scenario
         from vtsi.simulate import build_scenario_model, run_simulation
 
-        calls, instants = {}, {}
-
         def counting(name, fn, arg):
             def wrapped(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                instants[name] = instants.get(name, 0) + np.size(args[arg])
+                call_log.add((name, np.size(args[arg])))
                 return fn(*args, **kwargs)
             return wrapped
 
@@ -299,8 +302,7 @@ class TestCoefficientEvaluations:
         n = self.N_STEPS
         probes = []
         for axle_load in (False, True):
-            calls.clear()
-            instants.clear()
+            call_log.clear()
             scenario = parse_scenario({
                 "run": {"strategy": strategy, "horizon": n * 1e-3,
                         "displacement_repair_every": 2},
@@ -310,6 +312,12 @@ class TestCoefficientEvaluations:
             model.vehicle_at = counting("vehicle_at", model.vehicle_at, 0)
             model.reduced_at = counting("reduced_at", model.reduced_at, 0)
             hist = run_simulation(scenario, model)
+            forked = {pid for pid, _ in call_log.records()} != {os.getpid()}
+            assert forked == vtsi.integrators._may_fork()
+            calls, instants = {}, {}
+            for name, size in call_log.read():
+                calls[name] = calls.get(name, 0) + 1
+                instants[name] = instants.get(name, 0) + size
             # One chunk holds the run's steps; reduced_at also runs at t_0.
             assert calls == {"vehicle_at": 1, "reduced_at": 2,
                              "constraint_rates": 2, "frame_kinematics": 2}
